@@ -47,7 +47,6 @@
 
 pub mod diff;
 pub mod fault;
-pub mod lane;
 pub mod pipeline;
 pub mod rename;
 pub mod runner;
@@ -56,7 +55,6 @@ pub mod window;
 
 pub use diff::DiffChecker;
 pub use fault::{FaultKind, FaultPlan, FaultWindow};
-pub use lane::{default_lanes, run_lane_batch, validate_lanes, LaneCell, LaneStream, SharedStream, MAX_LANES};
 pub use pipeline::{config_fingerprint, load_snapshot, sections, PipelineSnapshot, Simulator};
 pub use rename::{PhysRef, RenameUnit};
 pub use runner::{ParseRequestError, RunLength, RunOutcome, RunRequest, RunSource};

@@ -44,19 +44,6 @@ use std::collections::VecDeque;
 
 pub use ss_types::PipelineSnapshot;
 
-/// How the issue stage treats the recovery buffer this cycle.
-#[derive(Clone, Copy, PartialEq)]
-enum RecoveryScan {
-    /// Proven empty of selectable members — skip the candidate walk.
-    /// Only the gated stepper can prove this (via its cached horizon).
-    Skip,
-    /// Walk and select (reference behavior, every cycle).
-    Scan,
-    /// Walk, select, and record the buffer's next readiness horizon for
-    /// the gated stepper's cache.
-    ScanTracked,
-}
-
 /// Per-cycle issue-stage context shared by the replay and scheduler
 /// selection loops (drives Schedule Shifting decisions).
 #[derive(Debug, Default)]
@@ -162,17 +149,14 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
     /// fetch boundary), surfaced by [`Simulator::try_run_committed`].
     pending_error: Option<SimError>,
 
-    /// Gated-stepper cache (lane engine, [`Simulator::try_run_committed_ff`]):
-    /// the earliest cycle a recovery-buffer member becomes selectable.
-    /// Pure scratch — reconstructible, never persisted in snapshots.
+    /// Stepper cache ([`Simulator::tick`]): the earliest cycle a
+    /// recovery-buffer member becomes selectable. Pure scratch —
+    /// reconstructible, never persisted in snapshots.
     recovery_ready_at: Cycle,
     /// Whether a stage that can move wake times or recovery membership
-    /// ran since `recovery_ready_at` was computed.
+    /// ran since `recovery_ready_at` was computed (set by a snapshot
+    /// restore too, since the cache describes the pre-restore machine).
     step_dirty: bool,
-    /// The cycle the gated stepper last maintained its cache at; a
-    /// mismatch means cycles ran outside the stepper (plain `tick`, or a
-    /// snapshot restore) and the cache must be rebuilt.
-    step_stamp: Cycle,
 
     /// Bounded ring of the last `commit_log_window` committed µ-ops (the
     /// canonical commit log; O(window) memory regardless of run length).
@@ -257,7 +241,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             pending_error: None,
             recovery_ready_at: Cycle::NEVER,
             step_dirty: true,
-            step_stamp: Cycle::ZERO,
             commit_ring: VecDeque::new(),
             diff: None,
             wakeup_bug_armed: false,
@@ -375,86 +358,48 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// * [`SimError::TraceInvalid`] — the trace source handed fetch a
     ///   malformed µ-op.
     ///
+    /// Windows where no stage has work — 30–50% of all cycles on
+    /// scheduler-bound workloads — are fast-forwarded in one jump
+    /// ([`Self::quiet_skip`]). The jump only covers cycles where
+    /// [`Self::tick`] would have advanced the clock and counted
+    /// `cycles` (plus `degrade_cycles` / `dispatch_stall_cycles` where
+    /// those stalls hold, and one `Occupancy` event each when tracing)
+    /// without touching anything else, and it lands exactly on the
+    /// watchdog deadline and on every invariant-check multiple, so
+    /// statistics, errors and failure reports are those of stepping
+    /// every cycle. Quiet skip is off under `legacy_scan`, which does
+    /// not maintain the ready set the probe reads.
+    ///
     /// The simulator must not be used further after an error.
     pub fn try_run_committed(&mut self, n: u64) -> Result<SimStats, SimError> {
         let target = self.stats.committed_uops + n;
         let watchdog = self.cfg.watchdog_cycles;
         let interval = self.cfg.invariant_check_interval;
         while self.stats.committed_uops < target {
-            self.tick();
-            if let Some(e) = self.pending_error.take() {
-                return Err(e);
-            }
-            if self.now.since(self.last_commit_at) >= watchdog {
-                return Err(SimError::Deadlock(Box::new(self.deadlock_report())));
-            }
-            if interval > 0 && self.now.get().is_multiple_of(interval) {
-                self.check_invariants()?;
-            }
-        }
-        Ok(self.stats())
-    }
-
-    /// Like [`Self::try_run_committed`], but driven by the lane engine's
-    /// *gated* stepper: each cycle runs only the stages that provably
-    /// have work, the recovery buffer's readiness is tracked by a cached
-    /// horizon instead of a per-cycle scan, and windows where *no* stage
-    /// has work — 30–50% of all cycles on scheduler-bound workloads —
-    /// are fast-forwarded in one jump.
-    ///
-    /// Produces bit-identical [`SimStats`], error values, and failure
-    /// reports to [`Self::try_run_committed`]: a stage is only skipped
-    /// on cycles where the real `tick` would have early-exited it, the
-    /// fast-forward only covers cycles where a real `tick` would have
-    /// advanced the clock and counted `cycles` (plus `degrade_cycles` /
-    /// `dispatch_stall_cycles` where those stalls hold) without touching
-    /// anything else, and the watchdog and periodic invariant checks
-    /// land on exactly the cycles they would have fired on. Falls back
-    /// to the reference loop under `legacy_scan` (the O(ROB) scan
-    /// touches state every cycle) or an enabled trace sink (per-cycle
-    /// occupancy events must be emitted).
-    pub fn try_run_committed_ff(&mut self, n: u64) -> Result<SimStats, SimError> {
-        if self.legacy_scan || S::ENABLED {
-            return self.try_run_committed(n);
-        }
-        let target = self.stats.committed_uops + n;
-        let watchdog = self.cfg.watchdog_cycles;
-        let interval = self.cfg.invariant_check_interval;
-        // Cycles may have been simulated outside this driver (plain
-        // `tick`/`try_run_committed`, or a snapshot restore) since the
-        // cache was last maintained; refresh it before trusting it.
-        if self.step_stamp != self.now {
-            self.step_dirty = true;
-        }
-        while self.stats.committed_uops < target {
-            // Bulk fast-forward, legal only when the cached recovery
-            // horizon is current (no stage ran since it was computed).
-            if !self.step_dirty {
-                if let Some((skip, dispatch_stall)) = self.quiet_skip() {
-                    // Land exactly on the watchdog deadline (the report
-                    // must carry the same cycle the per-tick check would
-                    // see) and on every invariant-check multiple.
-                    let deadline = self.last_commit_at.get().saturating_add(watchdog);
-                    let mut skip = skip.min(deadline - self.now.get());
-                    if let Some(period) = self.now.get().checked_div(interval) {
-                        let next_check = (period + 1) * interval;
-                        skip = skip.min(next_check - self.now.get());
-                    }
-                    self.advance_quiet(skip, dispatch_stall);
-                    self.step_stamp = self.now;
-                    if self.now.since(self.last_commit_at) >= watchdog {
-                        return Err(SimError::Deadlock(Box::new(self.deadlock_report())));
-                    }
-                    if interval > 0 && self.now.get().is_multiple_of(interval) {
-                        self.check_invariants()?;
-                    }
-                    continue;
+            // Legal only when the cached recovery horizon is current (no
+            // stage ran since it was computed).
+            let quiet = if self.step_dirty || self.legacy_scan {
+                None
+            } else {
+                self.quiet_skip()
+            };
+            if let Some((skip, dispatch_stall)) = quiet {
+                // Land exactly on the watchdog deadline (the report must
+                // carry the same cycle a per-cycle check would see) and
+                // on every invariant-check multiple.
+                let deadline = self.last_commit_at.get().saturating_add(watchdog);
+                let mut skip = skip.min(deadline - self.now.get());
+                if let Some(period) = self.now.get().checked_div(interval) {
+                    let next_check = (period + 1) * interval;
+                    skip = skip.min(next_check - self.now.get());
+                }
+                self.advance_quiet(skip, dispatch_stall);
+            } else {
+                self.tick();
+                if let Some(e) = self.pending_error.take() {
+                    return Err(e);
                 }
             }
-            self.tick_fast();
-            if let Some(e) = self.pending_error.take() {
-                return Err(e);
-            }
             if self.now.since(self.last_commit_at) >= watchdog {
                 return Err(SimError::Deadlock(Box::new(self.deadlock_report())));
             }
@@ -465,14 +410,16 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         Ok(self.stats())
     }
 
-    /// One *gated* cycle: advances the clock like [`Self::tick`], then
-    /// runs only the stages whose no-op conditions do not hold. Each
-    /// gate is checked immediately before its stage, in stage order, so
-    /// it sees exactly the state the real stage would (a stage that runs
-    /// can arm the next — commit firing a store release, execute pushing
-    /// a squash into recovery). Gates are conservative: a false positive
-    /// calls a stage that early-exits (harmless); the no-op conditions
-    /// make false negatives impossible:
+    /// Advances the machine one cycle, calling each stage in order:
+    /// deferred wakes, commit, execute, issue, dispatch, fetch.
+    ///
+    /// The first four are *gated*: a stage is called only when its
+    /// no-op condition does not hold. Each gate is checked immediately
+    /// before its stage, so it sees exactly the state the stage would
+    /// (a stage that runs can arm the next — commit firing a store
+    /// release, execute pushing a squash into recovery). Gates are
+    /// conservative: a false positive calls a stage that early-exits;
+    /// the no-op conditions make false negatives impossible:
     ///
     /// * deferred wakes — nothing due (`min apply_at > now`);
     /// * commit — ROB head absent, not `Done`, or `done_at > now`;
@@ -481,18 +428,15 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     ///   watcher, store release), empty ready set, and no selectable
     ///   recovery member (tracked by the cached horizon
     ///   `recovery_ready_at`, recomputed only on cycles where a stage
-    ///   that can move wake times or recovery membership ran);
-    /// * dispatch — frontend head absent or not ready (no work, no
-    ///   stall stat), or ready but resource-blocked (counts the
-    ///   dispatch stall without walking the stage);
-    /// * fetch — stalled, frontend at capacity, or parked in wrong-path
-    ///   mode with wrong-path fetch disabled.
+    ///   that can move wake times or recovery membership ran). Under
+    ///   `legacy_scan` the ready set is not maintained, so the issue
+    ///   gate is always open.
     ///
-    /// When a recovery member *is* selectable the full issue stage runs
-    /// with its recovery scan; otherwise the scan (an O(members) walk
-    /// per cycle, the priciest always-on cost of the reference tick
-    /// during replay storms) is skipped.
-    fn tick_fast(&mut self) {
+    /// When a recovery member *is* selectable the issue stage walks the
+    /// recovery buffer; otherwise that O(members) walk, the priciest
+    /// always-on cost during replay storms, is skipped. Dispatch and
+    /// fetch exit on their first check when they have nothing to do.
+    pub fn tick(&mut self) {
         self.now += 1;
         self.stats.cycles += 1;
         if self.degraded() {
@@ -533,18 +477,15 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         } else {
             self.recovery_ready_at <= now
         };
-        let issue_needed = scan_recovery
+        let issue_needed = self.legacy_scan
+            || scan_recovery
             || self.sched.ready_len() > 0
             || self.rename.has_woken()
             || self.sched.has_store_woken()
             || self.sched.next_due().is_some_and(|d| d <= now);
         let issued_before = self.stats.issued_total;
         if issue_needed {
-            self.issue_inner(if scan_recovery {
-                RecoveryScan::ScanTracked
-            } else {
-                RecoveryScan::Skip
-            });
+            self.issue(scan_recovery);
         }
         // Past this cycle's walk, only an actual issue can move wake
         // times (wakeup speculation on the issued µ-op's destination);
@@ -553,31 +494,24 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         // and fetch touches only the frontend/predictors/i-cache).
         self.step_dirty = self.stats.issued_total != issued_before;
 
-        if let Some(f) = self.frontend.front() {
-            if f.ready_at <= now {
-                let blocked = self.rob.len() >= self.cfg.rob_entries as usize
-                    || self.iq_used >= self.cfg.iq_entries
-                    || (f.uop.class.is_load() && self.lq_used >= self.cfg.lq_entries)
-                    || (f.uop.class.is_store() && self.sq_used >= self.cfg.sq_entries)
-                    || f.uop
-                        .dst
-                        .is_some_and(|d| self.rename.free_count(d.class) == 0);
-                if blocked {
-                    // Exactly the reference stage's "stalled with nothing
-                    // dispatched" accounting, without walking the stage.
-                    self.stats.dispatch_stall_cycles += 1;
-                } else {
-                    self.dispatch();
-                }
-            }
+        self.dispatch();
+        self.fetch();
+        if S::ENABLED {
+            self.record_occupancy();
         }
-        if now >= self.fetch_stall_until
-            && self.frontend.len() < self.frontend_cap
-            && (self.cfg.wrong_path || !self.wrong_path_mode)
-        {
-            self.fetch();
-        }
-        self.step_stamp = now;
+    }
+
+    /// Emits this cycle's `Occupancy` trace event.
+    fn record_occupancy(&mut self) {
+        self.sink.record(TraceEvent::Occupancy {
+            cycle: self.now,
+            rob: self.rob.len() as u32,
+            iq: self.iq_used,
+            lq: self.lq_used,
+            sq: self.sq_used,
+            recovery: self.recovery.iter().map(|(_, g)| g.len() as u32).sum(),
+            inflight: self.inflight.iter().map(|(_, g)| g.len() as u32).sum(),
+        });
     }
 
     /// [`Self::ready_to_issue`] for recovery members, answering *when*
@@ -616,7 +550,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// are all quiet (`dispatch_stall` reports whether each of them
     /// would have counted a dispatch stall), `None` when the next cycle
     /// is (or may be) busy. The per-stage no-op conditions are those of
-    /// [`Self::tick_fast`]; everything else the stages consult
+    /// [`Self::tick`]; everything else the stages consult
     /// (scoreboard wake/avail times, memory hierarchy, predictors,
     /// fault windows) is only read when one of them fires, so the
     /// earliest stage event bounds the skip. Conservative by
@@ -662,14 +596,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         let mut dispatch_stall = false;
         if let Some(f) = self.frontend.front() {
             if f.ready_at <= c {
-                let blocked = self.rob.len() >= self.cfg.rob_entries as usize
-                    || self.iq_used >= self.cfg.iq_entries
-                    || (f.uop.class.is_load() && self.lq_used >= self.cfg.lq_entries)
-                    || (f.uop.class.is_store() && self.sq_used >= self.cfg.sq_entries)
-                    || f.uop
-                        .dst
-                        .is_some_and(|d| self.rename.free_count(d.class) == 0);
-                if !blocked {
+                if !self.dispatch_blocked(&f.uop) {
                     return None;
                 }
                 dispatch_stall = true;
@@ -699,6 +626,8 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// active, and `dispatch_stall_cycles` when the probe saw a ready
     /// frontend head blocked on a structural resource (the condition is
     /// constant across a quiet window — nothing that feeds it changes).
+    /// An enabled trace sink gets the `Occupancy` event of each skipped
+    /// cycle; occupancy is constant across the window too.
     fn advance_quiet(&mut self, n: u64, dispatch_stall: bool) {
         debug_assert!(n >= 1);
         self.stats.degrade_cycles += self
@@ -709,8 +638,15 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         if dispatch_stall {
             self.stats.dispatch_stall_cycles += n;
         }
-        self.now += n;
         self.stats.cycles += n;
+        if S::ENABLED {
+            for _ in 0..n {
+                self.now += 1;
+                self.record_occupancy();
+            }
+        } else {
+            self.now += n;
+        }
     }
 
     /// Captures the current pipeline occupancy (cheap; no simulation
@@ -880,32 +816,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             return fail(what);
         }
         Ok(())
-    }
-
-    /// Advances the machine one cycle.
-    pub fn tick(&mut self) {
-        self.now += 1;
-        self.stats.cycles += 1;
-        if self.degraded() {
-            self.stats.degrade_cycles += 1;
-        }
-        self.apply_deferred_wakes();
-        self.commit();
-        self.execute();
-        self.issue();
-        self.dispatch();
-        self.fetch();
-        if S::ENABLED {
-            self.sink.record(TraceEvent::Occupancy {
-                cycle: self.now,
-                rob: self.rob.len() as u32,
-                iq: self.iq_used,
-                lq: self.lq_used,
-                sq: self.sq_used,
-                recovery: self.recovery.iter().map(|(_, g)| g.len() as u32).sum(),
-                inflight: self.inflight.iter().map(|(_, g)| g.len() as u32).sum(),
-            });
-        }
     }
 
     /// Counts a replay event and, when graceful degradation is
@@ -1811,18 +1721,12 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     // issue
     // ------------------------------------------------------------------
 
-    fn issue(&mut self) {
-        self.issue_inner(RecoveryScan::Scan);
-    }
-
-    /// The issue stage. [`RecoveryScan::Skip`] omits the recovery-buffer
-    /// candidate walk — only legal when the caller has proven no member
+    /// The issue stage. With `scan_recovery` false the recovery-buffer
+    /// walk is omitted — only legal when the caller has proven no member
     /// is selectable this cycle (the walk would inspect every member and
-    /// issue none, mutating nothing); [`RecoveryScan::ScanTracked`]
-    /// additionally records the buffer's next readiness horizon into the
-    /// gated stepper's cache as a byproduct of the walk it was doing
-    /// anyway. The reference `tick` always plain-scans.
-    fn issue_inner(&mut self, scan: RecoveryScan) {
+    /// issue none, mutating nothing). A walk also records the buffer's
+    /// next readiness horizon into the stepper cache.
+    fn issue(&mut self, scan_recovery: bool) {
         if !self.legacy_scan {
             self.sched_drain_events();
             #[cfg(debug_assertions)]
@@ -1832,7 +1736,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             // A replay squashed this cycle: selection is suppressed, and
             // the walk below never ran. Any horizon the caller wanted is
             // unknown — force a rescan next cycle.
-            if scan == RecoveryScan::ScanTracked {
+            if scan_recovery {
                 self.recovery_ready_at = Cycle::ZERO;
             }
             return;
@@ -1853,16 +1757,15 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         // the buffer carries per-entry ready bits instead — see DESIGN.md.)
         let mut replay_candidates = std::mem::take(&mut self.scratch_candidates);
         replay_candidates.clear();
-        if scan != RecoveryScan::Skip {
+        if scan_recovery {
             replay_candidates.extend(self.recovery.iter().flat_map(|(_, g)| g.iter().copied()));
         }
-        let tracked = scan == RecoveryScan::ScanTracked;
-        // Next readiness horizon, rebuilt during a tracked walk. Members
-        // that issue leave the buffer and contribute nothing; a member
-        // that is ready but loses arbitration (width/ports) folds a
-        // past cycle in, forcing a rescan next cycle. Exact only when
-        // nothing issues this cycle — any issue can move wake times,
-        // which re-dirties the cache anyway (see `tick_fast`).
+        // Next readiness horizon, rebuilt during the walk. Members that
+        // issue leave the buffer and contribute nothing; a member that
+        // is ready but loses arbitration (width/ports) folds a past
+        // cycle in, forcing a rescan next cycle. Exact only when nothing
+        // issues this cycle — any issue can move wake times, which
+        // re-dirties the cache anyway (see `tick`).
         let mut horizon = Cycle::NEVER;
         let mut replayed_any = false;
         for &seq in &replay_candidates {
@@ -1871,17 +1774,13 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 horizon = Cycle::ZERO;
                 break;
             }
-            if tracked {
-                match self.replay_ready_at(seq) {
-                    None => continue,
-                    Some(at) if at > self.now => {
-                        horizon = horizon.min(at);
-                        continue;
-                    }
-                    Some(at) => horizon = horizon.min(at),
+            match self.replay_ready_at(seq) {
+                None => continue,
+                Some(at) if at > self.now => {
+                    horizon = horizon.min(at);
+                    continue;
                 }
-            } else if !self.ready_to_issue(seq) {
-                continue;
+                Some(at) => horizon = horizon.min(at),
             }
             if !Self::take_ports(
                 self.entry(seq).expect("entry").uop.class,
@@ -1904,7 +1803,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             issued_group.push(seq);
             replayed_any = true;
         }
-        if tracked {
+        if scan_recovery {
             self.recovery_ready_at = horizon;
         }
         if replayed_any {
@@ -2271,28 +2170,11 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             if f.ready_at > self.now {
                 break;
             }
-            // Structural resources.
-            if self.rob.len() >= self.cfg.rob_entries as usize
-                || self.iq_used >= self.cfg.iq_entries
-            {
+            if self.dispatch_blocked(&f.uop) {
                 stalled = true;
                 break;
             }
             let class = f.uop.class;
-            if class.is_load() && self.lq_used >= self.cfg.lq_entries {
-                stalled = true;
-                break;
-            }
-            if class.is_store() && self.sq_used >= self.cfg.sq_entries {
-                stalled = true;
-                break;
-            }
-            if let Some(d) = f.uop.dst {
-                if self.rename.free_count(d.class) == 0 {
-                    stalled = true;
-                    break;
-                }
-            }
             let f = self.frontend.pop_front().expect("peeked");
             let seq = self.next_seq;
             self.next_seq = self.next_seq.next();
@@ -2355,6 +2237,18 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         if stalled && dispatched == 0 {
             self.stats.dispatch_stall_cycles += 1;
         }
+    }
+
+    /// Whether `uop` cannot dispatch for lack of a structural resource:
+    /// a ROB, IQ, LQ or SQ entry, or a free destination register.
+    fn dispatch_blocked(&self, uop: &MicroOp) -> bool {
+        self.rob.len() >= self.cfg.rob_entries as usize
+            || self.iq_used >= self.cfg.iq_entries
+            || (uop.class.is_load() && self.lq_used >= self.cfg.lq_entries)
+            || (uop.class.is_store() && self.sq_used >= self.cfg.sq_entries)
+            || uop
+                .dst
+                .is_some_and(|d| self.rename.free_count(d.class) == 0)
     }
 
     // ------------------------------------------------------------------

@@ -9,25 +9,19 @@
 //!
 //! Each cell runs one kernel on one machine shape under **both**
 //! scheduler implementations and records simulated-cycles-per-second of
-//! wall time, wall time, and the process peak RSS. The grid is then run
-//! *as a whole* two ways — per-cell (the reference `RunRequest` pool
-//! path) and lane-batched ([`ss_core::lane`]: cells sharing a kernel
-//! step through one driver loop over one decoded µ-op stream), both on
-//! one thread — and the aggregate throughput of each lands in the
-//! report's `aggregate` row. Results land as JSON (`BENCH_sched.json`
-//! by default; schema documented in EXPERIMENTS.md).
+//! wall time, wall time, and the process peak RSS. Results land as JSON
+//! (`BENCH_sched.json` by default; schema documented in EXPERIMENTS.md).
 //! With `--baseline FILE`, the run fails (exit 1) if any cell's
-//! event/legacy speedup ratio — or the aggregate lane/pool ratio, when
-//! the baseline records one — regressed more than `--max-regress`
+//! event/legacy speedup ratio regressed more than `--max-regress`
 //! percent (default 20) against the committed baseline — the ratio, not
 //! absolute throughput, so the gate is stable across host machines. A
 //! *missing* baseline file skips the gate with exit 0 (a fresh branch
 //! has nothing to regress against); only a present-but-unreadable
 //! baseline is an error.
 
-use ss_core::{run_lane_batch, LaneCell, RunLength, RunRequest};
+use ss_core::{RunLength, RunRequest};
 use ss_frontend::{ProgramSpec, RvTraceSource};
-use ss_types::{CancelFlag, SimConfig};
+use ss_types::SimConfig;
 use ss_workloads::kernels;
 use ss_workloads::TraceSource as _;
 use std::fmt::Write as _;
@@ -178,115 +172,6 @@ fn run_one(cell: &Cell, legacy: bool, len: RunLength) -> Result<Sample, String> 
     })
 }
 
-/// One whole-grid pass measured as a unit: total simulated cycles over
-/// total wall time, with every cell on a single thread.
-struct AggSample {
-    sim_cycles: u64,
-    wall_ms: f64,
-    cycles_per_sec: f64,
-}
-
-/// The aggregate-grid comparison the lane engine is gated on: the same
-/// cells run per-cell (the reference `RunRequest` pool path) vs
-/// lane-batched (cells sharing a kernel step through one driver loop
-/// over one decoded µ-op stream), both on one thread.
-struct Aggregate {
-    cells: usize,
-    pool: AggSample,
-    lanes: AggSample,
-    speedup: f64,
-}
-
-/// One sequential pass over the grid through the per-cell path.
-fn run_pool_pass(cells: &[&Cell], len: RunLength) -> Result<AggSample, String> {
-    let start = Instant::now();
-    let mut sim_cycles = 0u64;
-    for cell in cells {
-        let stats = RunRequest::kernel(kernel_spec(cell.kernel))
-            .custom_config(cell_config(cell, false))
-            .length(len)
-            .execute()
-            .map(|o| o.stats)
-            .map_err(|e| format!("{}: pool run failed: {e}", cell.name))?;
-        sim_cycles += stats.cycles;
-    }
-    let wall = start.elapsed();
-    Ok(AggSample {
-        sim_cycles,
-        wall_ms: wall.as_secs_f64() * 1_000.0,
-        cycles_per_sec: sim_cycles as f64 / wall.as_secs_f64().max(1e-9),
-    })
-}
-
-/// One pass over the grid through the lane engine: cells sharing a
-/// kernel become one batch (the grid's widest batch is the lane width).
-fn run_lane_pass(cells: &[&Cell], len: RunLength) -> Result<AggSample, String> {
-    let mut groups: Vec<(&'static str, Vec<&Cell>)> = Vec::new();
-    for cell in cells {
-        match groups.iter_mut().find(|(k, _)| *k == cell.kernel) {
-            Some((_, v)) => v.push(cell),
-            None => groups.push((cell.kernel, vec![cell])),
-        }
-    }
-    let start = Instant::now();
-    let mut sim_cycles = 0u64;
-    for (kernel, group) in &groups {
-        let lane_cells = group
-            .iter()
-            .map(|c| LaneCell::new(cell_config(c, false), len))
-            .collect();
-        let results = run_lane_batch(
-            lane_cells,
-            group.len(),
-            || kernel_spec(kernel).into_source(),
-            &CancelFlag::new(),
-            |_, _, _| {},
-        );
-        for (cell, r) in group.iter().zip(results) {
-            let stats = r.map_err(|e| format!("{}: lane run failed: {e}", cell.name))?;
-            sim_cycles += stats.cycles;
-        }
-    }
-    let wall = start.elapsed();
-    Ok(AggSample {
-        sim_cycles,
-        wall_ms: wall.as_secs_f64() * 1_000.0,
-        cycles_per_sec: sim_cycles as f64 / wall.as_secs_f64().max(1e-9),
-    })
-}
-
-/// Best-of-3 aggregate comparison, interleaved like the per-cell grid.
-fn run_aggregate(cells: &[&Cell], len: RunLength) -> Result<Aggregate, String> {
-    let mut pool: Option<AggSample> = None;
-    let mut lanes: Option<AggSample> = None;
-    for _rep in 0..3 {
-        let p = run_pool_pass(cells, len)?;
-        if pool
-            .as_ref()
-            .is_none_or(|b| p.cycles_per_sec > b.cycles_per_sec)
-        {
-            pool = Some(p);
-        }
-        let l = run_lane_pass(cells, len)?;
-        if lanes
-            .as_ref()
-            .is_none_or(|b| l.cycles_per_sec > b.cycles_per_sec)
-        {
-            lanes = Some(l);
-        }
-    }
-    let (Some(pool), Some(lanes)) = (pool, lanes) else {
-        unreachable!("three reps filled both slots")
-    };
-    let speedup = lanes.cycles_per_sec / pool.cycles_per_sec.max(1e-9);
-    Ok(Aggregate {
-        cells: cells.len(),
-        pool,
-        lanes,
-        speedup,
-    })
-}
-
 /// Measured decode+crack throughput of the RV32IM frontend on its own
 /// (no pipeline attached): µ-ops emitted per second of wall time.
 struct FrontendSample {
@@ -328,33 +213,9 @@ fn sample_json(s: &Sample) -> String {
     )
 }
 
-fn agg_sample_json(s: &AggSample) -> String {
-    format!(
-        "{{\"sim_cycles\": {}, \"wall_ms\": {:.3}, \"cycles_per_sec\": {:.1}}}",
-        s.sim_cycles, s.wall_ms, s.cycles_per_sec
-    )
-}
-
-fn aggregate_json(a: &Aggregate) -> String {
-    format!(
-        "{{\"cells\": {}, \"pool\": {}, \"lane\": {}, \"speedup\": {:.3}}}",
-        a.cells,
-        agg_sample_json(&a.pool),
-        agg_sample_json(&a.lanes),
-        a.speedup
-    )
-}
-
 /// Renders the full report document (schema `bench_sched/v1`; the
-/// `frontend` and `aggregate` keys are additive — per-cell gating reads
-/// `cells`, and the aggregate gate reads `aggregate.speedup` only when
-/// the baseline carries it).
-fn report_json(
-    results: &[CellResult],
-    frontend: &FrontendSample,
-    aggregate: &Aggregate,
-    len: RunLength,
-) -> String {
+/// `frontend` key is additive — gating reads `cells` only).
+fn report_json(results: &[CellResult], frontend: &FrontendSample, len: RunLength) -> String {
     let unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -368,7 +229,6 @@ fn report_json(
     let _ = writeln!(out, "  \"warmup\": {},", len.warmup);
     let _ = writeln!(out, "  \"measure\": {},", len.measure);
     let _ = writeln!(out, "  \"frontend\": {},", frontend_json(frontend));
-    let _ = writeln!(out, "  \"aggregate\": {},", aggregate_json(aggregate));
     let _ = writeln!(out, "  \"cells\": [");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
@@ -384,19 +244,6 @@ fn report_json(
     let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");
     out
-}
-
-/// Reads the baseline's aggregate lane/pool speedup, if the document
-/// carries one (`None` on baselines written before the aggregate row —
-/// the gate then skips that check rather than failing on an older
-/// baseline).
-fn baseline_aggregate_speedup(path: &PathBuf) -> Result<Option<f64>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc = ss_trace::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(doc
-        .get("aggregate")
-        .and_then(|a| a.get("speedup"))
-        .and_then(|s| s.as_num()))
 }
 
 /// Reads `name → speedup` pairs out of a committed baseline document.
@@ -560,25 +407,7 @@ pub fn run_cli(args: &[String]) -> i32 {
         "frontend_rv_sort", frontend.uops_per_sec, frontend.uops
     );
 
-    // Aggregate-grid throughput: the whole selected grid per-cell vs
-    // lane-batched, one thread each, best-of-3.
-    let grid: Vec<&Cell> = GRID
-        .iter()
-        .filter(|c| only.as_deref().is_none_or(|o| c.name.contains(o)))
-        .collect();
-    let aggregate = match run_aggregate(&grid, len) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: aggregate bench: {e}");
-            return 1;
-        }
-    };
-    println!(
-        "  {:<24} pool {:>10.0} c/s  lane {:>12.0} c/s  speedup {:.2}x",
-        "aggregate_grid", aggregate.pool.cycles_per_sec, aggregate.lanes.cycles_per_sec, aggregate.speedup
-    );
-
-    let doc = report_json(&results, &frontend, &aggregate, len);
+    let doc = report_json(&results, &frontend, len);
     if let Some(dir) = out_path.parent().filter(|d| !d.as_os_str().is_empty()) {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -622,28 +451,6 @@ pub fn run_cli(args: &[String]) -> i32 {
                     r.speedup
                 );
                 failed = true;
-            }
-        }
-        // Aggregate lane/pool ratio: gated only when the baseline
-        // records one (additive key — older baselines skip this check).
-        match baseline_aggregate_speedup(&base_path) {
-            Ok(Some(base_agg)) => {
-                let floor = base_agg * (1.0 - max_regress_pct / 100.0);
-                if aggregate.speedup < floor {
-                    eprintln!(
-                        "FAIL: aggregate_grid: lane/pool speedup {:.2}x fell below {floor:.2}x \
-                         (baseline {base_agg:.2}x − {max_regress_pct}%)",
-                        aggregate.speedup
-                    );
-                    failed = true;
-                }
-            }
-            Ok(None) => {
-                println!("bench: baseline has no aggregate row — aggregate gate skipped");
-            }
-            Err(e) => {
-                eprintln!("error: baseline: {e}");
-                return 1;
             }
         }
         if failed {
@@ -693,24 +500,9 @@ mod tests {
             wall_ms: 5.0,
             uops_per_sec: 2_000_000.0,
         };
-        let aggregate = Aggregate {
-            cells: 5,
-            pool: AggSample {
-                sim_cycles: 5_000,
-                wall_ms: 10.0,
-                cycles_per_sec: 500_000.0,
-            },
-            lanes: AggSample {
-                sim_cycles: 5_000,
-                wall_ms: 8.0,
-                cycles_per_sec: 625_000.0,
-            },
-            speedup: 1.25,
-        };
         let doc = report_json(
             &results,
             &frontend,
-            &aggregate,
             RunLength {
                 warmup: 1,
                 measure: 2,
@@ -741,40 +533,6 @@ mod tests {
             fe.get("uops_per_sec").and_then(|v| v.as_num()),
             Some(2_000_000.0)
         );
-        let agg = parsed.get("aggregate").expect("aggregate row present");
-        assert_eq!(
-            agg.get("speedup").and_then(|v| v.as_num()),
-            Some(1.25),
-            "the aggregate CI gate reads this field"
-        );
-        assert_eq!(
-            agg.get("lane")
-                .and_then(|l| l.get("cycles_per_sec"))
-                .and_then(|v| v.as_num()),
-            Some(625_000.0)
-        );
-    }
-
-    #[test]
-    fn baseline_aggregate_speedup_is_optional() {
-        let dir = std::env::temp_dir().join("ss_bench_agg_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        // An older baseline without the aggregate row: the gate skips.
-        std::fs::write(
-            &path,
-            "{\"schema\": \"bench_sched/v1\", \"cells\": [{\"name\": \"a\", \"speedup\": 1.5}]}",
-        )
-        .unwrap();
-        assert_eq!(baseline_aggregate_speedup(&path).unwrap(), None);
-        // A current baseline carries it.
-        std::fs::write(
-            &path,
-            "{\"schema\": \"bench_sched/v1\", \"aggregate\": {\"speedup\": 1.12}, \"cells\": []}",
-        )
-        .unwrap();
-        assert_eq!(baseline_aggregate_speedup(&path).unwrap(), Some(1.12));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

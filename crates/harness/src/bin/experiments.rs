@@ -12,13 +12,13 @@
 //!             [--max-regress PCT]
 //! experiments snapfuzz [--seeds N] [--seed S]
 //! experiments serve --socket PATH [--jobs N] [--queue-depth D]
-//!             [--checkpoint-dir DIR] [--lanes K]
+//!             [--checkpoint-dir DIR]
 //! experiments client --socket PATH [--id ID] [--prio CLASS]
 //!             [--cancel-after N] [--stats] [--shutdown] [--req TEXT]
 //! experiments run --req TEXT
 //! experiments chaos [--seed N] [--events N] [--dir DIR]
 //! experiments rvrun [--prog SPEC] [--config SPEC]... [--all] [--delay D]
-//!             [--len wNmN] [--smoke] [--no-check] [--jobs N] [--lanes K]
+//!             [--len wNmN] [--smoke] [--no-check] [--jobs N]
 //! ```
 //!
 //! Results print as ASCII tables; CSVs land in `--out` (default
@@ -86,7 +86,6 @@ fn main() {
     let mut cache = true;
     let mut progress = true;
     let mut jobs = ss_types::exec::default_jobs();
-    let mut lanes: Option<usize> = None;
     let mut out = PathBuf::from("results");
     let mut checkpoint_dir: Option<PathBuf> = None;
     let mut resume = false;
@@ -103,17 +102,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--jobs needs a worker count")
             }
-            "--lanes" => {
-                let k = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--lanes needs a lane count");
-                if let Err(e) = ss_core::validate_lanes(k) {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-                lanes = Some(k);
-            }
             "--out" => out = PathBuf::from(it.next().expect("--out needs a directory")),
             "--checkpoint-dir" => {
                 checkpoint_dir = Some(PathBuf::from(
@@ -123,7 +111,7 @@ fn main() {
             "--resume" => resume = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: experiments [{}|all]... [--jobs N] [--lanes K] [--quick] [--smoke] [--out DIR] [--no-cache] [--no-progress] [--checkpoint-dir DIR] [--resume]",
+                    "usage: experiments [{}|all]... [--jobs N] [--quick] [--smoke] [--out DIR] [--no-cache] [--no-progress] [--checkpoint-dir DIR] [--resume]",
                     experiments::EXPERIMENTS
                         .iter()
                         .map(|e| e.id)
@@ -196,8 +184,7 @@ fn main() {
     if jobs > 1 {
         let cfgs: Vec<_> = selected.iter().flat_map(|e| (e.plan)()).collect();
         let cancel = CancelFlag::new();
-        let lanes = lanes.unwrap_or_else(|| ss_core::default_lanes(cfgs.len()));
-        let stats = exec::prewarm(&mut sess, &cfgs, jobs, lanes, &cancel, progress);
+        let stats = exec::prewarm(&mut sess, &cfgs, jobs, &cancel, progress);
         eprintln!(
             "[prewarm: {} cells across {jobs} workers, {:.1}s, {:.1}M sim-cycles/s{}]",
             stats.cells,

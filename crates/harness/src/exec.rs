@@ -118,59 +118,21 @@ pub struct PrewarmStats {
     pub sim_cycles: u64,
 }
 
-/// Groups fresh cells into work units for the queue. With `lanes <= 1`
-/// each cell is its own unit (the reference per-cell path). With lanes,
-/// cells sharing a benchmark — and therefore one decoded µ-op stream —
-/// are grouped and chunked to at most `lanes` configurations per unit,
-/// so each unit is exactly one lane batch and units still outnumber
-/// workers on typical sweeps.
-fn batch_units(
-    cells: Vec<(NamedConfig, &'static Benchmark)>,
-    lanes: usize,
-) -> Vec<(Vec<NamedConfig>, &'static Benchmark)> {
-    if lanes <= 1 {
-        return cells.into_iter().map(|(c, b)| (vec![c], b)).collect();
-    }
-    // Group by benchmark, preserving first-seen order (matrix order is
-    // deterministic, so unit order is too).
-    let mut groups: Vec<(&'static Benchmark, Vec<NamedConfig>)> = Vec::new();
-    for (cfg, bench) in cells {
-        match groups.iter_mut().find(|(b, _)| b.name == bench.name) {
-            Some((_, v)) => v.push(cfg),
-            None => groups.push((bench, vec![cfg])),
-        }
-    }
-    groups
-        .into_iter()
-        .flat_map(|(bench, cfgs)| {
-            cfgs.chunks(lanes)
-                .map(|c| (c.to_vec(), bench))
-                .collect::<Vec<_>>()
-        })
-        .collect()
-}
-
 /// Runs every (configuration × benchmark) cell of `cfgs` that the
 /// session has not already cached, sharded across `jobs` workers, and
-/// merges the results into `sess`.
-///
-/// With `lanes > 1`, cells sharing a benchmark are grouped into lane
-/// batches ([`Session::try_run_batch`]): one decoded µ-op stream feeds
-/// up to `lanes` simulations stepped through a single driver loop.
-/// Results are bit-identical to the per-cell path; the progress line
-/// still advances per *cell*, not per batch.
+/// merges the results into `sess`. Each cell runs through
+/// [`Session::try_run`], so its result is the one a sequential sweep
+/// would produce.
 ///
 /// With `jobs <= 1` the single worker runs on the calling thread — the
 /// sequential code path, byte for byte. `cancel` stops the sweep at the
-/// next cell boundary (completed cells stay cached; a cancelled batch
-/// records only its finished lanes). `live_progress` draws a
-/// `\r`-refreshed progress line on stderr; pass `false` when stderr is
-/// being captured.
+/// next cell boundary (completed cells stay cached). `live_progress`
+/// draws a `\r`-refreshed progress line on stderr; pass `false` when
+/// stderr is being captured.
 pub fn prewarm(
     sess: &mut Session,
     cfgs: &[NamedConfig],
     jobs: usize,
-    lanes: usize,
     cancel: &CancelFlag,
     live_progress: bool,
 ) -> PrewarmStats {
@@ -179,17 +141,23 @@ pub fn prewarm(
         .filter(|(c, b)| !sess.is_cached(c, b))
         .collect();
     let total = cells.len() as u64;
-    let units = batch_units(cells, lanes);
     let progress = Progress::new(total, live_progress);
-    let queue = WorkQueue::with_cancel(units.len(), cancel.clone());
+    let queue = WorkQueue::with_cancel(cells.len(), cancel.clone());
     let started = Instant::now();
     let workers = scoped_workers(jobs, |_worker| {
         let mut local = sess.fork_worker();
         while let Some(i) = queue.take() {
-            let (unit_cfgs, bench) = &units[i];
-            local.try_run_batch(unit_cfgs, bench, lanes, cancel, |fresh, failed| {
-                progress.tick(fresh, failed);
-            });
+            let (cfg, bench) = &cells[i];
+            let before = local.simulated;
+            let outcome = local.try_run(cfg, bench);
+            // Recalled cells (a failure memoized by another experiment)
+            // add no simulated cycles.
+            let fresh = if local.simulated > before {
+                outcome.as_ref().map_or(0, |s| s.cycles)
+            } else {
+                0
+            };
+            progress.tick(fresh, outcome.is_err());
         }
         local
     });

@@ -21,25 +21,16 @@
 //!
 //! Output is deterministic and byte-identical for any `--jobs` value:
 //! cells execute in parallel but results print in configuration order.
-//!
-//! With the oracle off (`--no-check`), the ladder runs as one *lane
-//! batch* ([`ss_core::lane`]) by default: the program is decoded by the
-//! functional frontend once and its µ-op stream shared by every
-//! configuration, each stepped through a single driver loop. `--lanes K`
-//! overrides the width (`--lanes 1` restores per-cell execution); the
-//! per-cell statistics are bit-identical either way. With the check on,
-//! lanes do not apply — the oracle holds a per-cell golden model — and
-//! cells always run the per-cell path.
 
 use crate::configs::ConfigSpec;
-use ss_core::{default_lanes, run_lane_batch, LaneCell, RunLength, RunOutcome, RunRequest};
-use ss_frontend::{ProgramSpec, RvTraceSource};
+use ss_core::{RunLength, RunOutcome, RunRequest};
+use ss_frontend::ProgramSpec;
 use ss_types::exec::{default_jobs, scoped_workers};
-use ss_types::{CancelFlag, SimStats, WorkQueue};
+use ss_types::{SimStats, WorkQueue};
 use std::sync::Mutex;
 
 const USAGE: &str = "usage: experiments rvrun [--prog SPEC] [--config SPEC]... [--all] \
-                     [--delay D] [--len wNmN] [--smoke] [--no-check] [--jobs N] [--lanes K]";
+                     [--delay D] [--len wNmN] [--smoke] [--no-check] [--jobs N]";
 
 /// Parsed command line for `experiments rvrun`.
 #[derive(Debug)]
@@ -49,7 +40,6 @@ struct RvArgs {
     len: RunLength,
     check: bool,
     jobs: usize,
-    lanes: usize,
 }
 
 /// The default ladder: baseline plus every headline speculative-wakeup
@@ -80,7 +70,6 @@ fn parse_args(args: &[String]) -> Result<RvArgs, String> {
     };
     let mut check = true;
     let mut jobs = 0usize;
-    let mut lanes: Option<usize> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |flag: &str| {
@@ -119,13 +108,6 @@ fn parse_args(args: &[String]) -> Result<RvArgs, String> {
                     return Err("--jobs wants at least 1".to_string());
                 }
             }
-            "--lanes" => {
-                let k = value("--lanes")?
-                    .parse()
-                    .map_err(|_| "--lanes wants a lane count".to_string())?;
-                ss_core::validate_lanes(k).map_err(|e| e.to_string())?;
-                lanes = Some(k);
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
@@ -140,17 +122,12 @@ fn parse_args(args: &[String]) -> Result<RvArgs, String> {
     } else {
         configs
     };
-    // Default lane width follows the batch shape (one lane per config)
-    // when the oracle is off; the oracle path is lane-ineligible (it
-    // holds a per-cell golden model), so it defaults to per-cell.
-    let lanes = lanes.unwrap_or_else(|| if check { 1 } else { default_lanes(configs.len()) });
     Ok(RvArgs {
         prog: prog.unwrap_or_else(|| ProgramSpec::suite("sort", 1)),
         configs,
         len,
         check,
         jobs: if jobs == 0 { default_jobs() } else { jobs },
-        lanes,
     })
 }
 
@@ -212,56 +189,27 @@ pub fn run_cli(args: &[String]) -> i32 {
         if parsed.check { "on" } else { "off" },
         parsed.configs.len()
     );
-    let results: Vec<Option<Result<SimStats, String>>> = if parsed.lanes > 1 && !parsed.check {
-        // Lane-batched: decode the program once, share its µ-op stream
-        // across the whole ladder on one thread. Bit-identical to the
-        // per-cell path below (tests/lane_equivalence.rs).
-        let prog = match parsed.prog.resolve() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("rvrun: {e}");
-                return 2;
+    let jobs = parsed.jobs.min(parsed.configs.len()).max(1);
+    let queue = WorkQueue::new(parsed.configs.len());
+    let slots: Vec<Mutex<Option<Result<RunOutcome, String>>>> =
+        parsed.configs.iter().map(|_| Mutex::new(None)).collect();
+    scoped_workers(jobs, |_worker| {
+        while let Some(i) = queue.take() {
+            let r = run_cell(&parsed.prog, parsed.configs[i], parsed.len, parsed.check);
+            if let Ok(mut slot) = slots[i].lock() {
+                *slot = Some(r);
             }
-        };
-        let cells = parsed
-            .configs
-            .iter()
-            .map(|s| LaneCell::new(s.config(), parsed.len))
-            .collect();
-        run_lane_batch(
-            cells,
-            parsed.lanes,
-            || RvTraceSource::new(prog.clone()),
-            &CancelFlag::new(),
-            |_, _, _| {},
-        )
+        }
+    });
+    let results: Vec<Option<Result<SimStats, String>>> = slots
         .into_iter()
-        .zip(&parsed.configs)
-        .map(|(r, spec)| Some(r.map_err(|e| format!("{spec}: {e}"))))
-        .collect()
-    } else {
-        let jobs = parsed.jobs.min(parsed.configs.len()).max(1);
-        let queue = WorkQueue::new(parsed.configs.len());
-        let slots: Vec<Mutex<Option<Result<RunOutcome, String>>>> =
-            parsed.configs.iter().map(|_| Mutex::new(None)).collect();
-        scoped_workers(jobs, |_worker| {
-            while let Some(i) = queue.take() {
-                let r = run_cell(&parsed.prog, parsed.configs[i], parsed.len, parsed.check);
-                if let Ok(mut slot) = slots[i].lock() {
-                    *slot = Some(r);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .ok()
-                    .flatten()
-                    .map(|r| r.map(|outcome| outcome.stats))
-            })
-            .collect()
-    };
+        .map(|m| {
+            m.into_inner()
+                .ok()
+                .flatten()
+                .map(|r| r.map(|outcome| outcome.stats))
+        })
+        .collect();
     let mut failed = false;
     for (spec, cell) in parsed.configs.iter().zip(results) {
         match cell {
@@ -331,7 +279,7 @@ mod tests {
         let out = run_cell(&prog, spec, len, true).expect("oracle-checked run");
         assert!(out.stats.ipc() > 0.0);
         assert!(out.stats.committed_uops >= len.measure);
-        let line = row(&spec, &out);
+        let line = row(&spec, &out.stats);
         assert!(line.contains("SpecSched_4_Combined"), "{line}");
         assert!(line.contains("ipc"), "{line}");
     }
@@ -351,7 +299,7 @@ mod tests {
             false,
         )
         .unwrap();
-        let line = row(&"Baseline_4".parse().unwrap(), &out);
+        let line = row(&"Baseline_4".parse().unwrap(), &out.stats);
         assert!(line.starts_with("  Baseline_4"), "{line}");
     }
 }

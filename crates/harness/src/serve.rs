@@ -131,10 +131,6 @@ pub struct ServeOptions {
     /// Enables the `poison` protocol verb (deliberately kills a worker
     /// thread to exercise supervisor respawn). Chaos testing only.
     pub allow_poison: bool,
-    /// Lane width for batched sweep execution ([`ss_core::lane`]):
-    /// how many same-workload cells one worker steps through a single
-    /// driver loop. `1` disables batching.
-    pub lanes: usize,
 }
 
 impl Default for ServeOptions {
@@ -150,7 +146,6 @@ impl Default for ServeOptions {
             write_timeout_ms: 5_000,
             drain_grace_ms: 5_000,
             allow_poison: false,
-            lanes: 1,
         }
     }
 }
@@ -190,9 +185,6 @@ impl ServeOptions {
                 "serve: read/write timeouts must be ≥ 1 ms (0 busy-spins or blocks forever)".into(),
             );
         }
-        // Lane width shares the core-side bounds (0 and absurd K are
-        // both rejected before any worker exists to misuse them).
-        ss_core::validate_lanes(self.lanes)?;
         Ok(())
     }
 }
@@ -1262,12 +1254,6 @@ pub fn run_serve_cli(args: &[String]) -> i32 {
                     .expect("--drain-grace-ms needs a millisecond count")
             }
             "--allow-poison" => opts.allow_poison = true,
-            "--lanes" => {
-                opts.lanes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--lanes needs a lane count")
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: experiments serve --socket PATH [flags]\n\
@@ -1283,8 +1269,7 @@ pub fn run_serve_cli(args: &[String]) -> i32 {
                      \x20 --write-timeout-ms MS    reply-write bound before a client\n\
                      \x20                          counts as vanished (5000)\n\
                      \x20 --drain-grace-ms MS      graceful-shutdown budget (5000)\n\
-                     \x20 --allow-poison           enable the `poison` chaos verb (off)\n\
-                     \x20 --lanes K                lane width for batched sweeps (1 = off)"
+                     \x20 --allow-poison           enable the `poison` chaos verb (off)"
                 );
                 return 0;
             }

@@ -23,9 +23,9 @@
 
 use crate::configs::NamedConfig;
 use crate::journal::SweepJournal;
-use ss_core::{run_lane_batch, LaneCell, RunLength, RunRequest};
+use ss_core::{RunLength, RunRequest};
 use ss_snapshot::Snapshot;
-use ss_types::{CacheStats, CancelFlag, SimConfig, SimError, SimStats};
+use ss_types::{CacheStats, SimConfig, SimError, SimStats};
 use ss_workloads::{Benchmark, KernelSpec, BENCHMARKS};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -255,12 +255,11 @@ impl Session {
         self.record_run(cfg, bench, outcome)
     }
 
-    /// Recall-only front half of [`Session::try_run`]: serves the cell
-    /// from the in-memory result map, the memoized-failure map, or the
-    /// on-disk cache. `None` means the cell is fresh and must be
-    /// simulated (stale cache entries were deleted, corrupt ones
-    /// quarantined, exactly as `try_run` would).
-    pub fn try_recall(
+    /// Recall half of [`Session::try_run`]: serves the cell from the
+    /// in-memory result map, the memoized-failure map, or the on-disk
+    /// cache. `None` means the cell is fresh and must be simulated
+    /// (stale cache entries were deleted, corrupt ones quarantined).
+    fn try_recall(
         &mut self,
         cfg: &NamedConfig,
         bench: &Benchmark,
@@ -306,10 +305,9 @@ impl Session {
         None
     }
 
-    /// Record-only back half of [`Session::try_run`]: files a freshly
-    /// simulated cell's outcome — counters, on-disk cache entry, journal
-    /// record, memoization — exactly as `try_run` does for the cells it
-    /// runs itself.
+    /// Record half of [`Session::try_run`]: files a freshly simulated
+    /// cell's outcome — counters, on-disk cache entry, journal record,
+    /// memoization.
     fn record_run(
         &mut self,
         cfg: &NamedConfig,
@@ -332,81 +330,6 @@ impl Session {
         self.journal_done(&cell_key);
         self.mem.insert(key, stats.clone());
         Ok(stats)
-    }
-
-    /// Runs a group of configurations over one benchmark as a lane batch
-    /// ([`ss_core::lane`]): the benchmark's µ-op stream is decoded once
-    /// and shared by up to `lanes` simulations stepped through a single
-    /// driver loop on this thread. Cached cells are recalled first;
-    /// per-cell results are bit-identical to [`Session::try_run`]
-    /// (proven by `tests/lane_equivalence.rs`) and recorded identically
-    /// (disk cache, journal, failure memoization).
-    ///
-    /// Falls back to the per-cell path when lanes cannot apply: `lanes
-    /// <= 1`, or warm-state forking is enabled (each cell then forks a
-    /// per-cell snapshot and shares no warmup work).
-    ///
-    /// `on_cell(fresh_cycles, failed)` fires once per cell — recalled
-    /// cells report `fresh_cycles = 0`, matching the per-cell engine's
-    /// progress accounting. A cancel mid-batch leaves unfinished cells
-    /// unrecorded (not memoized as failures), like a sweep stopped at a
-    /// cell boundary; finished lane-mates are still recorded.
-    pub fn try_run_batch(
-        &mut self,
-        cfgs: &[NamedConfig],
-        bench: &Benchmark,
-        lanes: usize,
-        cancel: &CancelFlag,
-        mut on_cell: impl FnMut(u64, bool),
-    ) {
-        if lanes <= 1 || self.warm_dir.is_some() {
-            for cfg in cfgs {
-                if cancel.is_cancelled() {
-                    return;
-                }
-                let before = self.simulated;
-                let outcome = self.try_run(cfg, bench);
-                let fresh = if self.simulated > before {
-                    outcome.as_ref().map(|s| s.cycles).unwrap_or(0)
-                } else {
-                    0
-                };
-                on_cell(fresh, outcome.is_err());
-            }
-            return;
-        }
-        let mut fresh_cfgs = Vec::new();
-        for cfg in cfgs {
-            match self.try_recall(cfg, bench) {
-                Some(r) => on_cell(0, r.is_err()),
-                None => fresh_cfgs.push(cfg.clone()),
-            }
-        }
-        if fresh_cfgs.is_empty() {
-            return;
-        }
-        let len = self.len;
-        let cells = fresh_cfgs
-            .iter()
-            .map(|c| LaneCell::new(c.config.clone(), len))
-            .collect();
-        let spec = (bench.build)(WORKLOAD_SEED);
-        let results = run_lane_batch(
-            cells,
-            lanes,
-            || spec.clone().into_source(),
-            cancel,
-            |_, _, _| {},
-        );
-        for (cfg, result) in fresh_cfgs.iter().zip(results) {
-            if matches!(result, Err(SimError::Cancelled { .. })) {
-                continue;
-            }
-            let fresh = result.as_ref().map(|s| s.cycles).unwrap_or(0);
-            let failed = result.is_err();
-            let _ = self.record_run(cfg, bench, result);
-            on_cell(fresh, failed);
-        }
     }
 
     /// Durably journals a completed cell (no-op without a journal; I/O

@@ -140,7 +140,12 @@ fn assert_golden(got: Vec<(String, u64)>) {
             None => bad.push(format!("{key}: missing from the golden file")),
         }
     }
-    assert!(bad.is_empty(), "{} digest(s) moved:\n{}", bad.len(), bad.join("\n"));
+    assert!(
+        bad.is_empty(),
+        "{} digest(s) moved:\n{}",
+        bad.len(),
+        bad.join("\n")
+    );
 }
 
 #[test]

@@ -24,9 +24,7 @@ fn parallel_prewarm_matches_sequential() {
     let seq_report = (e.run)(&mut seq).expect("sequential fig5");
 
     let mut par = Session::new(TINY, None);
-    // Lanes enabled (the binary's default): batched execution must be
-    // as invisible as the worker count.
-    let stats = prewarm(&mut par, &(e.plan)(), 4, 4, &CancelFlag::new(), false);
+    let stats = prewarm(&mut par, &(e.plan)(), 4, &CancelFlag::new(), false);
     assert!(stats.cells > 0, "prewarm should have fresh cells to run");
     assert_eq!(stats.failures, 0);
     let simulated_after_prewarm = par.simulated;
@@ -63,7 +61,7 @@ fn every_plan_covers_its_experiment() {
     // a plan missed would still be simulated in-line by the regenerator.
     let mut sess = Session::new(TINY, None);
     for e in experiments::EXPERIMENTS {
-        prewarm(&mut sess, &(e.plan)(), 2, 2, &CancelFlag::new(), false);
+        prewarm(&mut sess, &(e.plan)(), 2, &CancelFlag::new(), false);
         let before = sess.simulated;
         (e.run)(&mut sess).expect(e.id);
         assert_eq!(
