@@ -477,6 +477,10 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         } else {
             self.recovery_ready_at <= now
         };
+        #[cfg(debug_assertions)]
+        if !scan_recovery {
+            self.recovery_cross_check();
+        }
         let issue_needed = self.legacy_scan
             || scan_recovery
             || self.sched.ready_len() > 0
@@ -498,6 +502,20 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         self.fetch();
         if S::ENABLED {
             self.record_occupancy();
+        }
+    }
+
+    /// Debug-build proof that the cached recovery horizon is sound: when
+    /// `tick` skips the recovery walk, no member may be selectable.
+    #[cfg(debug_assertions)]
+    fn recovery_cross_check(&self) {
+        for &seq in self.recovery.iter().flat_map(|(_, g)| g) {
+            assert!(
+                !self.ready_to_issue(seq),
+                "stale recovery horizon {:?}: member {seq} is ready at {:?}",
+                self.recovery_ready_at,
+                self.now
+            );
         }
     }
 
@@ -2726,4 +2744,47 @@ pub fn load_snapshot(path: &std::path::Path) -> Result<ss_snapshot::Snapshot, Si
             reason: other.to_string(),
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ss_types::SchedPolicyKind;
+    use ss_workloads::{kernels, KernelTrace};
+
+    fn sim() -> Simulator<KernelTrace> {
+        let cfg = SimConfig::builder()
+            .issue_to_execute_delay(4)
+            .sched_policy(SchedPolicyKind::AlwaysHit)
+            .banked_l1d(true)
+            .build();
+        Simulator::new(cfg, KernelTrace::new(kernels::dep_chain_l2(2)))
+    }
+
+    /// The stepper cache (recovery horizon, dirty flag) must stay exact
+    /// across every entry point: a run interrupted by a capture, more
+    /// stepping, a restore back to the capture and single `tick`s ends
+    /// on the same statistics as one uninterrupted call.
+    #[test]
+    fn stepper_cache_survives_restore_and_direct_ticks() {
+        const TARGET: u64 = 12_000;
+        let mut whole = sim();
+        whole.try_run_committed(TARGET).unwrap();
+
+        let mut split = sim();
+        split.try_run_committed(4_000).unwrap();
+        let snap = split.capture();
+        // Advance past the capture so the cache describes a later
+        // machine than the one restored below.
+        split.try_run_committed(3_000).unwrap();
+        split.restore(&snap).unwrap();
+        for _ in 0..500 {
+            split.tick();
+        }
+        let done = split.stats().committed_uops;
+        assert!(done < TARGET, "ticks overshot the target");
+        split.try_run_committed(TARGET - done).unwrap();
+
+        assert_eq!(split.stats(), whole.stats());
+    }
 }

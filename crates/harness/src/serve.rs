@@ -245,6 +245,101 @@ enum Task {
     Poison { id: String, out: Arc<Conn> },
 }
 
+/// Sub-buckets per power of two in a [`LatencyHistogram`]: 2^4 = 16, so
+/// a bucket spans at most 1/16 (6.25%) of its lower bound.
+const SUB_BITS: u32 = 4;
+const SUB: usize = 1 << SUB_BITS;
+/// Buckets covering all of `u64`: `SUB` exact buckets below `SUB`, then
+/// `SUB` per power of two up to 2^63.
+const BUCKETS: usize = (65 - SUB_BITS as usize) * SUB;
+
+/// A fixed-size latency histogram: log2 buckets, each split into 16
+/// linear sub-buckets. Recording a sample increments one counter, so a
+/// resident server's memory stays flat however many jobs it runs.
+/// Percentiles report the upper bound of the bucket holding the
+/// nearest-rank sample.
+#[derive(Clone)]
+pub struct LatencyHistogram {
+    counts: Box<[u64; BUCKETS]>,
+    total: u64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram {
+            counts: Box::new([0; BUCKETS]),
+            total: 0,
+        }
+    }
+}
+
+impl fmt::Debug for LatencyHistogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LatencyHistogram")
+            .field("count", &self.total)
+            .field("p50", &self.p50())
+            .field("p99", &self.p99())
+            .finish()
+    }
+}
+
+impl LatencyHistogram {
+    fn bucket(v: u64) -> usize {
+        if v < SUB as u64 {
+            return v as usize;
+        }
+        let shift = 63 - v.leading_zeros() - SUB_BITS;
+        (shift as usize + 1) * SUB + ((v >> shift) as usize - SUB)
+    }
+
+    /// The largest value that lands in bucket `b`.
+    fn upper_bound(b: usize) -> u64 {
+        if b < SUB {
+            return b as u64;
+        }
+        let shift = (b / SUB - 1) as u32;
+        let lower = ((SUB + b % SUB) as u64) << shift;
+        lower.saturating_add((1u64 << shift) - 1)
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, v: u64) {
+        self.counts[Self::bucket(v)] += 1;
+        self.total += 1;
+    }
+
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.total
+    }
+
+    /// The `p`-th percentile (0 < p ≤ 100), `None` when empty.
+    pub fn percentile(&self, p: f64) -> Option<u64> {
+        if self.total == 0 {
+            return None;
+        }
+        let rank = ((p / 100.0 * self.total as f64).ceil() as u64).clamp(1, self.total);
+        let mut seen = 0;
+        for (b, &n) in self.counts.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return Some(Self::upper_bound(b));
+            }
+        }
+        unreachable!("rank ≤ total")
+    }
+
+    /// Median.
+    pub fn p50(&self) -> Option<u64> {
+        self.percentile(50.0)
+    }
+
+    /// 99th percentile.
+    pub fn p99(&self) -> Option<u64> {
+        self.percentile(99.0)
+    }
+}
+
 /// Shared server state: everything resident across requests.
 struct ServerState {
     opts: ServeOptions,
@@ -274,8 +369,8 @@ struct ServerState {
     started: Instant,
     /// (class, admission seq) per executed job, in execution order.
     exec_log: Mutex<Vec<(Priority, u64)>>,
-    /// Queue latency samples (µs) per class.
-    latency_us: Mutex<[Vec<u64>; 3]>,
+    /// Queue latency (µs) per class.
+    latency_us: Mutex<[LatencyHistogram; 3]>,
 }
 
 /// A running server: background accept loop, supervised worker pool,
@@ -329,7 +424,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             exec_log: Mutex::new(Vec::new()),
-            latency_us: Mutex::new([Vec::new(), Vec::new(), Vec::new()]),
+            latency_us: Mutex::default(),
             opts,
         });
         let workers = Arc::new(Mutex::new(
@@ -401,9 +496,9 @@ impl Server {
         self.state.exec_log.lock().expect("exec log lock").clone()
     }
 
-    /// Queue-latency samples in microseconds, indexed by
+    /// Queue-latency histograms in microseconds, indexed by
     /// [`Priority::index`].
-    pub fn latency_us(&self) -> [Vec<u64>; 3] {
+    pub fn latency_us(&self) -> [LatencyHistogram; 3] {
         self.state.latency_us.lock().expect("latency lock").clone()
     }
 
@@ -1114,7 +1209,7 @@ fn run_job(state: &Arc<ServerState>, job: Job) {
         let mut log = state.exec_log.lock().expect("exec log lock");
         log.push((job.prio, job.seq));
     }
-    state.latency_us.lock().expect("latency lock")[job.prio.index()].push(wait_us);
+    state.latency_us.lock().expect("latency lock")[job.prio.index()].record(wait_us);
     let Job {
         seq,
         id,
@@ -1624,6 +1719,57 @@ pub fn run_offline_cli(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn latency_histogram_buckets_are_contiguous_and_tight() {
+        let mut prev = None;
+        for b in 0..BUCKETS {
+            let hi = LatencyHistogram::upper_bound(b);
+            assert_eq!(LatencyHistogram::bucket(hi), b, "upper bound of {b}");
+            if let Some(p) = prev {
+                assert_eq!(
+                    LatencyHistogram::bucket(p + 1),
+                    b,
+                    "bucket {b} starts past {p}"
+                );
+                // Never wider than 1/16 of the values it holds.
+                assert!(hi - p <= (p + 1) / SUB as u64 + 1, "bucket {b} too wide");
+            }
+            prev = Some(hi);
+        }
+        assert_eq!(prev, Some(u64::MAX));
+    }
+
+    #[test]
+    fn latency_histogram_stays_fixed_size_and_reports_percentiles() {
+        let mut h = LatencyHistogram::default();
+        assert_eq!(h.p50(), None);
+        let heap = h.counts.len();
+        for v in 1..=100_000u64 {
+            h.record(v);
+        }
+        assert_eq!(
+            h.counts.len(),
+            heap,
+            "recording must not grow the histogram"
+        );
+        assert_eq!(
+            std::mem::size_of_val(&h),
+            std::mem::size_of::<LatencyHistogram>()
+        );
+        assert_eq!(h.count(), 100_000);
+        // Exact answers are 50_000 and 99_000; buckets are ≤ 6.25% wide.
+        let p50 = h.p50().unwrap();
+        let p99 = h.p99().unwrap();
+        assert!((50_000..=53_125).contains(&p50), "p50 {p50}");
+        assert!((99_000..=105_188).contains(&p99), "p99 {p99}");
+        let mut small = LatencyHistogram::default();
+        for v in [3, 7, 7, 9] {
+            small.record(v);
+        }
+        assert_eq!(small.p50(), Some(7));
+        assert_eq!(small.p99(), Some(9));
+    }
 
     #[test]
     fn wire_stats_round_trip_preserves_all_fields() {

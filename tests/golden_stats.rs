@@ -2,7 +2,8 @@
 //! observable behaviour has not moved.
 //!
 //! `tests/golden/stats.txt` holds one FNV-1a digest per cell of the
-//! persisted (wire-encoded) [`SimStats`], plus one digest of a traced
+//! [`SimStats`] in its `Persist` byte encoding (every field, the form
+//! snapshots store), plus one digest of a traced
 //! run's event stream. The cells cover the headline policy matrix
 //! (`ConfigSpec::variants_at(4)`) × three kernels × {no faults, a
 //! latency-spike + replay-storm plan}, and every `rv:` suite program at

@@ -94,4 +94,31 @@ fn steady_state_tick_does_not_allocate() {
         "steady-state hot loop allocated {} times over {MEASURE} cycles",
         after - before
     );
+
+    // The run loop on top of `tick`: quiet-window skipping and the
+    // recovery-horizon cache. Each call returns a `SimStats`; whatever
+    // building one costs is the only allocation allowed.
+    const SLICES: u64 = 40;
+    const SLICE: u64 = 500;
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let _ = sim.stats();
+    let per_stats = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+
+    let cycles_before = sim.stats().cycles;
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    for _ in 0..SLICES {
+        sim.try_run_committed(SLICE).expect("healthy run");
+    }
+    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let ran = sim.stats().cycles - cycles_before;
+    assert!(
+        ran > SLICES * SLICE / 8,
+        "run loop barely advanced ({ran} cycles)"
+    );
+    assert!(
+        after - before <= SLICES * per_stats,
+        "run loop allocated {} times over {SLICES} slices (budget {} for the returned stats)",
+        after - before,
+        SLICES * per_stats
+    );
 }

@@ -92,13 +92,6 @@ fn run_to_done(c: &mut Client, id: &str, prio: &str, req: &str) -> String {
         .to_string()
 }
 
-fn p99(samples: &[u64]) -> u64 {
-    assert!(!samples.is_empty());
-    let mut s = samples.to_vec();
-    s.sort_unstable();
-    s[(s.len() - 1) * 99 / 100]
-}
-
 #[test]
 fn saturated_mixed_workload_is_byte_identical_and_prioritized() {
     let dir = scratch("mixed");
@@ -206,13 +199,13 @@ fn saturated_mixed_workload_is_byte_identical_and_prioritized() {
     let lat = server.latency_us();
     let interactive = &lat[Priority::Interactive.index()];
     let bulk = &lat[Priority::Bulk.index()];
-    assert_eq!(interactive.len(), 6);
-    assert_eq!(bulk.len(), 10);
+    assert_eq!(interactive.count(), 6);
+    assert_eq!(bulk.count(), 10);
     assert!(
-        p99(interactive) < p99(bulk),
-        "interactive p99 {}µs !< bulk p99 {}µs",
-        p99(interactive),
-        p99(bulk)
+        interactive.p99() < bulk.p99(),
+        "interactive p99 {:?}µs !< bulk p99 {:?}µs",
+        interactive.p99(),
+        bulk.p99()
     );
 
     assert_eq!(server.completed(), 16);
