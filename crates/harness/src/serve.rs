@@ -273,16 +273,6 @@ impl Default for LatencyHistogram {
     }
 }
 
-impl fmt::Debug for LatencyHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LatencyHistogram")
-            .field("count", &self.total)
-            .field("p50", &self.p50())
-            .field("p99", &self.p99())
-            .finish()
-    }
-}
-
 impl LatencyHistogram {
     fn bucket(v: u64) -> usize {
         if v < SUB as u64 {
@@ -302,8 +292,7 @@ impl LatencyHistogram {
         lower.saturating_add((1u64 << shift) - 1)
     }
 
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
+    fn record(&mut self, v: u64) {
         self.counts[Self::bucket(v)] += 1;
         self.total += 1;
     }
@@ -314,7 +303,7 @@ impl LatencyHistogram {
     }
 
     /// The `p`-th percentile (0 < p ≤ 100), `None` when empty.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
+    fn percentile(&self, p: f64) -> Option<u64> {
         if self.total == 0 {
             return None;
         }
