@@ -7,8 +7,12 @@
 //! run's event stream. The cells cover the headline policy matrix
 //! (`ConfigSpec::variants_at(4)`) × three kernels × {no faults, a
 //! latency-spike + replay-storm plan}, and every `rv:` suite program at
-//! two configurations. A refactor of the pipeline or the run loop must
-//! leave every digest unchanged; a deliberate behaviour change
+//! two configurations. It also pins the exact bytes of a few mid-run
+//! snapshots (`Snapshot::to_bytes`), taken with branches in flight, one
+//! of them just after a mispredicted branch sent fetch down the wrong
+//! path: the on-disk snapshot format must not drift under a refactor of
+//! the instruction window. A refactor of the pipeline or the run loop
+//! must leave every digest unchanged; a deliberate behaviour change
 //! re-blesses the file and says so in its commit.
 //!
 //! Regenerate the file with the ignored `bless` test:
@@ -17,10 +21,11 @@
 //! cargo test --test golden_stats -- --ignored
 //! ```
 
-use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest};
-use speculative_scheduling::frontend::{programs, ProgramSpec};
-use speculative_scheduling::types::persist::{fnv1a64, Persist, Writer};
+use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest, Simulator};
+use speculative_scheduling::frontend::{programs, ProgramSpec, RvTraceSource};
+use speculative_scheduling::types::persist::{fnv1a64, Persist, PersistState, Writer};
 use speculative_scheduling::types::{ConfigSpec, SimStats};
+use speculative_scheduling::workloads::{benchmark as kernels_benchmark, KernelTrace, TraceSource};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -117,6 +122,106 @@ fn trace_cell() -> (String, u64) {
     (key, fnv1a64(text.as_bytes()))
 }
 
+/// Where in a run a snapshot cell captures.
+#[derive(Clone, Copy)]
+enum CapturePoint {
+    /// Right after `n` committed µ-ops.
+    Committed(u64),
+    /// After `n` committed µ-ops, then single ticks until fetch has been
+    /// on a mispredicted branch's wrong path for a full frontend depth,
+    /// so the branch and wrong-path µ-ops sit in the window.
+    WrongPath(u64),
+}
+
+/// Digest of `Snapshot::to_bytes` captured at `at`. Also proves the
+/// capture round-trips: restoring it into a fresh simulator and
+/// capturing again gives the same bytes.
+fn snapshot_digest<T: TraceSource + PersistState>(
+    make: impl Fn() -> Simulator<T>,
+    at: CapturePoint,
+) -> u64 {
+    let mut sim = make();
+    match at {
+        CapturePoint::Committed(n) => {
+            sim.try_run_committed(n).expect("run to the capture point");
+        }
+        CapturePoint::WrongPath(n) => {
+            sim.try_run_committed(n).expect("run to the capture point");
+            let depth = sim.config().frontend_depth();
+            let mut on_wrong_path = 0;
+            while on_wrong_path <= depth {
+                sim.tick();
+                on_wrong_path = if sim.snapshot().wrong_path {
+                    on_wrong_path + 1
+                } else {
+                    0
+                };
+                assert!(sim.snapshot().cycle.get() < 1_000_000, "no mispredict");
+            }
+        }
+    }
+    assert!(sim.snapshot().rob > 0, "capture with an empty window");
+    let bytes = sim.capture().to_bytes();
+    let mut again = make();
+    again
+        .restore(&speculative_scheduling::snapshot::Snapshot::from_bytes(&bytes).expect("decode"))
+        .expect("restore");
+    assert!(
+        again.capture().to_bytes() == bytes,
+        "restore then capture changed the snapshot bytes"
+    );
+    fnv1a64(&bytes)
+}
+
+/// Mid-run snapshot bytes: branch-heavy kernels with branches in flight,
+/// one capture on a mispredicted branch's wrong path, and one `rv:`
+/// program.
+fn snapshot_cells() -> Vec<(String, u64)> {
+    let cfg = |name: &str| name.parse::<ConfigSpec>().expect("known config").config();
+    let mut out = Vec::new();
+    let kernel_cells = [
+        ("branchy_int", "SpecSched_4", CapturePoint::Committed(3_000)),
+        (
+            "call_ret_mix",
+            "SpecSched_4",
+            CapturePoint::Committed(3_000),
+        ),
+        (
+            "mix_int",
+            "SpecSched_4_Crit",
+            CapturePoint::Committed(3_000),
+        ),
+        ("branchy_int", "SpecSched_4", CapturePoint::WrongPath(2_000)),
+    ];
+    for (kernel, config, at) in kernel_cells {
+        let spec = (kernels_benchmark(kernel).expect("known kernel").build)(1);
+        let digest = snapshot_digest(
+            || Simulator::new(cfg(config), KernelTrace::new(spec.clone())),
+            at,
+        );
+        let point = match at {
+            CapturePoint::Committed(n) => format!("c{n}"),
+            CapturePoint::WrongPath(n) => format!("c{n}+wrongpath"),
+        };
+        out.push((
+            format!("snapshot src=bench:{kernel}@0x1 cfg={config} at={point}"),
+            digest,
+        ));
+    }
+    let prog = ProgramSpec::suite("hashjoin", 1)
+        .resolve()
+        .expect("suite program");
+    let digest = snapshot_digest(
+        || Simulator::new(cfg("SpecSched_4"), RvTraceSource::new(prog.clone())),
+        CapturePoint::Committed(3_000),
+    );
+    out.push((
+        "snapshot src=rv:hashjoin@0x1 cfg=SpecSched_4 at=c3000".to_string(),
+        digest,
+    ));
+    out
+}
+
 fn load_golden() -> BTreeMap<String, u64> {
     let path = golden_path();
     let text = std::fs::read_to_string(&path)
@@ -170,14 +275,20 @@ fn trace_stream_digest_holds() {
 }
 
 #[test]
+fn snapshot_bytes_digests_hold() {
+    assert_golden(snapshot_cells());
+}
+
+#[test]
 #[ignore = "rewrites tests/golden/stats.txt; run explicitly to re-bless"]
 fn bless() {
     let mut all = policy_cells(false);
     all.extend(policy_cells(true));
     all.extend(rv_cells());
     all.push(trace_cell());
+    all.extend(snapshot_cells());
     let mut text = String::from(
-        "# FNV-1a digests of persisted SimStats (and one trace event stream).\n\
+        "# FNV-1a digests of persisted SimStats, one trace event stream and mid-run snapshot bytes.\n\
          # Regenerate: cargo test --test golden_stats -- --ignored\n",
     );
     for (key, digest) in &all {
