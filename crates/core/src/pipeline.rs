@@ -25,7 +25,7 @@ use crate::diff::DiffChecker;
 use crate::fault::FaultPlan;
 use crate::rename::{PhysRef, RenameUnit};
 use crate::schedq::SchedQueue;
-use crate::window::{FetchedUop, RobEntry, UopState};
+use crate::window::{FetchedUop, PredSlab, RobEntry, UopState};
 use ss_bpred::BranchPredictor;
 use ss_isa::MicroOp;
 use ss_mem::{MemLevel, MemoryHierarchy};
@@ -78,6 +78,9 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
     rob: VecDeque<RobEntry>,
     frontend: VecDeque<FetchedUop>,
     frontend_cap: usize,
+    /// Fetch-time predictions of the branches in `frontend` and `rob`,
+    /// named by their entries' `pred` handles.
+    preds: PredSlab,
     /// Issue groups in the issue-to-execute pipe, keyed by issue cycle.
     inflight: VecDeque<(Cycle, Vec<SeqNum>)>,
     /// Replay groups, keyed by original issue cycle (head group replays
@@ -208,6 +211,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             rob: VecDeque::with_capacity(cfg.rob_entries as usize),
             frontend: VecDeque::with_capacity(frontend_cap),
             frontend_cap,
+            preds: PredSlab::default(),
             inflight: VecDeque::new(),
             recovery: VecDeque::new(),
             iq_used: 0,
@@ -833,6 +837,21 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         if let Err(what) = self.rename.audit(&held[0], &held[1]) {
             return fail(what);
         }
+        // Prediction-slab conservation: the live slots are exactly the
+        // handles the frontend and the ROB hold, and the slab never grew
+        // past the entries that can hold one.
+        let slab_bound = self.cfg.rob_entries as usize + self.frontend_cap;
+        if self.preds.len() > slab_bound {
+            return fail(format!(
+                "prediction slab grew to {} slots (bound {slab_bound})",
+                self.preds.len()
+            ));
+        }
+        let handles = (self.frontend.iter().filter_map(|f| f.pred))
+            .chain(self.rob.iter().filter_map(|e| e.pred));
+        if let Err(what) = self.preds.audit(handles) {
+            return fail(what);
+        }
         Ok(())
     }
 
@@ -1156,13 +1175,21 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         self.stats.target_mispredicts += 1;
                     }
                     let b = e.uop.branch.expect("branch payload");
-                    if let Some(pred) = &e.pred {
+                    if let Some(slot) = e.pred {
                         let target = if b.taken { b.target } else { e.uop.next_pc() };
-                        self.bpred
-                            .on_commit(e.uop.pc, kind, b.taken, target, &pred.meta);
+                        self.bpred.on_commit(
+                            e.uop.pc,
+                            kind,
+                            b.taken,
+                            target,
+                            &self.preds[slot].meta,
+                        );
                     }
                 }
                 _ => {}
+            }
+            if let Some(slot) = e.pred {
+                self.preds.free(slot);
             }
             if let Some((_new, prev)) = e.dst {
                 self.rename.release(prev);
@@ -1318,8 +1345,8 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
 
     /// Executes one verified µ-op (`state == InFlight`).
     fn execute_one(&mut self, seq: SeqNum) {
-        // Copy out the (all-`Copy`) fields this stage reads; cloning the
-        // whole `RobEntry` here was a ~200-byte memcpy per executed µ-op.
+        // Copy out the (all-`Copy`) fields this stage reads rather than
+        // cloning the whole `RobEntry`; the prediction stays in the slab.
         let (uop, wrong_path, dst, prf_delay, mispredicted, mispred_handled, pred) = {
             let e = self.entry(seq).expect("validated");
             (
@@ -1471,9 +1498,14 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                     // `mispred_handled` keeps the flush from repeating
                     // (the refetched path is already correct).
                     let b = uop.branch.expect("branch payload");
-                    if let Some(pred) = &pred {
-                        self.bpred
-                            .on_mispredict(uop.pc, kind, b.taken, uop.next_pc(), &pred.meta);
+                    if let Some(slot) = pred {
+                        self.bpred.on_mispredict(
+                            uop.pc,
+                            kind,
+                            b.taken,
+                            uop.next_pc(),
+                            &self.preds[slot].meta,
+                        );
                     }
                     self.flush_younger_than(seq);
                     self.wrong_path_mode = false;
@@ -2358,6 +2390,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             }
 
             let mut pred = None;
+            let mut pred_next = None;
             let mut mispredicted = false;
             let mut dir_wrong = false;
             let mut predicted_taken = false;
@@ -2380,20 +2413,19 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         mispredicted = true;
                         dir_wrong = p.taken != b.taken;
                     }
-                    pred = Some(p);
+                    pred_next = Some(p.next_pc);
+                    pred = Some(self.preds.alloc(p));
                 }
             }
 
-            let fetched_uop = FetchedUop {
+            self.frontend.push_back(FetchedUop {
                 uop,
                 wrong_path,
                 ready_at: self.now + self.cfg.frontend_depth(),
                 pred,
                 mispredicted,
                 dir_wrong,
-            };
-            let pred_next = fetched_uop.pred.map(|p| p.next_pc);
-            self.frontend.push_back(fetched_uop);
+            });
             fetched += 1;
 
             if mispredicted {
@@ -2413,16 +2445,24 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     }
 
     /// Flushes every µ-op younger than `branch_seq`: frontend, ROB tail
-    /// (youngest-first rename unwind), recovery buffer, LSQ counters.
+    /// (youngest-first rename unwind), recovery buffer, LSQ counters,
+    /// and the prediction slots of the flushed branches.
     fn flush_younger_than(&mut self, branch_seq: SeqNum) {
         // Everything in the frontend was fetched after the branch.
-        self.frontend.clear();
+        for f in self.frontend.drain(..) {
+            if let Some(slot) = f.pred {
+                self.preds.free(slot);
+            }
+        }
         self.fetch_stall_until = Cycle::ZERO;
         while let Some(tail) = self.rob.back() {
             if tail.seq <= branch_seq {
                 break;
             }
             let e = self.rob.pop_back().expect("tail exists");
+            if let Some(slot) = e.pred {
+                self.preds.free(slot);
+            }
             if Self::tracked_store_qw(&e).is_some() {
                 let back = self.store_ring.pop_back();
                 debug_assert_eq!(back.map(|(_, s)| s), Some(e.seq), "store ring out of sync");
@@ -2548,8 +2588,8 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
         let core = section_of(sections::CORE, |w| {
             self.now.save(w);
             self.next_seq.save(w);
-            self.rob.save(w);
-            self.frontend.save(w);
+            self.preds.save_window(&self.rob, w);
+            self.preds.save_window(&self.frontend, w);
             self.inflight.save(w);
             self.recovery.save(w);
             self.iq_used.save(w);
@@ -2692,8 +2732,9 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
     fn restore_core(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
         self.now = Persist::load(r)?;
         self.next_seq = Persist::load(r)?;
-        self.rob = Persist::load(r)?;
-        self.frontend = Persist::load(r)?;
+        self.preds.clear();
+        self.rob = self.preds.load_window(r)?;
+        self.frontend = self.preds.load_window(r)?;
         self.inflight = Persist::load(r)?;
         self.recovery = Persist::load(r)?;
         self.iq_used = Persist::load(r)?;
@@ -2786,5 +2827,81 @@ mod tests {
         split.try_run_committed(TARGET - done).unwrap();
 
         assert_eq!(split.stats(), whole.stats());
+    }
+
+    /// A restore must mark the stepper cache dirty even when the
+    /// simulator it lands in holds a clean cache. The snapshot is taken
+    /// mid replay storm on a cycle where a recovery member becomes
+    /// selectable while no deferred wake, commit or execute is due (the
+    /// stages that would re-dirty the cache on their own); the target
+    /// simulator's clean cache says nothing is ever selectable. Without
+    /// the flag the next cycle skips the recovery walk: a debug build
+    /// trips `recovery_cross_check`, a release build diverges.
+    #[test]
+    fn restore_dirties_a_clean_stepper_cache() {
+        const TARGET: u64 = 6_000;
+        let plan = || FaultPlan::new().replay_storm(1_000, 4_000);
+        let mut whole = sim();
+        whole.set_fault_plan(plan()).unwrap();
+        whole.try_run_committed(TARGET).unwrap();
+
+        let mut src = sim();
+        src.set_fault_plan(plan()).unwrap();
+        src.try_run_committed(1_000).unwrap();
+        let snap = loop {
+            assert!(src.stats.committed_uops < TARGET, "no restore point found");
+            let c = src.now + 1;
+            let selectable = src
+                .recovery
+                .iter()
+                .flat_map(|(_, g)| g)
+                .any(|&seq| src.replay_ready_at(seq).is_some_and(|at| at <= c));
+            let wakes_due = src.deferred_wakes.iter().any(|&(at, _, _)| at <= c);
+            let commit_due =
+                (src.rob.front()).is_some_and(|h| h.state == UopState::Done && h.done_at <= c);
+            let execute_due = (src.inflight.front()).is_some_and(|&(at, _)| at + src.delay < c);
+            if selectable && !(wakes_due || commit_due || execute_due) {
+                break src.capture();
+            }
+            src.tick();
+        };
+
+        let mut dst = sim();
+        dst.try_run_committed(500).unwrap();
+        dst.step_dirty = false;
+        dst.recovery_ready_at = Cycle::NEVER;
+        dst.restore(&snap).unwrap();
+        let done = dst.stats().committed_uops;
+        dst.try_run_committed(TARGET - done).unwrap();
+        assert_eq!(dst.stats(), whole.stats());
+    }
+
+    /// Branch-heavy kernels with flushes (branchy_int mispredicts
+    /// directions, call_ret_mix stresses the RAS) recycle prediction
+    /// slots: with the invariant check auditing the slab every few
+    /// hundred cycles, the slab never outgrows the window that can hold
+    /// a branch.
+    #[test]
+    fn prediction_slab_is_conserved_and_bounded() {
+        for spec in [kernels::branchy_int(3), kernels::call_ret_mix(3)] {
+            let cfg = SimConfig::builder()
+                .issue_to_execute_delay(4)
+                .sched_policy(SchedPolicyKind::AlwaysHit)
+                .invariant_check_interval(257)
+                .build();
+            let mut sim = Simulator::new(cfg, KernelTrace::new(spec));
+            let stats = sim.try_run_committed(30_000).unwrap();
+            assert!(
+                stats.cond_mispredicts + stats.target_mispredicts > 10,
+                "no flushes to free slots on"
+            );
+            sim.check_invariants().unwrap();
+            let bound = sim.cfg.rob_entries as usize + sim.frontend_cap;
+            assert!(
+                (1..=bound).contains(&sim.preds.len()),
+                "slab grew to {} slots (bound {bound})",
+                sim.preds.len()
+            );
+        }
     }
 }
