@@ -341,7 +341,6 @@ struct ServerState {
     /// admission seq → cancel flag for every unfinished run (the drain
     /// path's kill list).
     inflight: Mutex<HashMap<u64, Arc<CancelFlag>>>,
-    admit_seq: AtomicU64,
     completed: AtomicU64,
     cache_hits: AtomicU64,
     rejected: AtomicU64,
@@ -397,7 +396,6 @@ impl Server {
             snapshots: Mutex::new(HashMap::new()),
             ema: Mutex::new(CostEma::new()),
             inflight: Mutex::new(HashMap::new()),
-            admit_seq: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -1109,35 +1107,39 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
         )
     });
     let cancel = Arc::new(CancelFlag::new());
-    let seq = state.admit_seq.fetch_add(1, Ordering::SeqCst);
-    let job = Box::new(Job {
-        seq,
-        id: id.to_string(),
-        prio,
-        canonical,
-        req,
-        cost_key,
-        cancel: Arc::clone(&cancel),
-        enqueued: Instant::now(),
-        out: Arc::clone(conn),
-    });
-    // Register before pushing: a fast worker must find the entries to
-    // remove, never the other way around.
-    conn.inflight
-        .lock()
-        .expect("conn inflight lock")
-        .insert(id.to_string(), Arc::clone(&cancel));
-    state
-        .inflight
-        .lock()
-        .expect("inflight lock")
-        .insert(seq, cancel);
     // Take the writer lock before the push: the instant the job is
     // visible a worker may finish it, and its `done` must not reach the
     // socket ahead of our `ack`.
     let stream = conn.stream.lock().expect("socket writer lock");
-    match state.queue.try_push(prio, Task::Run(job)) {
-        Ok(()) => {
+    // The queue numbers the job under its lock, so admission order is
+    // pop order even when connections race. The job is registered
+    // before it becomes visible: a fast worker must find the entries to
+    // remove, never the other way around. (No path holds a registry
+    // lock while taking the queue's.)
+    let pushed = state.queue.try_push_numbered(prio, |seq| {
+        conn.inflight
+            .lock()
+            .expect("conn inflight lock")
+            .insert(id.to_string(), Arc::clone(&cancel));
+        state
+            .inflight
+            .lock()
+            .expect("inflight lock")
+            .insert(seq, Arc::clone(&cancel));
+        Task::Run(Box::new(Job {
+            seq,
+            id: id.to_string(),
+            prio,
+            canonical,
+            req,
+            cost_key,
+            cancel,
+            enqueued: Instant::now(),
+            out: Arc::clone(conn),
+        }))
+    });
+    match pushed {
+        Ok(_) => {
             send_via(
                 state,
                 conn,
@@ -1145,13 +1147,9 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
                 &format!("ack {id} queued prio={}", prio.tag()),
             );
         }
-        Err((_, e)) => {
-            // Nothing was published, so no worker can race us: release
-            // the writer lock before touching the inflight registries
-            // (workers lock registry-then-stream; never invert that).
+        Err(e) => {
+            // Nothing was registered or published.
             drop(stream);
-            conn.inflight.lock().expect("conn inflight lock").remove(id);
-            state.inflight.lock().expect("inflight lock").remove(&seq);
             match e {
                 PushError::Overloaded { depth, limit } => {
                     state.rejected.fetch_add(1, Ordering::SeqCst);

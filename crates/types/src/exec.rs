@@ -285,6 +285,8 @@ pub struct PrioQueue<T> {
 struct PrioInner<T> {
     classes: [VecDeque<T>; 3],
     closed: bool,
+    /// Next number [`PrioQueue::try_push_numbered`] hands out.
+    next_number: u64,
 }
 
 impl<T> PrioQueue<T> {
@@ -294,6 +296,7 @@ impl<T> PrioQueue<T> {
             inner: Mutex::new(PrioInner {
                 classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
                 closed: false,
+                next_number: 0,
             }),
             ready: Condvar::new(),
             limit: limit.max(1),
@@ -326,22 +329,48 @@ impl<T> PrioQueue<T> {
     /// never blocks.
     pub fn try_push(&self, prio: Priority, item: T) -> Result<(), (T, PushError)> {
         let mut inner = self.inner.lock().expect("prio queue poisoned");
-        if inner.closed {
-            return Err((item, PushError::Closed));
-        }
-        let depth: usize = inner.classes.iter().map(VecDeque::len).sum();
-        if depth >= self.limit {
-            return Err((
-                item,
-                PushError::Overloaded {
-                    depth,
-                    limit: self.limit,
-                },
-            ));
+        if let Err(e) = self.admit(&inner) {
+            return Err((item, e));
         }
         inner.classes[prio.index()].push_back(item);
         drop(inner);
         self.ready.notify_one();
+        Ok(())
+    }
+
+    /// [`Self::try_push`] for items that carry an admission number:
+    /// `make` receives the next number (0, 1, 2, … over admitted items)
+    /// and builds the item under the queue lock, so within a class items
+    /// pop in number order however many threads push at once. `make`
+    /// runs only if the item is admitted, and must not use this queue.
+    pub fn try_push_numbered(
+        &self,
+        prio: Priority,
+        make: impl FnOnce(u64) -> T,
+    ) -> Result<u64, PushError> {
+        let mut inner = self.inner.lock().expect("prio queue poisoned");
+        self.admit(&inner)?;
+        let number = inner.next_number;
+        inner.next_number += 1;
+        let item = make(number);
+        inner.classes[prio.index()].push_back(item);
+        drop(inner);
+        self.ready.notify_one();
+        Ok(number)
+    }
+
+    /// Admission control: refuses a push to a closed or full queue.
+    fn admit(&self, inner: &PrioInner<T>) -> Result<(), PushError> {
+        if inner.closed {
+            return Err(PushError::Closed);
+        }
+        let depth: usize = inner.classes.iter().map(VecDeque::len).sum();
+        if depth >= self.limit {
+            return Err(PushError::Overloaded {
+                depth,
+                limit: self.limit,
+            });
+        }
         Ok(())
     }
 
@@ -565,6 +594,37 @@ mod tests {
             q.try_push(Priority::Normal, 9).unwrap_err().1,
             PushError::Closed
         );
+    }
+
+    /// Many admitting threads, one plugged worker: once it starts
+    /// popping, every class comes out in admission-number order.
+    #[test]
+    fn prio_queue_numbers_pop_in_admission_order_under_contention() {
+        const THREADS: u64 = 8;
+        const EACH: u64 = 300;
+        let q = PrioQueue::new((THREADS * EACH) as usize);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (q, start) = (&q, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..EACH {
+                        let prio = [Priority::Normal, Priority::Bulk][((t + i) % 2) as usize];
+                        q.try_push_numbered(prio, |n| (prio, n)).unwrap();
+                    }
+                });
+            }
+        });
+        q.close();
+        let mut last = [None; 3];
+        let mut seen = 0;
+        while let Some((prio, n)) = q.pop() {
+            let prev = last[prio.index()].replace(n);
+            assert!(prev < Some(n), "{prio} popped #{n} after #{prev:?}");
+            seen += 1;
+        }
+        assert_eq!(seen, THREADS * EACH);
     }
 
     #[test]
