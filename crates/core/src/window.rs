@@ -2,7 +2,7 @@
 //!
 //! A branch's fetch-time [`BranchPrediction`] (folded-history and RAS
 //! repair checkpoints plus TAGE metadata, ~1.3 KB) lives in a
-//! [`PredSlab`]; window entries carry a 4-byte [`PredSlot`] handle, so
+//! `PredSlab`; window entries carry a 4-byte [`PredSlot`] handle, so
 //! moving a µ-op through the frontend and the ROB copies ~100 bytes
 //! instead of ~1.4 KB, branch or not.
 
@@ -14,8 +14,8 @@ use ss_types::{Cycle, SeqNum};
 use std::collections::VecDeque;
 use std::num::NonZeroU32;
 
-/// Handle to a prediction held in a [`PredSlab`]. `Option<PredSlot>` is
-/// 4 bytes.
+/// Handle to a prediction held in the simulator's slab.
+/// `Option<PredSlot>` is 4 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredSlot(NonZeroU32);
 
@@ -321,9 +321,9 @@ mod tests {
     }
 }
 
-impl Persist for UopState {
-    fn save(&self, w: &mut Writer) {
-        Persist::save(
+impl ss_types::Persist for UopState {
+    fn save(&self, w: &mut ss_types::Writer) {
+        ss_types::Persist::save(
             &match self {
                 UopState::Waiting => 0,
                 UopState::InFlight => 1,
@@ -332,7 +332,7 @@ impl Persist for UopState {
             w,
         );
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+    fn load(r: &mut ss_types::Reader<'_>) -> Result<Self, ss_types::DecodeError> {
         match u8::load(r)? {
             0 => Ok(UopState::Waiting),
             1 => Ok(UopState::InFlight),
