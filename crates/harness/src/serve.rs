@@ -1139,7 +1139,7 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
         }))
     });
     match pushed {
-        Ok(_) => {
+        Ok(()) => {
             send_via(
                 state,
                 conn,

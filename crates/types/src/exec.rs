@@ -347,7 +347,7 @@ impl<T> PrioQueue<T> {
         &self,
         prio: Priority,
         make: impl FnOnce(u64) -> T,
-    ) -> Result<u64, PushError> {
+    ) -> Result<(), PushError> {
         let mut inner = self.inner.lock().expect("prio queue poisoned");
         self.admit(&inner)?;
         let number = inner.next_number;
@@ -356,7 +356,7 @@ impl<T> PrioQueue<T> {
         inner.classes[prio.index()].push_back(item);
         drop(inner);
         self.ready.notify_one();
-        Ok(number)
+        Ok(())
     }
 
     /// Admission control: refuses a push to a closed or full queue.
