@@ -23,9 +23,10 @@
 
 use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest, Simulator};
 use speculative_scheduling::frontend::{programs, ProgramSpec, RvTraceSource};
+use speculative_scheduling::snapshot::Snapshot;
 use speculative_scheduling::types::persist::{fnv1a64, Persist, PersistState, Writer};
 use speculative_scheduling::types::{ConfigSpec, SimStats};
-use speculative_scheduling::workloads::{benchmark as kernels_benchmark, KernelTrace, TraceSource};
+use speculative_scheduling::workloads::{benchmark, KernelTrace, TraceSource};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -164,7 +165,7 @@ fn snapshot_digest<T: TraceSource + PersistState>(
     let bytes = sim.capture().to_bytes();
     let mut again = make();
     again
-        .restore(&speculative_scheduling::snapshot::Snapshot::from_bytes(&bytes).expect("decode"))
+        .restore(&Snapshot::from_bytes(&bytes).expect("decode"))
         .expect("restore");
     assert!(
         again.capture().to_bytes() == bytes,
@@ -194,7 +195,7 @@ fn snapshot_cells() -> Vec<(String, u64)> {
         ("branchy_int", "SpecSched_4", CapturePoint::WrongPath(2_000)),
     ];
     for (kernel, config, at) in kernel_cells {
-        let spec = (kernels_benchmark(kernel).expect("known kernel").build)(1);
+        let spec = (benchmark(kernel).expect("known kernel").build)(1);
         let digest = snapshot_digest(
             || Simulator::new(cfg(config), KernelTrace::new(spec.clone())),
             at,
