@@ -25,7 +25,7 @@
 //! `results/`). Simulation results are cached under `results/cache/`.
 //!
 //! `--checkpoint-dir DIR` makes the sweep crash-safe and warm-forkable:
-//! the stats cache moves to `DIR/cache`, per-cell warm-state snapshots
+//! the results store moves to `DIR/cache`, per-cell warm-state snapshots
 //! land in `DIR/warm` (each cell's warmup simulates once, ever), and an
 //! fsync'd journal of completed cells is kept at `DIR/journal.log`. A
 //! killed sweep rerun with the same `--checkpoint-dir` picks up where it

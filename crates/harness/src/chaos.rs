@@ -22,16 +22,15 @@
 //!
 //! After the schedule, the harness re-runs every clean request (cached,
 //! still byte-identical), then exercises two more failure modes:
-//! **SIGKILL-and-restart** of a child-process server whose results
-//! cache repopulates from a sweep journal, and a **bounded graceful
+//! **SIGKILL-and-restart** of a child-process server that answers from
+//! a sweep's results store both times, and a **bounded graceful
 //! drain** with a run still in flight.
 //!
 //! The event schedule and a full transcript are written to the working
 //! directory (CI uploads them as artifacts on failure).
 
-use crate::journal::SweepJournal;
 use crate::serve::{stats_to_wire, ServeOptions, Server};
-use crate::session::stats_to_cache_file;
+use crate::store::Store;
 use ss_core::RunRequest;
 use ss_types::rng::SplitMix64;
 use std::collections::HashMap;
@@ -398,25 +397,17 @@ impl Chaos {
     }
 
     /// SIGKILL a child-process server and restart it over the same
-    /// checkpoint: the journal-backed cache must answer `ack cached`
-    /// both before the kill and after the restart.
+    /// checkpoint: its results store must answer `ack cached` both
+    /// before the kill and after the restart.
     fn kill_restart_phase(&mut self) -> Result<(), String> {
         let exe = std::env::current_exe().map_err(|e| e.to_string())?;
         let ckpt = self.dir.join("ckpt");
-        let cache = ckpt.join("cache");
-        std::fs::create_dir_all(&cache).map_err(|e| e.to_string())?;
         let req = CLEAN_POOL[0];
-        let key = "SpecSched_4|SpecSched_4|fp_compute|w200m2000";
         let stats = crate::serve::stats_from_wire(&self.reference[req])
             .ok_or("internal: reference stats unparseable")?;
-        let mut journal =
-            SweepJournal::open(&ckpt.join("journal.log")).map_err(|e| e.to_string())?;
-        journal.record(key).map_err(|e| e.to_string())?;
-        std::fs::write(
-            cache.join("SpecSched_4__fp_compute__w200m2000.kv"),
-            stats_to_cache_file(&stats, key),
-        )
-        .map_err(|e| e.to_string())?;
+        Store::create(ckpt.join("cache"))
+            .and_then(|store| store.put(req, &stats))
+            .map_err(|e| e.to_string())?;
         let sock = self.dir.join("child.sock");
         let spawn = |sock: &Path| {
             std::process::Command::new(&exe)
@@ -456,14 +447,14 @@ impl Chaos {
                 .strip_prefix("done k1 ")
                 .ok_or_else(|| format!("expected done, got `{done}`"))?;
             if got != want {
-                return Err("journal-repopulated result diverged from offline".into());
+                return Err("store-served result diverged from offline".into());
             }
             Ok(())
         };
         let mut child = spawn(&sock)?;
         wait_up(&sock)?;
         expect_cached(&sock)?;
-        self.log("kill-restart: cold child served from journal-backed cache".into());
+        self.log("kill-restart: cold child served from the results store".into());
         child.kill().map_err(|e| e.to_string())?; // SIGKILL, no cleanup
         let _ = child.wait();
         let mut child = spawn(&sock)?;

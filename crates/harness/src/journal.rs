@@ -2,13 +2,15 @@
 //! sweep cells.
 //!
 //! A sweep killed mid-flight (power loss, OOM kill, ctrl-C) leaves its
-//! on-disk stats cache holding every *completed* cell. The journal adds
-//! the durable record of **which** cells completed, so a resumed sweep
-//! can report exactly how much work it skipped, and a torn final record
-//! (the kill landed mid-write) is detected — never trusted.
+//! results store holding every *completed* cell. The journal adds the
+//! durable record of **which** cells completed, so a resumed sweep can
+//! report exactly how much work it skipped, and a torn final record (the
+//! kill landed mid-write) is detected — never trusted.
 //!
-//! Format: a header line `ss-sweep-journal v1`, then one record per
-//! completed cell: `{fnv1a64(key):016x} {key}`. Every record is
+//! Format: a header line `ss-sweep-journal v2`, then one record per
+//! completed cell: `{fnv1a64(key):016x} {key}`, where the key is the
+//! cell's canonical request text. A journal of another version is moved
+//! aside like any foreign file. Every record is
 //! self-checksummed, so the only failure a kill can produce — a torn
 //! final line — fails its checksum and is dropped (and counted) at open.
 //! Records are appended with a single `write` + `fsync` per cell:
@@ -25,7 +27,8 @@ use std::path::{Path, PathBuf};
 const JOURNAL_MAGIC: &str = "ss-sweep-journal";
 
 /// Journal format version; bump on incompatible record changes.
-const JOURNAL_VERSION: u32 = 1;
+/// v2 records each cell's canonical request text.
+const JOURNAL_VERSION: u32 = 2;
 
 /// An append-only, fsync'd journal of completed sweep-cell keys.
 #[derive(Debug)]
@@ -71,7 +74,7 @@ impl SweepJournal {
                 // Not our file (or a torn header): move it aside rather
                 // than appending records something else might read back.
                 _ => {
-                    let quarantine = quarantined(path);
+                    let quarantine = ss_snapshot::quarantine_path(path);
                     std::fs::rename(path, &quarantine)?;
                     eprintln!(
                         "warning: {} is not a sweep journal; moved to {}",
@@ -122,12 +125,6 @@ impl SweepJournal {
         self.done.len()
     }
 
-    /// Every completed cell key on record, in arbitrary order. The serve
-    /// layer uses this to pre-populate its results cache on startup.
-    pub fn completed_cells(&self) -> impl Iterator<Item = &str> {
-        self.done.iter().map(String::as_str)
-    }
-
     /// Durably records `key` as completed: one checksummed line, one
     /// `fsync`. Recording an already-journaled key is a no-op.
     pub fn record(&mut self, key: &str) -> std::io::Result<()> {
@@ -154,19 +151,12 @@ fn parse_record(line: &str) -> Option<&str> {
     (fnv1a64(key.as_bytes()) == want).then_some(key)
 }
 
-/// `<path>.corrupt` (same quarantine convention as the snapshot store).
-fn quarantined(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(".corrupt");
-    path.with_file_name(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const A: &str = "src=bench:fp_compute@0xb5 cfg=SpecSched_4 len=w1m2";
+    const B: &str = "src=bench:mix_int@0xb5 cfg=SpecSched_4 len=w1m2";
 
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ss-journal-{tag}-{}", std::process::id()))
@@ -180,14 +170,14 @@ mod tests {
         {
             let mut j = SweepJournal::open(&path).unwrap();
             assert_eq!(j.completed(), 0);
-            j.record("A|spec|bench|w1m2").unwrap();
-            j.record("B|spec|bench|w1m2").unwrap();
-            j.record("A|spec|bench|w1m2").unwrap(); // dedup
+            j.record(A).unwrap();
+            j.record(B).unwrap();
+            j.record(A).unwrap(); // dedup
         }
         let j = SweepJournal::open(&path).unwrap();
         assert_eq!(j.completed(), 2);
-        assert!(j.contains("A|spec|bench|w1m2"));
-        assert!(j.contains("B|spec|bench|w1m2"));
+        assert!(j.contains(A));
+        assert!(j.contains(B));
         assert_eq!(j.torn_dropped, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -222,7 +212,25 @@ mod tests {
         std::fs::write(&path, "definitely not a journal\n").unwrap();
         let j = SweepJournal::open(&path).unwrap();
         assert_eq!(j.completed(), 0);
-        assert!(quarantined(&path).exists(), "original moved aside");
+        assert!(
+            ss_snapshot::quarantine_path(&path).exists(),
+            "original moved aside"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn older_version_is_moved_aside() {
+        let dir = tmp("v1");
+        let path = dir.join("journal.log");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let old_key = "Baseline_0|Baseline_0|fp_compute|w1m2";
+        let line = format!("{:016x} {old_key}", fnv1a64(old_key.as_bytes()));
+        std::fs::write(&path, format!("{JOURNAL_MAGIC} v1\n{line}\n")).unwrap();
+        let j = SweepJournal::open(&path).unwrap();
+        assert_eq!(j.completed(), 0, "v1 records are not read as v2 cells");
+        assert!(ss_snapshot::quarantine_path(&path).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

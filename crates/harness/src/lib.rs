@@ -6,7 +6,10 @@
 //!   paper's named machine configurations (`Baseline_*`, `SpecSched_*`,
 //!   `_Shift`, `_Ctr`, `_Filter`, `_Combined`, `_Crit`) plus the
 //!   DESIGN.md ablations.
-//! * [`session`] — cached, fault-isolating simulation execution.
+//! * [`session`] — cached, fault-isolating simulation execution; a cell
+//!   is identified by the canonical text of the request that names it.
+//! * [`store`] — the on-disk results store: one checksummed file of
+//!   `SimStats` per cell, addressed by that request text.
 //! * [`exec`] — the parallel execution engine sharding the
 //!   (configuration × benchmark) matrix across worker threads.
 //! * [`experiments`] — one regenerator per table/figure; each returns a
@@ -25,7 +28,8 @@
 //! * [`serve`] — simulation-as-a-service: the `experiments serve`
 //!   resident batch server executing [`ss_core::RunRequest`]s over a
 //!   Unix-domain socket with priority queues, admission control, and a
-//!   memoized results cache pre-populated from sweep journals.
+//!   bounded in-memory results front that reads a sweep's results store
+//!   lazily.
 //! * [`report`] — tables, gmean, CSV.
 //! * [`rvrun`] — the `experiments rvrun` subcommand: run a real RV32IM
 //!   program from the `ss-frontend` suite through the pipeline under a
@@ -58,6 +62,7 @@ pub mod rvrun;
 pub mod serve;
 pub mod session;
 pub mod snapfuzz;
+pub mod store;
 pub mod tracecmd;
 
 pub use configs::{ConfigFamily, ConfigSpec, ConfigVariant, NamedConfig};

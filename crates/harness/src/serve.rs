@@ -1,9 +1,9 @@
 //! Simulation-as-a-service: the `experiments serve` resident batch
 //! server.
 //!
-//! A long-lived process keeps hot state across requests — the memoized
-//! results cache (pre-populated from a sweep's [`SweepJournal`] and
-//! on-disk stats cache), a resident warm-[`Snapshot`] store, and the
+//! A long-lived process keeps hot state across requests — a bounded
+//! in-memory results front (over a read-only view of a sweep's results
+//! [`Store`]), a resident warm-[`Snapshot`] store, and the
 //! per-(config, kernel) cost history — and executes [`RunRequest`]s
 //! received over a Unix-domain socket, line by line. No async runtime,
 //! no dependencies: a threaded accept loop, [`PrioQueue`] worker
@@ -32,7 +32,7 @@
 //! ```text
 //! ack <id> queued prio=<class> | ack <id> cached | ack <id> cancel
 //! progress <id> <done>/<total>
-//! done <id> <k=v ...>              # wire-encoded SimStats
+//! done <id> <k=v ...>              # wire-encoded SimStats (stats_to_wire)
 //! err <id> <message>               # typed SimError rendering
 //! overloaded <id> depth=<d> limit=<l>
 //! stats <k=v ...> | health <k=v ...> | pong | bye
@@ -79,15 +79,15 @@
 //! `experiments chaos` harness drives every one of these paths against
 //! a real server under a seeded fault schedule.
 
-use crate::journal::SweepJournal;
-use crate::session::{stats_from_cache_file, stats_from_kv, stats_to_kv, WORKLOAD_SEED};
-use ss_core::{RunLength, RunRequest};
+use crate::store::Store;
+use ss_core::RunRequest;
 use ss_snapshot::Snapshot;
 use ss_types::{
-    Backoff, CancelFlag, ConfigSpec, CostEma, PrioQueue, Priority, PushError, SimError, SimStats,
+    Backoff, CacheStats, CancelFlag, CostEma, PrioQueue, Priority, PushError, SimError, SimStats,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -100,6 +100,14 @@ use std::time::{Duration, Instant};
 /// protocol error, not a memory commitment.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// Results the server keeps in memory, however many requests it serves.
+/// A result evicted from this front is simulated again (or re-read from
+/// the results store) when next asked for.
+pub const RESULTS_FRONT_CAPACITY: usize = 4096;
+
+/// Executed jobs kept in the [`Server::exec_log`] evidence ring.
+pub const EXEC_LOG_CAPACITY: usize = 1024;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -109,8 +117,9 @@ pub struct ServeOptions {
     pub jobs: usize,
     /// Admission-control bound: queued (not yet running) requests.
     pub queue_depth: usize,
-    /// Checkpoint directory of a prior sweep (`journal.log` + `cache/`)
-    /// to pre-populate the results cache from.
+    /// Checkpoint (or `--out`) directory of a prior sweep whose results
+    /// store, `DIR/cache`, answers requests for its cells. Read-only:
+    /// the server never writes, deletes or renames a file there.
     pub checkpoint_dir: Option<PathBuf>,
     /// EMA-predicted cost (wall ms) at or below which a cell classifies
     /// as interactive.
@@ -329,12 +338,48 @@ impl LatencyHistogram {
     }
 }
 
+/// The in-memory front of the results cache: canonical request text →
+/// statistics, at most `capacity` entries. When full, the oldest entry
+/// makes room.
+struct ResultsFront {
+    capacity: usize,
+    map: HashMap<String, SimStats>,
+    /// Keys in insertion order.
+    order: VecDeque<String>,
+}
+
+impl ResultsFront {
+    fn new(capacity: usize) -> ResultsFront {
+        ResultsFront {
+            capacity,
+            map: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    /// Keeps `stats` for `text`. A resident text keeps its entry: a
+    /// request's result never changes.
+    fn insert(&mut self, text: String, stats: SimStats) {
+        if self.map.contains_key(&text) {
+            return;
+        }
+        if self.order.len() == self.capacity {
+            let oldest = self.order.pop_front().expect("a full front is non-empty");
+            self.map.remove(&oldest);
+        }
+        self.order.push_back(text.clone());
+        self.map.insert(text, stats);
+    }
+}
+
 /// Shared server state: everything resident across requests.
 struct ServerState {
     opts: ServeOptions,
     queue: PrioQueue<Task>,
-    /// canonical request text → statistics.
-    results: Mutex<HashMap<String, SimStats>>,
+    /// Bounded front of the results cache.
+    results: Mutex<ResultsFront>,
+    /// Read-only view of the checkpoint directory's results store.
+    store: Option<Store>,
     /// snapshot path → loaded, verified warm state.
     snapshots: Mutex<HashMap<String, Snapshot>>,
     ema: Mutex<CostEma>,
@@ -355,8 +400,9 @@ struct ServerState {
     busy_workers: AtomicU64,
     shutdown: AtomicBool,
     started: Instant,
-    /// (class, admission seq) per executed job, in execution order.
-    exec_log: Mutex<Vec<(Priority, u64)>>,
+    /// (class, admission seq) of the last [`EXEC_LOG_CAPACITY`] executed
+    /// jobs, in execution order.
+    exec_log: Mutex<VecDeque<(Priority, u64)>>,
     /// Queue latency (µs) per class.
     latency_us: Mutex<[LatencyHistogram; 3]>,
 }
@@ -374,25 +420,24 @@ pub struct Server {
 }
 
 impl Server {
-    /// Validates the options, binds the socket, preloads the results
-    /// cache, and starts the worker pool, its supervisor, and the
-    /// accept loop.
+    /// Validates the options, binds the socket, and starts the worker
+    /// pool, its supervisor, and the accept loop.
     pub fn start(opts: ServeOptions) -> Result<Server, StartError> {
         opts.validate().map_err(StartError::Config)?;
         // A stale socket file from a dead server would fail the bind.
         let _ = std::fs::remove_file(&opts.socket);
         let listener = UnixListener::bind(&opts.socket).map_err(StartError::Io)?;
-        let mut results = HashMap::new();
-        if let Some(dir) = &opts.checkpoint_dir {
-            let loaded = preload_results(dir, &mut results);
+        let store = opts.checkpoint_dir.as_ref().map(|dir| {
             eprintln!(
-                "[serve: preloaded {loaded} cached results from {}]",
+                "[serve: reading cached results from {}/cache]",
                 dir.display()
             );
-        }
+            Store::at(dir.join("cache"))
+        });
         let state = Arc::new(ServerState {
             queue: PrioQueue::new(opts.queue_depth),
-            results: Mutex::new(results),
+            results: Mutex::new(ResultsFront::new(RESULTS_FRONT_CAPACITY)),
+            store,
             snapshots: Mutex::new(HashMap::new()),
             ema: Mutex::new(CostEma::new()),
             inflight: Mutex::new(HashMap::new()),
@@ -410,7 +455,7 @@ impl Server {
             busy_workers: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            exec_log: Mutex::new(Vec::new()),
+            exec_log: Mutex::new(VecDeque::with_capacity(EXEC_LOG_CAPACITY)),
             latency_us: Mutex::default(),
             opts,
         });
@@ -477,10 +522,12 @@ impl Server {
         self.state.deadline_exceeded.load(Ordering::SeqCst)
     }
 
-    /// `(class, admission-sequence)` per executed request, in execution
-    /// order — the soak test's FIFO-within-priority evidence.
+    /// `(class, admission-sequence)` of the last [`EXEC_LOG_CAPACITY`]
+    /// executed requests, in execution order — the soak test's
+    /// FIFO-within-priority evidence.
     pub fn exec_log(&self) -> Vec<(Priority, u64)> {
-        self.state.exec_log.lock().expect("exec log lock").clone()
+        let log = self.state.exec_log.lock().expect("exec log lock");
+        log.iter().copied().collect()
     }
 
     /// Queue-latency histograms in microseconds, indexed by
@@ -626,74 +673,62 @@ fn drain(state: &Arc<ServerState>) {
     }
 }
 
-/// Pre-populates the results cache from a sweep checkpoint directory:
-/// every journaled `{name}|{spec}|{bench}|w{W}m{M}` cell whose name is
-/// the canonical spec (the standard sweep cells) and whose cache file
-/// verifies becomes a served `src=bench:… cfg=… len=…` entry.
-fn preload_results(dir: &Path, results: &mut HashMap<String, SimStats>) -> usize {
-    let journal = match SweepJournal::open(&dir.join("journal.log")) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("[serve: no usable journal in {} ({e})]", dir.display());
-            return 0;
+/// Writes and reads the `k=v` wire encoding of [`SimStats`] (the `done`
+/// payload): the counters below in this order, then each cache counter
+/// as `l1d.{name}=… l2.{name}=…`. Both directions name every field — the
+/// writer destructures with no `..` and the reader builds struct
+/// literals — so a new field does not compile until it is on the wire.
+macro_rules! wire_codec {
+    (sim { $($f:ident),* $(,)? } cache { $($c:ident),* $(,)? }) => {
+        /// Serializes statistics as one `k=v ...` wire line.
+        pub fn stats_to_wire(s: &SimStats) -> String {
+            let SimStats { $($f,)* l1d, l2 } = s;
+            let cache = |c: &CacheStats| {
+                let CacheStats { $($c),* } = c;
+                [$(*$c),*]
+            };
+            let (l1d, l2) = (cache(l1d), cache(l2));
+            let mut out = String::with_capacity(1024);
+            $( let _ = write!(out, " {}={}", stringify!($f), $f); )*
+            for (i, name) in [$(stringify!($c)),*].iter().enumerate() {
+                let _ = write!(out, " l1d.{name}={} l2.{name}={}", l1d[i], l2[i]);
+            }
+            out.split_off(1)
+        }
+
+        /// Parses a wire line back into statistics. `None` unless the line
+        /// holds every field exactly once and nothing else.
+        pub fn stats_from_wire(line: &str) -> Option<SimStats> {
+            let mut fields = HashMap::new();
+            for token in line.split_whitespace() {
+                let (k, v) = token.split_once('=')?;
+                if fields.insert(k, v.parse::<u64>().ok()?).is_some() {
+                    return None;
+                }
+            }
+            let mut take = |k: &str| fields.remove(k);
+            let mut cache = |level: &str| -> Option<CacheStats> {
+                Some(CacheStats { $($c: take(&format!("{level}.{}", stringify!($c)))?,)* })
+            };
+            let (l1d, l2) = (cache("l1d")?, cache("l2")?);
+            let s = SimStats { $($f: take(stringify!($f))?,)* l1d, l2 };
+            fields.is_empty().then_some(s)
         }
     };
-    let cache = dir.join("cache");
-    let mut loaded = 0;
-    for key in journal.completed_cells() {
-        let Some((canonical, cache_file)) = translate_journal_key(key) else {
-            continue;
-        };
-        let path = cache.join(cache_file);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        match stats_from_cache_file(&path, &text, key) {
-            Ok(stats) => {
-                results.insert(canonical, stats);
-                loaded += 1;
-            }
-            Err(e) => eprintln!("[serve: skipping {}: {e}]", path.display()),
-        }
+}
+
+wire_codec! {
+    sim {
+        cycles, committed_uops, committed_loads, unique_issued, issued_total, replayed_miss,
+        replayed_bank, replayed_prf, replay_events_miss, replay_events_bank, replay_events_prf,
+        wrong_path_issued, cond_branches, cond_mispredicts, target_mispredicts,
+        bank_delayed_loads, bank_delay_cycles, loads_merged_into_mshr, dram_row_hits,
+        dram_row_misses, loads_spec_woken, loads_conservative, filter_sure_hit, filter_sure_miss,
+        filter_unstable, crit_predicted_critical, crit_predicted_noncritical, memdep_violations,
+        dispatch_stall_cycles, recovery_buffer_replays, degrade_entries, degrade_cycles,
+        faults_injected,
     }
-    loaded
-}
-
-/// Maps a sweep-journal cell key to `(canonical request text, cache file
-/// name)`. Only standard cells — display name identical to the canonical
-/// [`ConfigSpec`] — translate; renamed test cells are skipped.
-fn translate_journal_key(key: &str) -> Option<(String, String)> {
-    let mut parts = key.split('|');
-    let (name, spec, bench, len) = (parts.next()?, parts.next()?, parts.next()?, parts.next()?);
-    if parts.next().is_some() || name != spec {
-        return None;
-    }
-    let spec: ConfigSpec = spec.parse().ok()?;
-    let len_parsed: RunLength = len.parse().ok()?;
-    let canonical = RunRequest::bench(bench, WORKLOAD_SEED)
-        .config(spec)
-        .length(len_parsed)
-        .to_string();
-    Some((canonical, format!("{name}__{bench}__{len}.kv")))
-}
-
-/// Serializes statistics as one `k=v ...` wire line (the `done` payload).
-pub fn stats_to_wire(s: &SimStats) -> String {
-    stats_to_kv(s)
-        .lines()
-        .map(|l| l.replacen(' ', "=", 1))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-/// Parses the `k=v ...` wire line back into statistics.
-pub fn stats_from_wire(line: &str) -> Option<SimStats> {
-    let kv: String = line
-        .split_whitespace()
-        .filter_map(|t| t.split_once('='))
-        .map(|(k, v)| format!("{k} {v}\n"))
-        .collect();
-    stats_from_kv(&kv)
+    cache { accesses, hits, misses, mshr_merges, prefetches, prefetch_hits }
 }
 
 fn accept_loop(state: &Arc<ServerState>, listener: UnixListener) {
@@ -938,7 +973,7 @@ fn server_stats_line(state: &ServerState) -> String {
         state.rejected.load(Ordering::SeqCst),
         state.cancelled.load(Ordering::SeqCst),
         state.failed.load(Ordering::SeqCst),
-        state.results.lock().expect("results lock").len(),
+        state.results.lock().expect("results lock").map.len(),
         state.ema.lock().expect("ema lock").len(),
     )
 }
@@ -965,7 +1000,7 @@ fn health_line(state: &ServerState) -> String {
         state.panics_caught.load(Ordering::SeqCst),
         state.clients_vanished.load(Ordering::SeqCst),
         state.drain_cancelled.load(Ordering::SeqCst),
-        state.results.lock().expect("results lock").len(),
+        state.results.lock().expect("results lock").map.len(),
     )
 }
 
@@ -1045,13 +1080,7 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
         }
     };
     let canonical = req.to_string();
-    if let Some(stats) = state
-        .results
-        .lock()
-        .expect("results lock")
-        .get(&canonical)
-        .cloned()
-    {
+    if let Some(stats) = cached_result(state, &canonical) {
         state.cache_hits.fetch_add(1, Ordering::SeqCst);
         send(state, conn, &format!("ack {id} cached"));
         send(state, conn, &format!("done {id} {}", stats_to_wire(&stats)));
@@ -1167,6 +1196,28 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
     }
 }
 
+/// The cached result for `canonical`: the in-memory front first, then
+/// the checkpoint's results store. A store hit joins the front; a
+/// missing, stale or corrupt store entry is only a miss, left in place.
+fn cached_result(state: &ServerState, canonical: &str) -> Option<SimStats> {
+    if let Some(s) = state
+        .results
+        .lock()
+        .expect("results lock")
+        .map
+        .get(canonical)
+    {
+        return Some(s.clone());
+    }
+    let stats = state.store.as_ref()?.get(canonical).ok().flatten()?;
+    state
+        .results
+        .lock()
+        .expect("results lock")
+        .insert(canonical.to_string(), stats.clone());
+    Some(stats)
+}
+
 fn worker_loop(state: &Arc<ServerState>) {
     let _live = Gauge::new(&state.live_workers);
     while let Some(task) = state.queue.pop() {
@@ -1194,7 +1245,10 @@ fn run_job(state: &Arc<ServerState>, job: Job) {
     let wait_us = job.enqueued.elapsed().as_micros() as u64;
     {
         let mut log = state.exec_log.lock().expect("exec log lock");
-        log.push((job.prio, job.seq));
+        if log.len() >= EXEC_LOG_CAPACITY {
+            log.pop_front();
+        }
+        log.push_back((job.prio, job.seq));
     }
     state.latency_us.lock().expect("latency lock")[job.prio.index()].record(wait_us);
     let Job {
@@ -1344,7 +1398,7 @@ pub fn run_serve_cli(args: &[String]) -> i32 {
                      \x20 --socket PATH            socket path (experiments.sock)\n\
                      \x20 --jobs N                 worker threads (cores - 1)\n\
                      \x20 --queue-depth D          admission bound (64)\n\
-                     \x20 --checkpoint-dir DIR     preload results from a sweep checkpoint\n\
+                     \x20 --checkpoint-dir DIR     answer from a sweep's results in DIR/cache\n\
                      \x20 --interactive-max-ms MS  interactive cost ceiling (200)\n\
                      \x20 --bulk-min-ms MS         bulk cost floor (2000)\n\
                      \x20 --read-timeout-ms MS     reader liveness poll (1000)\n\
@@ -1773,20 +1827,212 @@ mod tests {
         assert_eq!(back, s);
     }
 
+    /// Every field set to a distinct value, and its wire line as the
+    /// codec has always written it.
+    fn distinct_stats() -> (SimStats, &'static str) {
+        let s = SimStats {
+            cycles: 1,
+            committed_uops: 2,
+            committed_loads: 3,
+            unique_issued: 4,
+            issued_total: 5,
+            replayed_miss: 6,
+            replayed_bank: 7,
+            replayed_prf: 8,
+            replay_events_miss: 9,
+            replay_events_bank: 10,
+            replay_events_prf: 11,
+            wrong_path_issued: 12,
+            cond_branches: 13,
+            cond_mispredicts: 14,
+            target_mispredicts: 15,
+            bank_delayed_loads: 16,
+            bank_delay_cycles: 17,
+            loads_merged_into_mshr: 18,
+            dram_row_hits: 19,
+            dram_row_misses: 20,
+            loads_spec_woken: 21,
+            loads_conservative: 22,
+            filter_sure_hit: 23,
+            filter_sure_miss: 24,
+            filter_unstable: 25,
+            crit_predicted_critical: 26,
+            crit_predicted_noncritical: 27,
+            memdep_violations: 28,
+            dispatch_stall_cycles: 29,
+            recovery_buffer_replays: 30,
+            degrade_entries: 31,
+            degrade_cycles: 32,
+            faults_injected: 33,
+            l1d: CacheStats {
+                accesses: 101,
+                hits: 102,
+                misses: 103,
+                mshr_merges: 104,
+                prefetches: 105,
+                prefetch_hits: 106,
+            },
+            l2: CacheStats {
+                accesses: 201,
+                hits: 202,
+                misses: 203,
+                mshr_merges: 204,
+                prefetches: 205,
+                prefetch_hits: 206,
+            },
+        };
+        let line = "cycles=1 committed_uops=2 committed_loads=3 unique_issued=4 \
+            issued_total=5 replayed_miss=6 replayed_bank=7 replayed_prf=8 \
+            replay_events_miss=9 replay_events_bank=10 replay_events_prf=11 \
+            wrong_path_issued=12 cond_branches=13 cond_mispredicts=14 \
+            target_mispredicts=15 bank_delayed_loads=16 bank_delay_cycles=17 \
+            loads_merged_into_mshr=18 dram_row_hits=19 dram_row_misses=20 \
+            loads_spec_woken=21 loads_conservative=22 filter_sure_hit=23 \
+            filter_sure_miss=24 filter_unstable=25 crit_predicted_critical=26 \
+            crit_predicted_noncritical=27 memdep_violations=28 \
+            dispatch_stall_cycles=29 recovery_buffer_replays=30 degrade_entries=31 \
+            degrade_cycles=32 faults_injected=33 l1d.accesses=101 l2.accesses=201 \
+            l1d.hits=102 l2.hits=202 l1d.misses=103 l2.misses=203 \
+            l1d.mshr_merges=104 l2.mshr_merges=204 l1d.prefetches=105 \
+            l2.prefetches=205 l1d.prefetch_hits=106 l2.prefetch_hits=206";
+        (s, line)
+    }
+
     #[test]
-    fn journal_keys_translate_only_for_standard_cells() {
-        let (canonical, file) =
-            translate_journal_key("SpecSched_4_Crit|SpecSched_4_Crit|fp_compute|w1000m5000")
-                .expect("standard cell translates");
+    fn wire_bytes_are_pinned() {
+        let (s, line) = distinct_stats();
+        assert_eq!(stats_to_wire(&s), line);
+        assert_eq!(stats_from_wire(line), Some(s));
+    }
+
+    #[test]
+    fn wire_reader_rejects_a_missing_repeated_or_unknown_field() {
+        let (_, line) = distinct_stats();
+        let tokens: Vec<&str> = line.split(' ').collect();
+        for i in 0..tokens.len() {
+            let mut short = tokens.clone();
+            let dropped = short.remove(i);
+            assert_eq!(
+                stats_from_wire(&short.join(" ")),
+                None,
+                "a line without `{dropped}` must be rejected"
+            );
+            assert_eq!(
+                stats_from_wire(&format!("{line} {dropped}")),
+                None,
+                "a line repeating `{dropped}` must be rejected"
+            );
+        }
+        assert_eq!(stats_from_wire(&format!("{line} bogus=1")), None);
+        assert_eq!(stats_from_wire("cycles=1 committed_uops=2"), None);
+        assert_eq!(stats_from_wire(&line.replace("=33", "=x")), None);
+    }
+
+    #[test]
+    fn results_front_never_exceeds_its_capacity() {
+        let mut front = ResultsFront::new(3);
+        let stats = |n: u64| SimStats {
+            cycles: n,
+            ..Default::default()
+        };
+        for n in 0..10u64 {
+            front.insert(format!("req{n}"), stats(n));
+            assert!(front.map.len() <= 3);
+            assert!(front.order.len() <= 3);
+        }
+        assert_eq!(front.map.len(), 3);
+        // The newest entries stay; the oldest made room.
+        assert_eq!(front.map.get("req9"), Some(&stats(9)));
+        assert_eq!(front.map.get("req7"), Some(&stats(7)));
+        assert_eq!(front.map.get("req6"), None);
+        // Re-inserting a resident text keeps its entry and evicts nothing.
+        front.insert("req8".into(), stats(80));
+        assert_eq!(front.map.len(), 3);
+        assert_eq!(front.map.get("req8"), Some(&stats(8)));
+        assert_eq!(front.map.get("req7"), Some(&stats(7)));
+    }
+
+    /// Sends `run <id> <req>` and returns (ack line, done payload).
+    fn run_over(
+        lines: &mut std::io::Lines<BufReader<UnixStream>>,
+        c: &mut UnixStream,
+        id: &str,
+        req: &str,
+    ) -> (String, String) {
+        c.write_all(format!("run {id} {req}\n").as_bytes()).unwrap();
+        let ack = lines.next().unwrap().unwrap();
+        loop {
+            let line = lines.next().unwrap().unwrap();
+            if let Some(rest) = line.strip_prefix(&format!("done {id} ")) {
+                return (ack, rest.to_string());
+            }
+            assert!(line.starts_with("progress "), "unexpected line {line}");
+        }
+    }
+
+    #[test]
+    fn server_reads_a_sweep_results_store_lazily_and_read_only() {
+        use crate::session::Session;
+        let dir = std::env::temp_dir().join(format!("ss-serve-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt = dir.join("ckpt");
+        std::fs::create_dir_all(&ckpt).unwrap();
+        // The server starts over an empty checkpoint directory …
+        let server = Server::start(ServeOptions {
+            socket: dir.join("store.sock"),
+            jobs: 1,
+            queue_depth: 4,
+            checkpoint_dir: Some(ckpt.clone()),
+            ..ServeOptions::default()
+        })
+        .expect("server starts");
+        // … and only then does a sweep session write a cell there.
+        let len = ss_core::RunLength {
+            warmup: 200,
+            measure: 2000,
+        };
+        let cfg = crate::configs::spec_sched(4, true);
+        let bench = ss_workloads::benchmark("fp_compute").unwrap();
+        Session::new(len, Some(ckpt.join("cache")))
+            .try_run(&cfg, bench)
+            .expect("runs");
+        let text = "src=bench:fp_compute@0xb5 cfg=SpecSched_4 len=w200m2000";
+        let offline = text.parse::<RunRequest>().unwrap().execute().unwrap();
+        let mut c = UnixStream::connect(server.socket()).unwrap();
+        let mut lines = BufReader::new(c.try_clone().unwrap()).lines();
+        let (ack, done) = run_over(&mut lines, &mut c, "a", text);
         assert_eq!(
-            canonical,
-            "src=bench:fp_compute@0xb5 cfg=SpecSched_4_Crit len=w1000m5000"
+            ack, "ack a cached",
+            "the sweep's cell is answered from the store"
         );
-        assert_eq!(file, "SpecSched_4_Crit__fp_compute__w1000m5000.kv");
-        // Renamed test cells and malformed keys are skipped, not errors.
-        assert!(translate_journal_key("odd-name|SpecSched_4|fp_compute|w1m2").is_none());
-        assert!(translate_journal_key("SpecSched_4|SpecSched_4|fp_compute").is_none());
-        assert!(translate_journal_key("Bogus_4|Bogus_4|fp_compute|w1m2").is_none());
+        assert_eq!(
+            done,
+            stats_to_wire(&offline.stats),
+            "same bytes as `run --req`"
+        );
+        // A corrupt entry is only a miss: the server simulates, and the
+        // file stays where it was, unrenamed and unchanged.
+        let other = "src=bench:mix_int@0xb5 cfg=SpecSched_4 len=w200m2000";
+        let store = Store::at(ckpt.join("cache"));
+        store.put(other, &SimStats::default()).unwrap();
+        let path = store.path(other);
+        let mut bytes = std::fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        let (ack, done) = run_over(&mut lines, &mut c, "b", other);
+        assert_eq!(ack, "ack b queued prio=normal");
+        let want = other.parse::<RunRequest>().unwrap().execute().unwrap();
+        assert_eq!(done, stats_to_wire(&want.stats));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "corrupt entry left in place"
+        );
+        let entries = std::fs::read_dir(ckpt.join("cache")).unwrap().count();
+        assert_eq!(entries, 2, "the server wrote nothing into the store");
+        drop(c);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,18 +1,23 @@
 //! Experiment session: runs (configuration × benchmark) simulations with
-//! an in-memory and on-disk cache so figures sharing configurations (and
-//! repeated invocations) do not re-simulate.
+//! an in-memory memo and an on-disk [`Store`], so figures sharing
+//! configurations (and repeated invocations) do not re-simulate.
+//!
+//! A cell's identity is the canonical text of the [`RunRequest`] that
+//! names it — `src=bench:{bench}@{seed} cfg={spec} len=w{W}m{M}`, the
+//! same text `experiments serve` receives for that cell and
+//! `experiments run --req` accepts. The in-memory memos, the results
+//! store, the sweep journal and every [`CellFailure`] use it.
 //!
 //! The session is the harness's fault boundary. Each cell runs under
 //! [`Session::try_run`], which catches panics and structured
 //! [`SimError`]s and records them in [`Session::failures`] so one broken
-//! cell cannot abort a whole sweep. On-disk cache entries carry a format
-//! version and an FNV-1a checksum. *Stale* entries (older format version
-//! or another cell's key — expected across builds) are deleted and
-//! re-simulated, counted in [`Session::cache_rejected`]; *corrupt*
-//! entries (damaged bytes) are quarantined to `<name>.corrupt` for
-//! inspection and counted separately in [`Session::cache_quarantined`].
-//! Disk I/O failures are logged once and degrade the session to
-//! in-memory-only caching.
+//! cell cannot abort a whole sweep. *Stale* store entries (another
+//! format version or another request's text — expected across builds)
+//! are deleted and re-simulated, counted in [`Session::cache_rejected`];
+//! *corrupt* entries (damaged bytes) are quarantined to `<name>.corrupt`
+//! for inspection and counted separately in
+//! [`Session::cache_quarantined`]. Disk I/O failures are logged once and
+//! degrade the session to in-memory-only caching.
 //!
 //! With a warm-state directory attached ([`Session::enable_warm_fork`]),
 //! the warmup phase of each (config × benchmark × warmup) cell is
@@ -23,41 +28,32 @@
 
 use crate::configs::NamedConfig;
 use crate::journal::SweepJournal;
+use crate::store::{Rejected, Store};
 use ss_core::{RunLength, RunRequest};
 use ss_snapshot::Snapshot;
-use ss_types::{CacheStats, SimConfig, SimError, SimStats};
-use ss_workloads::{Benchmark, KernelSpec, BENCHMARKS};
+use ss_types::{SimError, SimStats};
+use ss_workloads::{Benchmark, BENCHMARKS};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Seed used for all workload generation (fixed for reproducibility).
 pub const WORKLOAD_SEED: u64 = 0xB5;
 
-/// On-disk cache format version. Bump whenever the simulator's behaviour
-/// or the serialized field set changes incompatibly, so stale entries
-/// from older builds are re-simulated instead of silently reused.
-/// v3 added the canonical cell key (name, [`crate::configs::ConfigSpec`]
-/// string, benchmark, run length) to the header, so a renamed variant or
-/// a different run length can never read a stale entry.
-pub const CACHE_FORMAT_VERSION: u32 = 3;
-
-/// Magic tag leading every cache file's header line.
-const CACHE_MAGIC: &str = "ss-stats-cache";
-
 /// One failed (configuration × benchmark) cell of a sweep.
 ///
 /// Carries enough identity to reproduce the cell from the report alone:
-/// the canonical cell key ([`Session::cell_key`]: config spec, benchmark,
-/// run length) and, for fuzz-campaign cells, the cell's derivation seed.
+/// the canonical request text and, for fuzz-campaign cells, the cell's
+/// derivation seed.
 #[derive(Debug, Clone)]
 pub struct CellFailure {
     /// Configuration name.
     pub config: String,
     /// Benchmark name.
     pub bench: String,
-    /// Canonical cell key (`{name}|{spec}|{bench}|w{W}m{M}`), exactly as
-    /// stamped into the stats cache — paste it back into a session to
-    /// re-run the identical cell.
+    /// The cell's canonical request text — paste it into
+    /// `experiments run --req` to re-run the identical cell. Fuzz cells,
+    /// whose machine has no request encoding, carry their own key
+    /// ([`crate::FuzzCell::cell_key`]).
     pub cell_key: String,
     /// For fuzz cells: the seed the whole cell (config × kernel × fault
     /// plan) derives from, replayable via `experiments fuzz --repro`.
@@ -69,19 +65,20 @@ pub struct CellFailure {
 /// Runs simulations and caches their statistics.
 pub struct Session {
     len: RunLength,
-    cache_dir: Option<PathBuf>,
-    mem: HashMap<(String, String), SimStats>,
+    store: Option<Store>,
+    /// canonical request text → statistics.
+    mem: HashMap<String, SimStats>,
     /// Memoized failed cells: a cell that failed once is not re-simulated
     /// on later recalls (each figure sharing it gets the same error back).
-    failed: HashMap<(String, String), SimError>,
+    failed: HashMap<String, SimError>,
     disk_warned: bool,
     /// Simulations actually executed (not served from cache).
     pub simulated: u64,
-    /// On-disk cache entries rejected as *stale* (older format version or
-    /// another cell's key; deleted and re-simulated).
+    /// Store entries rejected as *stale* (another format version or
+    /// another request's text; deleted and re-simulated).
     pub cache_rejected: u64,
-    /// On-disk cache entries rejected as *corrupt* (damaged bytes;
-    /// quarantined to `<name>.corrupt` and re-simulated).
+    /// Store entries rejected as *corrupt* (damaged bytes; quarantined
+    /// to `<name>.corrupt` and re-simulated).
     pub cache_quarantined: u64,
     /// Measurement runs forked off an on-disk warm-state snapshot
     /// (warmup simulation skipped).
@@ -96,13 +93,14 @@ pub struct Session {
 }
 
 impl Session {
-    /// Creates a session with the given run length; `cache_dir` enables
-    /// the on-disk cache. If the directory cannot be created the error
-    /// is logged and the session falls back to in-memory-only caching.
+    /// Creates a session with the given run length; `cache_dir` roots
+    /// the on-disk results [`Store`]. If the directory cannot be created
+    /// the error is logged and the session falls back to in-memory-only
+    /// caching.
     pub fn new(len: RunLength, cache_dir: Option<PathBuf>) -> Self {
         let mut sess = Session {
             len,
-            cache_dir: None,
+            store: None,
             mem: HashMap::new(),
             failed: HashMap::new(),
             disk_warned: false,
@@ -115,8 +113,8 @@ impl Session {
             journal: None,
         };
         if let Some(d) = cache_dir {
-            match std::fs::create_dir_all(&d) {
-                Ok(()) => sess.cache_dir = Some(d),
+            match Store::create(&d) {
+                Ok(store) => sess.store = Some(store),
                 Err(e) => sess.disk_cache_failed(&format!("create {}", d.display()), &e),
             }
         }
@@ -128,30 +126,32 @@ impl Session {
         self.len
     }
 
+    /// A cell's identity: the canonical text of the request
+    /// `src=bench:{bench}@{WORKLOAD_SEED} cfg={spec} len={len}`.
+    fn cell_text(&self, cfg: &NamedConfig, bench: &Benchmark) -> String {
+        RunRequest::bench(bench.name, WORKLOAD_SEED)
+            .config(cfg.spec)
+            .length(self.len)
+            .to_string()
+    }
+
     /// Whether this cell already has an in-memory result (or a memoized
     /// failure) and needs no work.
     pub fn is_cached(&self, cfg: &NamedConfig, bench: &Benchmark) -> bool {
-        let key = (cfg.name.clone(), bench.name.to_string());
-        self.mem.contains_key(&key) || self.failed.contains_key(&key)
+        let text = self.cell_text(cfg, bench);
+        self.mem.contains_key(&text) || self.failed.contains_key(&text)
     }
 
-    /// An empty worker session sharing this session's run length, cache
-    /// directory, and disk-degradation state. The parallel engine gives
-    /// one to each worker and [`Session::merge`]s them back afterwards.
+    /// An empty worker session sharing this session's run length, store,
+    /// and disk-degradation state. The parallel engine gives one to each
+    /// worker and [`Session::merge`]s them back afterwards.
     pub fn fork_worker(&self) -> Session {
         Session {
-            len: self.len,
-            cache_dir: self.cache_dir.clone(),
-            mem: HashMap::new(),
-            failed: HashMap::new(),
+            store: self.store.clone(),
             disk_warned: self.disk_warned,
-            simulated: 0,
-            cache_rejected: 0,
-            cache_quarantined: 0,
-            warm_forked: 0,
-            failures: Vec::new(),
             warm_dir: self.warm_dir.clone(),
             journal: self.journal.as_ref().and_then(|j| j.reopen().ok()),
+            ..Session::new(self.len, None)
         }
     }
 
@@ -190,30 +190,7 @@ impl Session {
             eprintln!("warning: stats cache disabled (failed to {what}: {err}); continuing in-memory only");
             self.disk_warned = true;
         }
-        self.cache_dir = None;
-    }
-
-    fn cache_path(&self, cfg: &str, bench: &str) -> Option<PathBuf> {
-        self.cache_dir.as_ref().map(|d| {
-            d.join(format!(
-                "{cfg}__{bench}__w{}m{}.kv",
-                self.len.warmup, self.len.measure
-            ))
-        })
-    }
-
-    /// The canonical cell key stamped into (and validated against) every
-    /// on-disk cache entry: display name, [`ConfigSpec`] canonical
-    /// string, benchmark, and run length. A renamed variant, a name that
-    /// drifted from its spec, or a different run length all change the
-    /// key, so none of them can read a stale entry.
-    ///
-    /// [`ConfigSpec`]: crate::configs::ConfigSpec
-    pub fn cell_key(&self, cfg: &NamedConfig, bench: &str) -> String {
-        format!(
-            "{}|{}|{}|w{}m{}",
-            cfg.name, cfg.spec, bench, self.len.warmup, self.len.measure
-        )
+        self.store = None;
     }
 
     /// Runs (or recalls) one configuration × benchmark, isolating
@@ -222,19 +199,23 @@ impl Session {
     /// whole sweep down. A cell that already failed in this session is
     /// not re-simulated; the recorded error is returned again.
     pub fn try_run(&mut self, cfg: &NamedConfig, bench: &Benchmark) -> Result<SimStats, SimError> {
-        if let Some(recalled) = self.try_recall(cfg, bench) {
+        let text = self.cell_text(cfg, bench);
+        if let Some(recalled) = self.try_recall(&text) {
             return recalled;
         }
-        let config = cfg.config.clone();
-        let len = self.len;
         let warm_path = self.warm_path(&cfg.name, bench.name);
+        let len = self.len;
+        // The simulation the text names: the kernel `bench` builds at the
+        // workload seed (what `src=bench:` resolves to for a registry
+        // benchmark) on the spec's machine.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_cell(
-                config,
-                (bench.build)(WORKLOAD_SEED),
-                warm_path.as_deref(),
-                len,
-            )
+            let kernel = (bench.build)(WORKLOAD_SEED);
+            let req = || {
+                RunRequest::kernel(kernel.clone())
+                    .config(cfg.spec)
+                    .length(len)
+            };
+            run_cell(req, len, warm_path.as_deref())
         }));
         let outcome = match outcome {
             Ok(Ok((s, forked))) => {
@@ -252,91 +233,84 @@ impl Session {
                 Err(SimError::Panicked(msg))
             }
         };
-        self.record_run(cfg, bench, outcome)
+        self.record_run(cfg, bench, text, outcome)
     }
 
     /// Recall half of [`Session::try_run`]: serves the cell from the
-    /// in-memory result map, the memoized-failure map, or the on-disk
-    /// cache. `None` means the cell is fresh and must be simulated
-    /// (stale cache entries were deleted, corrupt ones quarantined).
-    fn try_recall(
-        &mut self,
-        cfg: &NamedConfig,
-        bench: &Benchmark,
-    ) -> Option<Result<SimStats, SimError>> {
-        let key = (cfg.name.clone(), bench.name.to_string());
-        if let Some(s) = self.mem.get(&key) {
+    /// in-memory result map, the memoized-failure map, or the store.
+    /// `None` means the cell is fresh and must be simulated (stale store
+    /// entries were deleted, corrupt ones quarantined).
+    fn try_recall(&mut self, text: &str) -> Option<Result<SimStats, SimError>> {
+        if let Some(s) = self.mem.get(text) {
             return Some(Ok(s.clone()));
         }
-        if let Some(e) = self.failed.get(&key) {
+        if let Some(e) = self.failed.get(text) {
             return Some(Err(e.clone()));
         }
-        if let Some(path) = self.cache_path(&cfg.name, bench.name) {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                match stats_from_cache_file(&path, &text, &self.cell_key(cfg, bench.name)) {
-                    Ok(s) => {
-                        self.journal_done(&self.cell_key(cfg, bench.name));
-                        self.mem.insert(key, s.clone());
-                        return Some(Ok(s));
-                    }
-                    Err(e) if rejection_is_stale(&e) => {
-                        // Written by another build or cell identity —
-                        // expected across upgrades; delete and re-simulate.
-                        self.cache_rejected += 1;
-                        eprintln!("warning: {e}; re-simulating");
-                        let _ = std::fs::remove_file(&path);
-                    }
-                    Err(e) => {
-                        // Damaged bytes: keep the evidence (quarantined
-                        // under `<name>.corrupt`) and re-simulate.
-                        self.cache_quarantined += 1;
-                        let q = ss_snapshot::quarantine_path(&path);
-                        eprintln!(
-                            "warning: {e}; quarantining to {} and re-simulating",
-                            q.display()
-                        );
-                        if std::fs::rename(&path, &q).is_err() {
-                            let _ = std::fs::remove_file(&path);
-                        }
-                    }
-                }
+        match self.store.as_ref()?.get_or_clear(text) {
+            Ok(Some(s)) => {
+                self.journal_done(text);
+                self.mem.insert(text.to_string(), s.clone());
+                return Some(Ok(s));
+            }
+            Ok(None) => {}
+            Err(Rejected::Stale(e)) => {
+                // Written by another build or for another request —
+                // expected across upgrades; deleted, re-simulate.
+                self.cache_rejected += 1;
+                eprintln!("warning: {e}; re-simulating");
+            }
+            Err(Rejected::Corrupt(e)) => {
+                // Damaged bytes: the evidence is kept under
+                // `<name>.corrupt`; re-simulate.
+                self.cache_quarantined += 1;
+                eprintln!("warning: {e}; quarantined and re-simulating");
             }
         }
         None
     }
 
     /// Record half of [`Session::try_run`]: files a freshly simulated
-    /// cell's outcome — counters, on-disk cache entry, journal record,
+    /// cell's outcome — counters, store entry, journal record,
     /// memoization.
     fn record_run(
         &mut self,
         cfg: &NamedConfig,
         bench: &Benchmark,
+        text: String,
         outcome: Result<SimStats, SimError>,
     ) -> Result<SimStats, SimError> {
-        let key = (cfg.name.clone(), bench.name.to_string());
-        let cell_key = self.cell_key(cfg, bench.name);
         let stats = match outcome {
             Ok(s) => s,
-            Err(e) => return Err(self.record_failure(key, cell_key, e)),
+            Err(e) => {
+                self.failures.push(CellFailure {
+                    config: cfg.name.clone(),
+                    bench: bench.name.to_string(),
+                    cell_key: text.clone(),
+                    fuzz_seed: None,
+                    error: e.clone(),
+                });
+                self.failed.insert(text, e.clone());
+                return Err(e);
+            }
         };
         self.simulated += 1;
-        if let Some(path) = self.cache_path(&cfg.name, bench.name) {
-            let body = stats_to_cache_file(&stats, &cell_key);
-            if let Err(e) = std::fs::write(&path, body) {
-                self.disk_cache_failed(&format!("write {}", path.display()), &e);
+        if let Some(store) = &self.store {
+            if let Err(e) = store.put(&text, &stats) {
+                let what = format!("write {}", store.path(&text).display());
+                self.disk_cache_failed(&what, &e);
             }
         }
-        self.journal_done(&cell_key);
-        self.mem.insert(key, stats.clone());
+        self.journal_done(&text);
+        self.mem.insert(text, stats.clone());
         Ok(stats)
     }
 
     /// Durably journals a completed cell (no-op without a journal; I/O
     /// failures are logged once and disable the journal for the session).
-    fn journal_done(&mut self, cell_key: &str) {
+    fn journal_done(&mut self, text: &str) {
         if let Some(j) = &mut self.journal {
-            if let Err(e) = j.record(cell_key) {
+            if let Err(e) = j.record(text) {
                 eprintln!(
                     "warning: sweep journal {} unwritable ({e}); journaling disabled",
                     j.path().display()
@@ -350,18 +324,6 @@ impl Session {
         self.warm_dir
             .as_ref()
             .map(|d| d.join(format!("{cfg}__{bench}__w{}.snap", self.len.warmup)))
-    }
-
-    fn record_failure(&mut self, key: (String, String), cell_key: String, e: SimError) -> SimError {
-        self.failures.push(CellFailure {
-            config: key.0.clone(),
-            bench: key.1.clone(),
-            cell_key,
-            fuzz_seed: None,
-            error: e.clone(),
-        });
-        self.failed.insert(key, e.clone());
-        e
     }
 
     /// Runs one configuration over the whole benchmark suite, in table
@@ -387,8 +349,9 @@ impl Session {
             self.mem.entry(k).or_insert(v);
         }
         for f in other.failures {
-            let key = (f.config.clone(), f.bench.clone());
-            if let std::collections::hash_map::Entry::Vacant(e) = self.failed.entry(key) {
+            if let std::collections::hash_map::Entry::Vacant(e) =
+                self.failed.entry(f.cell_key.clone())
+            {
                 e.insert(f.error.clone());
                 self.failures.push(f);
             }
@@ -411,9 +374,9 @@ impl Session {
     }
 
     /// Human-readable lines describing every recorded cell failure (for
-    /// report notes). Each line carries the canonical cell key (and, for
-    /// fuzz cells, the derivation seed) so any reported failure can be
-    /// reproduced from the report alone.
+    /// report notes). Each line carries the canonical request text (and,
+    /// for fuzz cells, the derivation seed) so any reported failure can
+    /// be reproduced from the report alone.
     pub fn failure_notes(&self) -> Vec<String> {
         self.failures
             .iter()
@@ -431,18 +394,10 @@ impl Session {
     }
 }
 
-/// Whether a cache rejection is *stale* (written by another build or
-/// cell identity — routine) rather than *corrupt* (damaged bytes).
-fn rejection_is_stale(e: &SimError) -> bool {
-    match e {
-        SimError::CacheCorrupt { reason, .. } => reason.contains("stale entry"),
-        _ => false,
-    }
-}
-
 /// Runs one cell, forking off a warm-state snapshot when a directory is
-/// attached. Returns the warmup-corrected statistics and whether the
-/// warmup simulation was skipped via an on-disk snapshot.
+/// attached. `req` builds the cell's request, whose run length is `len`.
+/// Returns the warmup-corrected statistics and whether the warmup
+/// simulation was skipped via an on-disk snapshot.
 ///
 /// The fresh path warms up, captures + persists the warm state, then
 /// measures *from the captured snapshot* — the same code path a later
@@ -452,26 +407,17 @@ fn rejection_is_stale(e: &SimError) -> bool {
 /// quarantined by [`ss_snapshot::read_verified`] and the cell falls back
 /// to a fresh warmup.
 fn run_cell(
-    cfg: SimConfig,
-    spec: KernelSpec,
-    warm_path: Option<&Path>,
+    req: impl Fn() -> RunRequest,
     len: RunLength,
+    warm_path: Option<&Path>,
 ) -> Result<(SimStats, bool), SimError> {
     let Some(path) = warm_path else {
-        let outcome = RunRequest::kernel(spec)
-            .custom_config(cfg)
-            .length(len)
-            .execute()?;
-        return Ok((outcome.stats, false));
+        return Ok((req().execute()?.stats, false));
     };
     let note = path.display().to_string();
-    let measure_from = |snap: Snapshot, cfg: SimConfig, spec: KernelSpec| {
-        RunRequest::kernel(spec)
-            .custom_config(cfg)
-            .length(RunLength {
-                warmup: 0,
-                measure: len.measure,
-            })
+    // A fork runs only the measure phase of the request's length.
+    let measure_from = |snap: Snapshot| {
+        req()
             .from_snapshot(snap)
             .checkpoint_note(&note)
             .execute()
@@ -479,7 +425,7 @@ fn run_cell(
     };
     match ss_snapshot::read_verified(path) {
         Ok(snap) => {
-            match measure_from(snap, cfg.clone(), spec.clone()) {
+            match measure_from(snap) {
                 Ok(s) => return Ok((s, true)),
                 // A config that drifted under an unchanged name (or a
                 // damaged section the container checksum cannot see,
@@ -493,8 +439,7 @@ fn run_cell(
         Err(ss_snapshot::SnapshotError::Io(_)) => {} // absent: first visit
         Err(e) => eprintln!("warning: warm snapshot {note}: {e}; re-warming"),
     }
-    let warm = RunRequest::kernel(spec.clone())
-        .custom_config(cfg.clone())
+    let warm = req()
         .length(RunLength {
             warmup: len.warmup,
             measure: 0,
@@ -507,238 +452,68 @@ fn run_cell(
     if let Err(e) = ss_snapshot::write_atomic(path, &snap) {
         eprintln!("warning: could not persist warm snapshot {note}: {e}");
     }
-    let s = measure_from(snap, cfg, spec)?;
+    let s = measure_from(snap)?;
     Ok((s, false))
-}
-
-/// FNV-1a 64-bit hash (cache-file integrity checksum).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Serializes statistics with the versioned, checksummed cache header.
-/// `cell_key` is the canonical cell identity ([`Session::cell_key`])
-/// the entry is bound to; reads expecting a different key reject it.
-pub fn stats_to_cache_file(s: &SimStats, cell_key: &str) -> String {
-    let body = stats_to_kv(s);
-    format!(
-        "{CACHE_MAGIC} v{CACHE_FORMAT_VERSION} {:016x} {cell_key}\n{body}",
-        fnv1a64(body.as_bytes())
-    )
-}
-
-/// Parses a cache file, enforcing the version stamp, checksum, and the
-/// canonical cell key the caller expects. Rejected entries come back as
-/// [`SimError::CacheCorrupt`] and should be re-simulated.
-pub fn stats_from_cache_file(
-    path: &Path,
-    text: &str,
-    expected_key: &str,
-) -> Result<SimStats, SimError> {
-    let corrupt = |reason: String| {
-        Err(SimError::CacheCorrupt {
-            path: path.display().to_string(),
-            reason,
-        })
-    };
-    let Some((header, body)) = text.split_once('\n') else {
-        return corrupt("missing header line".into());
-    };
-    let mut parts = header.splitn(4, ' ');
-    if parts.next() != Some(CACHE_MAGIC) {
-        return corrupt("not a stats-cache file (bad magic)".into());
-    }
-    let version = parts.next().unwrap_or("");
-    if version != format!("v{CACHE_FORMAT_VERSION}") {
-        return corrupt(format!(
-            "format version {version} != expected v{CACHE_FORMAT_VERSION} (stale entry)"
-        ));
-    }
-    let Some(want) = parts.next().and_then(|h| u64::from_str_radix(h, 16).ok()) else {
-        return corrupt("unparsable checksum".into());
-    };
-    let key = parts.next().unwrap_or("");
-    if key != expected_key {
-        return corrupt(format!(
-            "cell key `{key}` != expected `{expected_key}` (renamed variant or different run length; stale entry)"
-        ));
-    }
-    let got = fnv1a64(body.as_bytes());
-    if got != want {
-        return corrupt(format!(
-            "checksum mismatch: computed {got:016x}, header {want:016x}"
-        ));
-    }
-    match stats_from_kv(body) {
-        Some(s) => Ok(s),
-        None => corrupt("unparsable statistics body".into()),
-    }
-}
-
-macro_rules! stat_fields {
-    ($m:ident) => {
-        $m!(
-            cycles,
-            committed_uops,
-            committed_loads,
-            unique_issued,
-            issued_total,
-            replayed_miss,
-            replayed_bank,
-            replayed_prf,
-            replay_events_miss,
-            replay_events_bank,
-            replay_events_prf,
-            wrong_path_issued,
-            cond_branches,
-            cond_mispredicts,
-            target_mispredicts,
-            bank_delayed_loads,
-            bank_delay_cycles,
-            loads_merged_into_mshr,
-            dram_row_hits,
-            dram_row_misses,
-            loads_spec_woken,
-            loads_conservative,
-            filter_sure_hit,
-            filter_sure_miss,
-            filter_unstable,
-            crit_predicted_critical,
-            crit_predicted_noncritical,
-            memdep_violations,
-            dispatch_stall_cycles,
-            recovery_buffer_replays,
-            degrade_entries,
-            degrade_cycles,
-            faults_injected
-        )
-    };
-}
-
-macro_rules! cache_fields {
-    ($m:ident) => {
-        $m!(
-            accesses,
-            hits,
-            misses,
-            mshr_merges,
-            prefetches,
-            prefetch_hits
-        )
-    };
-}
-
-/// Serializes statistics to a `key value` line format.
-pub fn stats_to_kv(s: &SimStats) -> String {
-    let mut out = String::new();
-    macro_rules! w {
-        ($($f:ident),*) => { $( out.push_str(&format!("{} {}\n", stringify!($f), s.$f)); )* };
-    }
-    stat_fields!(w);
-    macro_rules! wc {
-        ($($f:ident),*) => { $(
-            out.push_str(&format!("l1d.{} {}\n", stringify!($f), s.l1d.$f));
-            out.push_str(&format!("l2.{} {}\n", stringify!($f), s.l2.$f));
-        )* };
-    }
-    cache_fields!(wc);
-    out
-}
-
-/// Parses statistics from the `key value` format; `None` if the file is
-/// unusable. The core progress counters are required; counters added in
-/// newer builds default to 0 so caches written by slightly older builds
-/// (whose behaviour is identical) remain readable.
-pub fn stats_from_kv(text: &str) -> Option<SimStats> {
-    let map: HashMap<&str, u64> = text
-        .lines()
-        .filter_map(|l| {
-            let (k, v) = l.split_once(' ')?;
-            Some((k, v.parse().ok()?))
-        })
-        .collect();
-    // Required sentinels: a cache file without these is garbage.
-    if !map.contains_key("cycles") || !map.contains_key("committed_uops") {
-        return None;
-    }
-    let mut s = SimStats::default();
-    macro_rules! r {
-        ($($f:ident),*) => { $( s.$f = map.get(stringify!($f)).copied().unwrap_or(0); )* };
-    }
-    stat_fields!(r);
-    let mut l1d = CacheStats::default();
-    let mut l2 = CacheStats::default();
-    macro_rules! rc {
-        ($($f:ident),*) => { $(
-            l1d.$f = map.get(concat!("l1d.", stringify!($f))).copied().unwrap_or(0);
-            l2.$f = map.get(concat!("l2.", stringify!($f))).copied().unwrap_or(0);
-        )* };
-    }
-    cache_fields!(rc);
-    s.l1d = l1d;
-    s.l2 = l2;
-    Some(s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::configs;
-    use ss_workloads::benchmark;
+    use ss_workloads::{benchmark, KernelSpec};
 
-    #[test]
-    fn kv_roundtrip_preserves_all_fields() {
-        let mut s = SimStats {
-            cycles: 123,
-            committed_uops: 456,
-            replayed_bank: 7,
-            crit_predicted_critical: 13,
-            ..Default::default()
-        };
-        s.l1d.misses = 9;
-        s.l2.prefetches = 11;
-        let text = stats_to_kv(&s);
-        let back = stats_from_kv(&text).expect("parses");
-        assert_eq!(back, s);
+    const LEN: RunLength = RunLength {
+        warmup: 1000,
+        measure: 5000,
+    };
+
+    fn tmp(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ss-harness-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
+    fn exploding_kernel(_seed: u64) -> KernelSpec {
+        panic!("injected kernel panic")
+    }
+
+    /// A benchmark the registry does not know, whose kernel construction
+    /// panics: a failing cell whose request text still names it.
+    static EXPLODING: Benchmark = Benchmark {
+        name: "exploding",
+        paper_analogue: "-",
+        build: exploding_kernel,
+    };
+
     #[test]
-    fn malformed_cache_is_rejected() {
-        assert!(stats_from_kv("garbage").is_none());
-        assert!(stats_from_kv("cycles notanumber").is_none());
-        assert!(
-            stats_from_kv("cycles 5").is_none(),
-            "committed_uops required"
+    fn cell_identity_is_the_canonical_request_text() {
+        let sess = Session::new(LEN, None);
+        let text = sess.cell_text(
+            &configs::spec_sched(4, true),
+            benchmark("fp_compute").unwrap(),
         );
+        assert_eq!(
+            text,
+            "src=bench:fp_compute@0xb5 cfg=SpecSched_4 len=w1000m5000"
+        );
+        // It is exactly the text a client sends, and it parses back.
+        assert_eq!(text.parse::<RunRequest>().unwrap().to_string(), text);
     }
 
     #[test]
-    fn older_cache_files_default_new_fields() {
-        let s = stats_from_kv(
-            "cycles 10
-committed_uops 20
-",
-        )
-        .expect("parses");
-        assert_eq!(s.cycles, 10);
-        assert_eq!(s.committed_uops, 20);
-        assert_eq!(s.replayed_prf, 0);
+    fn session_result_equals_the_request_it_names() {
+        let cfg = configs::spec_sched_crit(4);
+        let bench = benchmark("mix_int").unwrap();
+        let mut sess = Session::new(LEN, None);
+        let got = sess.try_run(&cfg, bench).expect("runs");
+        let text = sess.cell_text(&cfg, bench);
+        let offline = text.parse::<RunRequest>().unwrap().execute().unwrap();
+        assert_eq!(got, offline.stats);
     }
 
     #[test]
     fn memory_cache_avoids_resimulation() {
-        let mut sess = Session::new(
-            RunLength {
-                warmup: 1000,
-                measure: 5000,
-            },
-            None,
-        );
+        let mut sess = Session::new(LEN, None);
         let cfg = configs::spec_sched(4, true);
         let bench = benchmark("fp_compute").unwrap();
         let a = sess.try_run(&cfg, bench).expect("runs");
@@ -750,147 +525,86 @@ committed_uops 20
 
     #[test]
     fn disk_cache_roundtrips() {
-        let dir = std::env::temp_dir().join(format!("ss-harness-test-{}", std::process::id()));
-        let len = RunLength {
-            warmup: 1000,
-            measure: 5000,
-        };
+        let dir = tmp("disk");
         let cfg = configs::baseline(0);
         let bench = benchmark("fp_compute").unwrap();
         let a = {
-            let mut sess = Session::new(len, Some(dir.clone()));
+            let mut sess = Session::new(LEN, Some(dir.clone()));
             sess.try_run(&cfg, bench).expect("runs")
         };
-        let mut sess2 = Session::new(len, Some(dir.clone()));
+        let mut sess2 = Session::new(LEN, Some(dir.clone()));
         let b = sess2.try_run(&cfg, bench).expect("runs");
         assert_eq!(sess2.simulated, 0, "served from disk");
         assert_eq!(a, b);
+        // The entry is addressed by the cell's request text.
+        let text = sess2.cell_text(&cfg, bench);
+        assert_eq!(Store::at(&dir).get(&text).unwrap(), Some(a));
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn cache_file_header_roundtrips_and_verifies() {
-        let s = SimStats {
-            cycles: 77,
-            committed_uops: 88,
-            degrade_entries: 2,
-            faults_injected: 5,
-            ..Default::default()
-        };
-        let text = stats_to_cache_file(&s, "SpecSched_4|SpecSched_4|fp_compute|w1m2");
-        assert!(text.starts_with(CACHE_MAGIC));
-        let back = stats_from_cache_file(
-            Path::new("t.kv"),
-            &text,
-            "SpecSched_4|SpecSched_4|fp_compute|w1m2",
-        )
-        .expect("verifies");
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn cache_file_rejects_tampering_and_stale_versions() {
-        let s = SimStats {
-            cycles: 1,
-            committed_uops: 2,
-            ..Default::default()
-        };
-        let key = "Baseline_0|Baseline_0|fp_compute|w1m2";
-        let good = stats_to_cache_file(&s, key);
-        let p = Path::new("t.kv");
-        // Flipped byte in the body fails the checksum.
-        let tampered = good.replace("cycles 1", "cycles 9");
-        let err = stats_from_cache_file(p, &tampered, key).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-        // Version stamp from an older build is stale.
-        let stale = good.replacen(&format!("v{CACHE_FORMAT_VERSION}"), "v1", 1);
-        let err = stats_from_cache_file(p, &stale, key).unwrap_err();
-        assert!(err.to_string().contains("stale"), "{err}");
-        // An entry written under another cell identity (renamed variant,
-        // different run length) must not be served.
-        let err =
-            stats_from_cache_file(p, &good, "Baseline_0|Baseline_0|fp_compute|w9m9").unwrap_err();
-        assert!(err.to_string().contains("cell key"), "{err}");
-        // Headerless legacy files are rejected outright.
-        let err = stats_from_cache_file(p, "cycles 1\ncommitted_uops 2\n", key).unwrap_err();
-        assert!(matches!(err, SimError::CacheCorrupt { .. }));
-    }
-
-    #[test]
-    fn renamed_variant_cannot_read_a_stale_entry() {
-        // Simulate a rename: an entry cached under one variant's file
-        // name but carrying another cell key must be re-simulated, even
-        // though path, version, and checksum all validate.
-        let dir = std::env::temp_dir().join(format!("ss-harness-rename-{}", std::process::id()));
-        let len = RunLength {
-            warmup: 1000,
-            measure: 5000,
-        };
+    fn another_requests_entry_cannot_be_read_as_this_cell() {
+        // An intact entry for another request, under this cell's file
+        // name (a hash collision, or a hand-copied file), must be
+        // re-simulated even though version and checksum validate.
+        let dir = tmp("rename");
         let cfg = configs::baseline(0);
         let bench = benchmark("fp_compute").unwrap();
         let a = {
-            let mut sess = Session::new(len, Some(dir.clone()));
+            let mut sess = Session::new(LEN, Some(dir.clone()));
             sess.try_run(&cfg, bench).expect("runs")
         };
-        // Forge the on-disk entry: same stats, same path, but stamped
-        // with a different config identity.
-        let path = dir.join(format!("Baseline_0__fp_compute__w{}m{}.kv", 1000, 5000));
-        let forged = stats_to_cache_file(&a, "Baseline_9|Baseline_9|fp_compute|w1000m5000");
-        std::fs::write(&path, forged).unwrap();
-        let mut sess2 = Session::new(len, Some(dir.clone()));
+        let store = Store::at(&dir);
+        let text = Session::new(LEN, None).cell_text(&cfg, bench);
+        let other = "src=bench:fp_compute@0xb5 cfg=Baseline_9 len=w1000m5000";
+        store.put(other, &a).unwrap();
+        std::fs::rename(store.path(other), store.path(&text)).unwrap();
+        let mut sess2 = Session::new(LEN, Some(dir.clone()));
         let b = sess2.try_run(&cfg, bench).expect("runs");
-        assert_eq!(sess2.cache_rejected, 1, "forged identity rejected");
-        assert_eq!(sess2.simulated, 1, "forged entry re-simulated");
+        assert_eq!(sess2.cache_rejected, 1, "foreign entry rejected as stale");
+        assert_eq!(sess2.simulated, 1, "foreign entry re-simulated");
         assert_eq!(a, b);
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn corrupted_disk_cache_entry_is_resimulated() {
-        let dir = std::env::temp_dir().join(format!("ss-harness-corrupt-{}", std::process::id()));
-        let len = RunLength {
-            warmup: 1000,
-            measure: 5000,
-        };
+    fn stale_disk_cache_entry_is_resimulated() {
+        let dir = tmp("stale");
         let cfg = configs::baseline(0);
         let bench = benchmark("fp_compute").unwrap();
         let a = {
-            let mut sess = Session::new(len, Some(dir.clone()));
+            let mut sess = Session::new(LEN, Some(dir.clone()));
             sess.try_run(&cfg, bench).expect("runs")
         };
-        // Corrupt the single cache file on disk.
+        // Rewrite the single entry as if an older build had written it.
         let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(entries.len(), 1);
         let path = entries[0].as_ref().unwrap().path();
-        std::fs::write(&path, "ss-stats-cache v2 0000000000000000\ncycles 1\n").unwrap();
-        let mut sess2 = Session::new(len, Some(dir.clone()));
+        std::fs::write(&path, "ss-results v0 0000000000000000 x\n").unwrap();
+        let mut sess2 = Session::new(LEN, Some(dir.clone()));
         let b = sess2.try_run(&cfg, bench).expect("runs");
-        assert_eq!(sess2.cache_rejected, 1, "corrupt entry detected");
-        assert_eq!(sess2.simulated, 1, "corrupt entry re-simulated");
+        assert_eq!(sess2.cache_rejected, 1, "stale entry detected");
+        assert_eq!(sess2.simulated, 1, "stale entry re-simulated");
         assert_eq!(a, b, "re-simulation reproduces the original result");
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn corrupt_cache_entry_is_quarantined_not_deleted() {
-        let dir = std::env::temp_dir().join(format!("ss-harness-quar-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let len = RunLength {
-            warmup: 1000,
-            measure: 5000,
-        };
+        let dir = tmp("quar");
         let cfg = configs::baseline(0);
         let bench = benchmark("fp_compute").unwrap();
         let a = {
-            let mut sess = Session::new(len, Some(dir.clone()));
+            let mut sess = Session::new(LEN, Some(dir.clone()));
             sess.try_run(&cfg, bench).expect("runs")
         };
-        // Flip bytes in the body: version and key still parse, but the
+        // Flip a body byte: version and text still parse, but the
         // checksum fails — damaged data, not a routine stale entry.
-        let path = dir.join(format!("Baseline_0__fp_compute__w{}m{}.kv", 1000, 5000));
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("cycles ", "cycles 9")).unwrap();
-        let mut sess2 = Session::new(len, Some(dir.clone()));
+        let path = Store::at(&dir).path(&Session::new(LEN, None).cell_text(&cfg, bench));
+        let mut bytes = std::fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x40;
+        std::fs::write(&path, bytes).unwrap();
+        let mut sess2 = Session::new(LEN, Some(dir.clone()));
         let b = sess2.try_run(&cfg, bench).expect("runs");
         assert_eq!(sess2.cache_quarantined, 1, "damage is quarantined");
         assert_eq!(sess2.cache_rejected, 0, "not miscounted as stale");
@@ -907,24 +621,19 @@ committed_uops 20
 
     #[test]
     fn warm_fork_skips_warmup_and_matches_cold_run() {
-        let dir = std::env::temp_dir().join(format!("ss-harness-warm-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let len = RunLength {
-            warmup: 1000,
-            measure: 5000,
-        };
+        let dir = tmp("warm");
         let cfg = configs::spec_sched(4, false);
         let bench = benchmark("mix_int").unwrap();
         // Cold reference: no warm dir, no disk cache.
-        let cold = Session::new(len, None).try_run(&cfg, bench).expect("runs");
+        let cold = Session::new(LEN, None).try_run(&cfg, bench).expect("runs");
         // First warm session captures the warm state (no fork yet).
-        let mut warm1 = Session::new(len, None);
+        let mut warm1 = Session::new(LEN, None);
         warm1.enable_warm_fork(dir.clone());
         let first = warm1.try_run(&cfg, bench).expect("runs");
         assert_eq!(warm1.warm_forked, 0, "first visit warms up from cold");
         assert_eq!(first, cold, "warm-captured run is bit-identical");
         // Second session forks off the persisted snapshot.
-        let mut warm2 = Session::new(len, None);
+        let mut warm2 = Session::new(LEN, None);
         warm2.enable_warm_fork(dir.clone());
         let second = warm2.try_run(&cfg, bench).expect("runs");
         assert_eq!(warm2.warm_forked, 1, "warmup simulation skipped");
@@ -933,24 +642,19 @@ committed_uops 20
     }
 
     #[test]
-    fn journal_records_completed_cells_across_sessions() {
-        let dir = std::env::temp_dir().join(format!("ss-harness-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let len = RunLength {
-            warmup: 1000,
-            measure: 5000,
-        };
+    fn journal_records_finished_cells_across_sessions() {
+        let dir = tmp("journal");
         let cfg = configs::baseline(0);
         let bench = benchmark("fp_compute").unwrap();
         let journal_path = dir.join("journal.log");
-        let mut sess = Session::new(len, Some(dir.join("cache")));
+        let mut sess = Session::new(LEN, Some(dir.join("cache")));
         assert_eq!(sess.attach_journal(&journal_path).unwrap(), 0);
         sess.try_run(&cfg, bench).expect("runs");
-        let key = sess.cell_key(&cfg, bench.name);
-        assert!(sess.journal().unwrap().contains(&key));
+        let text = sess.cell_text(&cfg, bench);
+        assert!(sess.journal().unwrap().contains(&text));
         // A resumed session sees the completed cell on record and serves
         // it from the disk cache without re-simulating.
-        let mut resumed = Session::new(len, Some(dir.join("cache")));
+        let mut resumed = Session::new(LEN, Some(dir.join("cache")));
         assert_eq!(resumed.attach_journal(&journal_path).unwrap(), 1);
         resumed.try_run(&cfg, bench).expect("runs");
         assert_eq!(resumed.simulated, 0, "served from cache on resume");
@@ -959,11 +663,7 @@ committed_uops 20
 
     #[test]
     fn failing_cell_is_recorded_and_does_not_abort() {
-        // A watchdog small enough that the pointer-chase benchmark's
-        // inter-commit gaps trip it.
-        let mut starved = configs::baseline(0);
-        starved.name = "TinyWatchdog".to_string();
-        starved.config.watchdog_cycles = 2;
+        let cfg = configs::baseline(0);
         let mut sess = Session::new(
             RunLength {
                 warmup: 100,
@@ -971,29 +671,32 @@ committed_uops 20
             },
             None,
         );
-        let bench = benchmark("fp_compute").unwrap();
-        let err = sess.try_run(&starved, bench).unwrap_err();
+        let err = sess.try_run(&cfg, &EXPLODING).unwrap_err();
         assert!(
-            matches!(err, SimError::Deadlock(_)),
-            "expected deadlock, got {err}"
+            matches!(err, SimError::Panicked(_)),
+            "expected a contained panic, got {err}"
         );
         assert_eq!(sess.failures.len(), 1);
-        assert_eq!(sess.failures[0].config, "TinyWatchdog");
-        // The failure carries the full canonical cell key (and no fuzz
-        // seed — this is a matrix cell), so it is reproducible from the
-        // report alone.
-        assert!(sess.failures[0].cell_key.starts_with("TinyWatchdog|"));
-        assert!(sess.failures[0].cell_key.ends_with("|fp_compute|w100m1000"));
+        assert_eq!(sess.failures[0].config, "Baseline_0");
+        assert_eq!(sess.failures[0].bench, "exploding");
+        // The failure carries the cell's canonical request text (and no
+        // fuzz seed — this is a matrix cell), so it is reproducible from
+        // the report alone with `experiments run --req`.
+        assert_eq!(
+            sess.failures[0].cell_key,
+            "src=bench:exploding@0xb5 cfg=Baseline_0 len=w100m1000"
+        );
+        assert!(sess.failures[0].cell_key.parse::<RunRequest>().is_ok());
         assert!(sess.failures[0].fuzz_seed.is_none());
         assert!(sess.failure_notes()[0].contains("FAILED"));
-        assert!(sess.failure_notes()[0].contains("[cell TinyWatchdog|"));
+        assert!(sess.failure_notes()[0].contains("[cell src=bench:exploding@0xb5 "));
         // The session keeps working for healthy cells.
-        let ok = sess.try_run(&configs::baseline(0), bench);
+        let ok = sess.try_run(&cfg, benchmark("fp_compute").unwrap());
         assert!(ok.is_ok());
         // A recall of the failed cell is memoized: same error back, no
         // re-simulation, no duplicate failure record.
-        let again = sess.try_run(&starved, bench).unwrap_err();
-        assert!(matches!(again, SimError::Deadlock(_)));
+        let again = sess.try_run(&cfg, &EXPLODING).unwrap_err();
+        assert!(matches!(again, SimError::Panicked(_)));
         assert_eq!(sess.failures.len(), 1, "failure recorded once");
     }
 
@@ -1008,10 +711,7 @@ committed_uops 20
         let mut w1 = Session::new(len, None);
         let ok = w1.try_run(&configs::baseline(0), bench).expect("runs");
         let mut w2 = Session::new(len, None);
-        let mut starved = configs::baseline(0);
-        starved.name = "TinyWatchdog".to_string();
-        starved.config.watchdog_cycles = 2;
-        let _ = w2.try_run(&starved, bench);
+        let _ = w2.try_run(&configs::baseline(0), &EXPLODING);
         main.merge(w1);
         main.merge(w2);
         assert_eq!(main.simulated, 1);
@@ -1021,8 +721,8 @@ committed_uops 20
         assert_eq!(main.simulated, 1, "served from merged cache");
         assert_eq!(ok, b);
         // The merged failure is memoized too.
-        let err = main.try_run(&starved, bench).unwrap_err();
-        assert!(matches!(err, SimError::Deadlock(_)));
+        let err = main.try_run(&configs::baseline(0), &EXPLODING).unwrap_err();
+        assert!(matches!(err, SimError::Panicked(_)));
         assert_eq!(main.failures.len(), 1);
     }
 }

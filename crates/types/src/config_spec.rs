@@ -355,11 +355,12 @@ impl ConfigSpec {
 
 /// A named configuration: a [`ConfigSpec`] with its derived display name
 /// and machine description. `name` is derived from `spec` by every
-/// constructor in the harness; tests may override it to fabricate
-/// distinct cache identities.
+/// constructor in the harness. A harness cell's result identity is the
+/// request text built from `spec`, so renaming a configuration does not
+/// give it a new one.
 #[derive(Debug, Clone)]
 pub struct NamedConfig {
-    /// Display / cache-key name (derived from `spec`, stable across runs).
+    /// Display name (derived from `spec`, stable across runs).
     pub name: String,
     /// The typed name this configuration was built from.
     pub spec: ConfigSpec,
