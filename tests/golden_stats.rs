@@ -7,13 +7,21 @@
 //! run's event stream. The cells cover the headline policy matrix
 //! (`ConfigSpec::variants_at(4)`) × three kernels × {no faults, a
 //! latency-spike + replay-storm plan}, and every `rv:` suite program at
-//! two configurations. It also pins the exact bytes of a few mid-run
-//! snapshots (`Snapshot::to_bytes`), taken with branches in flight, one
-//! of them just after a mispredicted branch sent fetch down the wrong
-//! path: the on-disk snapshot format must not drift under a refactor of
-//! the instruction window. A refactor of the pipeline or the run loop
-//! must leave every digest unchanged; a deliberate behaviour change
-//! re-blesses the file and says so in its commit.
+//! two configurations. Scheduler cells widen the net where the issue
+//! stage's event paths (tag broadcast, timer parking, store-dependence
+//! waiters, squash re-registration, the recovery buffer) differ most:
+//! the whole matrix at delays 0 and 4 on a replay-heavy kernel, five
+//! contrasting kernels over a longer run, each injected-fault kind on
+//! its own, and 32 seeded fuzz cells (random machine × generated kernel
+//! × fault windows; the digest covers the run's outcome text too, so a
+//! cell that ends in an error is pinned as well). It also pins the
+//! exact bytes of a few mid-run snapshots (`Snapshot::to_bytes`), taken
+//! with branches in flight, one of them just after a mispredicted
+//! branch sent fetch down the wrong path: the on-disk snapshot format
+//! must not drift under a refactor of the instruction window. A
+//! refactor of the pipeline or the run loop must leave every digest
+//! unchanged; a deliberate behaviour change re-blesses the file and
+//! says so in its commit.
 //!
 //! Regenerate the file with the ignored `bless` test:
 //!
@@ -23,6 +31,7 @@
 
 use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest, Simulator};
 use speculative_scheduling::frontend::{programs, ProgramSpec, RvTraceSource};
+use speculative_scheduling::harness::fuzz::FuzzCell;
 use speculative_scheduling::snapshot::Snapshot;
 use speculative_scheduling::types::persist::{fnv1a64, Persist, PersistState, Writer};
 use speculative_scheduling::types::{ConfigSpec, SimStats};
@@ -51,24 +60,51 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/stats.txt")
 }
 
-fn stats_digest(stats: &SimStats) -> u64 {
+fn stats_bytes(stats: &SimStats) -> Vec<u8> {
     let mut w = Writer::new();
     stats.save(&mut w);
-    fnv1a64(&w.into_bytes())
+    w.into_bytes()
 }
 
-/// Runs `req` and returns `(key, digest)`, keyed by the request's
-/// canonical wire text.
-fn cell(req: RunRequest) -> (String, u64) {
-    let key = req.to_string();
-    let stats = req
-        .execute()
-        .unwrap_or_else(|e| panic!("{key}: run failed: {e}"))
-        .stats;
-    (key, stats_digest(&stats))
+fn spec(name: &str) -> ConfigSpec {
+    name.parse().expect("known config")
 }
 
-fn policy_cells(faults: bool) -> Vec<(String, u64)> {
+/// One pinned cell: the key it is filed under, and the run that yields
+/// its digest. Keys are known before anything runs.
+struct Cell {
+    key: String,
+    run: Box<dyn FnOnce() -> u64>,
+}
+
+impl Cell {
+    fn new(key: String, run: impl FnOnce() -> u64 + 'static) -> Cell {
+        Cell {
+            key,
+            run: Box::new(run),
+        }
+    }
+
+    /// A request's measured statistics, keyed by its canonical wire
+    /// text; `check` sees them before they are digested.
+    fn checked_request(req: RunRequest, check: impl FnOnce(&str, &SimStats) + 'static) -> Cell {
+        let key = req.to_string();
+        Cell::new(key.clone(), move || {
+            let stats = req
+                .execute()
+                .unwrap_or_else(|e| panic!("{key}: run failed: {e}"))
+                .stats;
+            check(&key, &stats);
+            fnv1a64(&stats_bytes(&stats))
+        })
+    }
+
+    fn request(req: RunRequest) -> Cell {
+        Cell::checked_request(req, |_, _| {})
+    }
+}
+
+fn policy_cells(faults: bool) -> Vec<Cell> {
     let mut out = Vec::new();
     for spec in ConfigSpec::variants_at(4) {
         for kernel in KERNELS {
@@ -76,19 +112,19 @@ fn policy_cells(faults: bool) -> Vec<(String, u64)> {
             if faults {
                 req = req.faults(fault_plan());
             }
-            out.push(cell(req));
+            out.push(Cell::request(req));
         }
     }
     out
 }
 
-fn rv_cells() -> Vec<(String, u64)> {
+fn rv_cells() -> Vec<Cell> {
     let mut out = Vec::new();
     for name in programs::names() {
         for cfg in ["Baseline_4", "SpecSched_4"] {
-            out.push(cell(
+            out.push(Cell::request(
                 RunRequest::program(ProgramSpec::suite(name, 1))
-                    .config(cfg.parse().expect("known config"))
+                    .config(spec(cfg))
                     .length(LEN)
                     .checked(true),
             ));
@@ -97,30 +133,132 @@ fn rv_cells() -> Vec<(String, u64)> {
     out
 }
 
+/// Every configuration the harness's experiments name, at delays 0 and
+/// 4, on a replay-heavy kernel: wakeup policies, replay schemes,
+/// banking, shifting, PRF banking and criticality.
+fn sched_matrix_cells() -> Vec<Cell> {
+    let len = RunLength {
+        warmup: 500,
+        measure: 6_000,
+    };
+    let mut out = Vec::new();
+    for delay in [0, 4] {
+        for spec in ConfigSpec::variants_at(delay) {
+            out.push(Cell::request(
+                RunRequest::bench("mix_int", 3).config(spec).length(len),
+            ));
+        }
+    }
+    out
+}
+
+/// Memory-bound, dependency-chained, branchy and store-forwarding-heavy
+/// kernels at the sweet-spot delay, each stressing a different
+/// scheduler event path.
+fn sched_kernel_cells() -> Vec<Cell> {
+    let len = RunLength {
+        warmup: 1_000,
+        measure: 12_000,
+    };
+    [
+        "dep_chain_l2",
+        "ptr_chase_big",
+        "mix_int",
+        "crafty_like",
+        "stream_all_miss",
+    ]
+    .into_iter()
+    .map(|kernel| {
+        Cell::request(
+            RunRequest::bench(kernel, 1)
+                .config(spec("SpecSched_4"))
+                .length(len),
+        )
+    })
+    .collect()
+}
+
+/// Every injected-fault kind on its own: fault windows perturb load
+/// latencies and force replay storms mid-run, which exercises squash
+/// re-registration and the recovery buffer under the nastiest timing.
+fn fault_kind_cells() -> Vec<Cell> {
+    [
+        FaultPlan::new().latency_spike(2_000, 1_500, 40),
+        FaultPlan::new().bank_conflict_burst(2_000, 1_500, 6),
+        FaultPlan::new().replay_storm(2_000, 1_500),
+    ]
+    .into_iter()
+    .map(|plan| {
+        let req = RunRequest::bench("mix_int", 5)
+            .config(spec("SpecSched_4"))
+            .length(RunLength {
+                warmup: 0,
+                measure: 15_000,
+            })
+            .faults(plan);
+        Cell::checked_request(req, |key, stats| {
+            assert!(
+                stats.faults_injected > 0,
+                "{key}: fault window never fired — the cell proves nothing"
+            );
+        })
+    })
+    .collect()
+}
+
+/// 32 seeded fuzz cells, keyed by `FuzzCell::cell_key`. A run may end in
+/// a structured error (an extreme fault plan can trip the periodic
+/// invariant checker); the digest covers the outcome text and the
+/// statistics at that point.
+fn fuzz_cells() -> Vec<Cell> {
+    (0..32u64)
+        .map(|seed| {
+            let cell = FuzzCell::from_seed(0xEC0_5EED ^ (seed * 0x9E37_79B9), 4_000, false);
+            Cell::new(cell.cell_key(), move || {
+                let key = cell.cell_key();
+                let cfg = cell.config().unwrap_or_else(|e| panic!("{key}: {e}"));
+                let mut sim = Simulator::new(cfg, KernelTrace::new(cell.kernel()));
+                sim.set_fault_plan(cell.fault_plan())
+                    .unwrap_or_else(|e| panic!("{key}: bad plan: {e}"));
+                let outcome = match sim.try_run_committed(cell.run) {
+                    Ok(_) => "ok".to_string(),
+                    Err(e) => format!("err {e}"),
+                };
+                let mut bytes = outcome.into_bytes();
+                bytes.push(b'\n');
+                bytes.extend(stats_bytes(&sim.stats()));
+                fnv1a64(&bytes)
+            })
+        })
+        .collect()
+}
+
 /// The digest of a traced run's whole event stream (the ring is large
 /// enough to keep every event), in canonical text form.
-fn trace_cell() -> (String, u64) {
+fn trace_cell() -> Cell {
     let req = RunRequest::bench("dep_chain_l2", 1)
-        .config("SpecSched_4".parse().expect("known config"))
+        .config(spec("SpecSched_4"))
         .length(RunLength {
             warmup: 200,
             measure: 2_000,
         })
         .ring_trace(1 << 20);
     let key = format!("events {req}");
-    let outcome = req
-        .execute()
-        .unwrap_or_else(|e| panic!("{key}: run failed: {e}"));
-    assert!(
-        outcome.trace.len() < 1 << 20,
-        "ring overflowed; the digest would miss the stream's start"
-    );
-    let mut text = String::new();
-    for ev in &outcome.trace {
-        text.push_str(&ev.to_string());
-        text.push('\n');
-    }
-    (key, fnv1a64(text.as_bytes()))
+    Cell::new(key.clone(), move || {
+        let outcome = req
+            .execute()
+            .unwrap_or_else(|e| panic!("{key}: run failed: {e}"));
+        assert!(
+            outcome.trace.len() < 1 << 20,
+            "ring overflowed; the digest would miss the stream's start"
+        );
+        let mut text = String::new();
+        for ev in &outcome.trace {
+            text.push_str(&ev.to_string());
+            text.push('\n');
+        }
+        fnv1a64(text.as_bytes())
+    })
 }
 
 /// Where in a run a snapshot cell captures.
@@ -177,8 +315,8 @@ fn snapshot_digest<T: TraceSource + PersistState>(
 /// Mid-run snapshot bytes: branch-heavy kernels with branches in flight,
 /// one capture on a mispredicted branch's wrong path, and one `rv:`
 /// program.
-fn snapshot_cells() -> Vec<(String, u64)> {
-    let cfg = |name: &str| name.parse::<ConfigSpec>().expect("known config").config();
+fn snapshot_cells() -> Vec<Cell> {
+    let cfg = |name: &str| spec(name).config();
     let mut out = Vec::new();
     let kernel_cells = [
         ("branchy_int", "SpecSched_4", CapturePoint::Committed(3_000)),
@@ -195,32 +333,48 @@ fn snapshot_cells() -> Vec<(String, u64)> {
         ("branchy_int", "SpecSched_4", CapturePoint::WrongPath(2_000)),
     ];
     for (kernel, config, at) in kernel_cells {
-        let spec = (benchmark(kernel).expect("known kernel").build)(1);
-        let digest = snapshot_digest(
-            || Simulator::new(cfg(config), KernelTrace::new(spec.clone())),
-            at,
-        );
         let point = match at {
             CapturePoint::Committed(n) => format!("c{n}"),
             CapturePoint::WrongPath(n) => format!("c{n}+wrongpath"),
         };
-        out.push((
+        out.push(Cell::new(
             format!("snapshot src=bench:{kernel}@0x1 cfg={config} at={point}"),
-            digest,
+            move || {
+                let spec = (benchmark(kernel).expect("known kernel").build)(1);
+                snapshot_digest(
+                    || Simulator::new(cfg(config), KernelTrace::new(spec.clone())),
+                    at,
+                )
+            },
         ));
     }
-    let prog = ProgramSpec::suite("hashjoin", 1)
-        .resolve()
-        .expect("suite program");
-    let digest = snapshot_digest(
-        || Simulator::new(cfg("SpecSched_4"), RvTraceSource::new(prog.clone())),
-        CapturePoint::Committed(3_000),
-    );
-    out.push((
+    out.push(Cell::new(
         "snapshot src=rv:hashjoin@0x1 cfg=SpecSched_4 at=c3000".to_string(),
-        digest,
+        move || {
+            let prog = ProgramSpec::suite("hashjoin", 1)
+                .resolve()
+                .expect("suite program");
+            snapshot_digest(
+                || Simulator::new(cfg("SpecSched_4"), RvTraceSource::new(prog.clone())),
+                CapturePoint::Committed(3_000),
+            )
+        },
     ));
     out
+}
+
+/// Every pinned cell, in file order.
+fn all_cells() -> Vec<Cell> {
+    let mut all = policy_cells(false);
+    all.extend(policy_cells(true));
+    all.extend(rv_cells());
+    all.push(trace_cell());
+    all.extend(snapshot_cells());
+    all.extend(sched_matrix_cells());
+    all.extend(sched_kernel_cells());
+    all.extend(fault_kind_cells());
+    all.extend(fuzz_cells());
+    all
 }
 
 fn load_golden() -> BTreeMap<String, u64> {
@@ -237,12 +391,13 @@ fn load_golden() -> BTreeMap<String, u64> {
         .collect()
 }
 
-fn assert_golden(got: Vec<(String, u64)>) {
+fn assert_golden(cells: Vec<Cell>) {
     let golden = load_golden();
     let mut bad = Vec::new();
-    for (key, digest) in &got {
-        match golden.get(key) {
-            Some(want) if want == digest => {}
+    for Cell { key, run } in cells {
+        let digest = run();
+        match golden.get(&key) {
+            Some(want) if *want == digest => {}
             Some(want) => bad.push(format!("{key}: {digest:016x} != golden {want:016x}")),
             None => bad.push(format!("{key}: missing from the golden file")),
         }
@@ -281,19 +436,34 @@ fn snapshot_bytes_digests_hold() {
 }
 
 #[test]
+fn scheduler_matrix_digests_hold() {
+    assert_golden(sched_matrix_cells());
+}
+
+#[test]
+fn scheduler_kernel_digests_hold() {
+    assert_golden(sched_kernel_cells());
+}
+
+#[test]
+fn fault_kind_digests_hold() {
+    assert_golden(fault_kind_cells());
+}
+
+#[test]
+fn fuzz_cell_digests_hold() {
+    assert_golden(fuzz_cells());
+}
+
+#[test]
 #[ignore = "rewrites tests/golden/stats.txt; run explicitly to re-bless"]
 fn bless() {
-    let mut all = policy_cells(false);
-    all.extend(policy_cells(true));
-    all.extend(rv_cells());
-    all.push(trace_cell());
-    all.extend(snapshot_cells());
     let mut text = String::from(
         "# FNV-1a digests of persisted SimStats, one trace event stream and mid-run snapshot bytes.\n\
          # Regenerate: cargo test --test golden_stats -- --ignored\n",
     );
-    for (key, digest) in &all {
-        text.push_str(&format!("{digest:016x} {key}\n"));
+    for Cell { key, run } in all_cells() {
+        text.push_str(&format!("{:016x} {key}\n", run()));
     }
     let path = golden_path();
     std::fs::create_dir_all(path.parent().expect("has parent")).expect("create golden dir");
