@@ -55,7 +55,9 @@ pub mod window;
 
 pub use diff::DiffChecker;
 pub use fault::{FaultKind, FaultPlan, FaultWindow};
-pub use pipeline::{config_fingerprint, load_snapshot, sections, PipelineSnapshot, Simulator};
+pub use pipeline::{
+    config_fingerprint, load_snapshot, sections, PipelineSnapshot, Simulator, WorkCounts,
+};
 pub use rename::{PhysRef, RenameUnit};
 pub use runner::{ParseRequestError, RunLength, RunOutcome, RunRequest, RunSource};
 pub use schedq::SchedQueue;

@@ -44,6 +44,39 @@ use std::collections::VecDeque;
 
 pub use ss_types::PipelineSnapshot;
 
+/// Exact counts of the work a [`Simulator`] did over its whole life.
+/// Deterministic, so a test can pin them where a wall-clock timing
+/// would drift with the host. They are bookkeeping, not machine state:
+/// kept out of [`SimStats`] and out of snapshots, so counting moves no
+/// digest (a restore leaves them as they are).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Cycles stepped by [`Simulator::tick`] (quiet-skipped cycles are
+    /// not stepped).
+    pub ticks: u64,
+    /// Ticks whose issue gate was open.
+    pub issue_calls: u64,
+    /// Recovery-buffer members the issue stage's walk inspected.
+    pub recovery_visits: u64,
+    /// Ready-set candidates selection re-verified.
+    pub select_checks: u64,
+    /// Scheduler (re-)registrations of a µ-op.
+    pub registrations: u64,
+}
+
+impl WorkCounts {
+    /// Every count with its field name, in declaration order.
+    pub fn named(&self) -> [(&'static str, u64); 5] {
+        [
+            ("ticks", self.ticks),
+            ("issue_calls", self.issue_calls),
+            ("recovery_visits", self.recovery_visits),
+            ("select_checks", self.select_checks),
+            ("registrations", self.registrations),
+        ]
+    }
+}
+
 /// Per-cycle issue-stage context shared by the replay and scheduler
 /// selection loops (drives Schedule Shifting decisions).
 #[derive(Debug, Default)]
@@ -180,6 +213,8 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
     /// [`ss_types::trace`]).
     sink: S,
 
+    /// Work counters (see [`WorkCounts`]); never read by the machine.
+    work: WorkCounts,
     stats: SimStats,
     /// Memory-order violations (Store Sets training events).
     pub memdep_violations: u64,
@@ -250,6 +285,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             wakeup_bug_armed: false,
             wakeup_bug_fired: false,
             checkpoint_note: None,
+            work: WorkCounts::default(),
             stats: SimStats::default(),
             memdep_violations: 0,
             wp_gen: WrongPathGen::new(0x57A7_5EED),
@@ -273,6 +309,11 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// The machine configuration in use.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
+    }
+
+    /// The work this simulator has done since it was built.
+    pub fn work(&self) -> WorkCounts {
+        self.work
     }
 
     /// Current statistics (memory counters freshly exported).
@@ -441,6 +482,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// always-on cost during replay storms, is skipped. Dispatch and
     /// fetch exit on their first check when they have nothing to do.
     pub fn tick(&mut self) {
+        self.work.ticks += 1;
         self.now += 1;
         self.stats.cycles += 1;
         if self.degraded() {
@@ -493,6 +535,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             || self.sched.next_due().is_some_and(|d| d <= now);
         let issued_before = self.stats.issued_total;
         if issue_needed {
+            self.work.issue_calls += 1;
             self.issue(scan_recovery);
         }
         // Past this cycle's walk, only an actual issue can move wake
@@ -960,6 +1003,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         if self.legacy_scan {
             return;
         }
+        self.work.registrations += 1;
         let epoch = self.sched.invalidate(seq);
         let (srcs, store_dep) = {
             let Some(e) = self.entry(seq) else { return };
@@ -1824,6 +1868,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 horizon = Cycle::ZERO;
                 break;
             }
+            self.work.recovery_visits += 1;
             match self.replay_ready_at(seq) {
                 None => continue,
                 Some(at) if at > self.now => {
@@ -1920,6 +1965,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                     if width == 0 {
                         break 'select;
                     }
+                    self.work.select_checks += 1;
                     if self.legacy_scan {
                         if !self.ready_to_issue(seq) {
                             continue;

@@ -33,7 +33,7 @@
 
 use crate::diff::DiffChecker;
 use crate::fault::FaultPlan;
-use crate::pipeline::Simulator;
+use crate::pipeline::{Simulator, WorkCounts};
 use ss_frontend::{FrontendOracle, ProgramSpec, RvTraceSource};
 use ss_oracle::InOrderModel;
 use ss_snapshot::Snapshot;
@@ -192,6 +192,9 @@ pub struct RunOutcome {
     pub snapshot: Option<Snapshot>,
     /// Captured pipeline events (empty unless a trace mode was set).
     pub trace: Vec<TraceEvent>,
+    /// Work counts over the whole run, warmup included (for a fork,
+    /// from the restore on).
+    pub work: WorkCounts,
 }
 
 /// Error from parsing a [`RunRequest`] wire line.
@@ -679,6 +682,7 @@ impl Drive<'_> {
                 Ok(RunOutcome {
                     stats: end.delta(&warm),
                     snapshot: Some(snapshot),
+                    work: sim.work(),
                     trace: sim.into_sink().into_events(),
                 })
             }
@@ -693,6 +697,7 @@ impl Drive<'_> {
                 Ok(RunOutcome {
                     stats: end.delta(&warm),
                     snapshot: None,
+                    work: sim.work(),
                     trace: sim.into_sink().into_events(),
                 })
             }
@@ -713,6 +718,7 @@ impl Drive<'_> {
         Ok(RunOutcome {
             stats: end.delta(&warm),
             snapshot: None,
+            work: sim.work(),
             trace: sim.into_sink().into_events(),
         })
     }

@@ -23,21 +23,29 @@
 //! unchanged; a deliberate behaviour change re-blesses the file and
 //! says so in its commit.
 //!
-//! Regenerate the file with the ignored `bless` test:
+//! `tests/golden/work.txt` pins, for the same runs, the simulator's
+//! exact [`WorkCounts`]: cycles stepped, issue-stage calls, recovery
+//! members visited, selection re-checks and scheduler registrations.
+//! They are deterministic, so this is a performance gate with no noise:
+//! any difference fails, and the message says which count rose or fell.
+//! A rise is new work per run and wants a cause; a fall is a re-bless,
+//! and the commit says so.
+//!
+//! Regenerate both files with the ignored `bless` test:
 //!
 //! ```text
 //! cargo test --test golden_stats -- --ignored
 //! ```
 
-use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest, Simulator};
+use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest, Simulator, WorkCounts};
 use speculative_scheduling::frontend::{programs, ProgramSpec, RvTraceSource};
 use speculative_scheduling::harness::fuzz::FuzzCell;
 use speculative_scheduling::snapshot::Snapshot;
 use speculative_scheduling::types::persist::{fnv1a64, Persist, PersistState, Writer};
 use speculative_scheduling::types::{ConfigSpec, SimStats};
 use speculative_scheduling::workloads::{benchmark, KernelTrace, TraceSource};
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 
 /// Short enough for a debug build, long enough that warmup, misses,
 /// replays and the fault windows all land inside the run.
@@ -60,6 +68,10 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/stats.txt")
 }
 
+fn work_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/work.txt")
+}
+
 fn stats_bytes(stats: &SimStats) -> Vec<u8> {
     let mut w = Writer::new();
     stats.save(&mut w);
@@ -70,15 +82,16 @@ fn spec(name: &str) -> ConfigSpec {
     name.parse().expect("known config")
 }
 
-/// One pinned cell: the key it is filed under, and the run that yields
-/// its digest. Keys are known before anything runs.
+/// One pinned cell: the key it is filed under in both golden files, and
+/// the run that yields its digest and the work it took. Keys are known
+/// before anything runs.
 struct Cell {
     key: String,
-    run: Box<dyn FnOnce() -> u64>,
+    run: Box<dyn FnOnce() -> (u64, WorkCounts)>,
 }
 
 impl Cell {
-    fn new(key: String, run: impl FnOnce() -> u64 + 'static) -> Cell {
+    fn new(key: String, run: impl FnOnce() -> (u64, WorkCounts) + 'static) -> Cell {
         Cell {
             key,
             run: Box::new(run),
@@ -90,12 +103,11 @@ impl Cell {
     fn checked_request(req: RunRequest, check: impl FnOnce(&str, &SimStats) + 'static) -> Cell {
         let key = req.to_string();
         Cell::new(key.clone(), move || {
-            let stats = req
+            let outcome = req
                 .execute()
-                .unwrap_or_else(|e| panic!("{key}: run failed: {e}"))
-                .stats;
-            check(&key, &stats);
-            fnv1a64(&stats_bytes(&stats))
+                .unwrap_or_else(|e| panic!("{key}: run failed: {e}"));
+            check(&key, &outcome.stats);
+            (fnv1a64(&stats_bytes(&outcome.stats)), outcome.work)
         })
     }
 
@@ -227,7 +239,7 @@ fn fuzz_cells() -> Vec<Cell> {
                 let mut bytes = outcome.into_bytes();
                 bytes.push(b'\n');
                 bytes.extend(stats_bytes(&sim.stats()));
-                fnv1a64(&bytes)
+                (fnv1a64(&bytes), sim.work())
             })
         })
         .collect()
@@ -257,7 +269,7 @@ fn trace_cell() -> Cell {
             text.push_str(&ev.to_string());
             text.push('\n');
         }
-        fnv1a64(text.as_bytes())
+        (fnv1a64(text.as_bytes()), outcome.work)
     })
 }
 
@@ -272,13 +284,13 @@ enum CapturePoint {
     WrongPath(u64),
 }
 
-/// Digest of `Snapshot::to_bytes` captured at `at`. Also proves the
-/// capture round-trips: restoring it into a fresh simulator and
-/// capturing again gives the same bytes.
+/// Digest of `Snapshot::to_bytes` captured at `at`, and the work the
+/// run up to it took. Also proves the capture round-trips: restoring it
+/// into a fresh simulator and capturing again gives the same bytes.
 fn snapshot_digest<T: TraceSource + PersistState>(
     make: impl Fn() -> Simulator<T>,
     at: CapturePoint,
-) -> u64 {
+) -> (u64, WorkCounts) {
     let mut sim = make();
     match at {
         CapturePoint::Committed(n) => {
@@ -309,7 +321,7 @@ fn snapshot_digest<T: TraceSource + PersistState>(
         again.capture().to_bytes() == bytes,
         "restore then capture changed the snapshot bytes"
     );
-    fnv1a64(&bytes)
+    (fnv1a64(&bytes), sim.work())
 }
 
 /// Mid-run snapshot bytes: branch-heavy kernels with branches in flight,
@@ -377,36 +389,85 @@ fn all_cells() -> Vec<Cell> {
     all
 }
 
-fn load_golden() -> BTreeMap<String, u64> {
-    let path = golden_path();
-    let text = std::fs::read_to_string(&path)
+/// The `(key, value)` lines of a golden file, in file order. A line is
+/// `{value} {key}`, the value being `value_tokens` space-separated
+/// tokens; `#` lines are comments.
+fn read_lines(path: &Path, value_tokens: usize) -> Vec<(String, String)> {
+    let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("{}: {e} (bless it first)", path.display()));
     text.lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(|l| {
-            let (digest, key) = l.split_once(' ').expect("`{digest} {key}` line");
-            let digest = u64::from_str_radix(digest, 16).expect("hex digest");
-            (key.to_string(), digest)
+            let mut parts = l.splitn(value_tokens + 1, ' ');
+            let value: Vec<&str> = parts.by_ref().take(value_tokens).collect();
+            let key = parts
+                .next()
+                .unwrap_or_else(|| panic!("{}: `{l}` has no key", path.display()));
+            (key.to_string(), value.join(" "))
         })
         .collect()
 }
 
+fn work_text(work: &WorkCounts) -> String {
+    let fields: Vec<String> = work
+        .named()
+        .iter()
+        .map(|(n, v)| format!("{n}={v}"))
+        .collect();
+    fields.join(" ")
+}
+
+/// How `got` differs from the blessed `want` text, count by count.
+fn work_diff(want: &str, got: &WorkCounts) -> String {
+    let want: Vec<(&str, u64)> = want
+        .split(' ')
+        .map(|tok| {
+            let (name, n) = tok.split_once('=').expect("`name=count` token");
+            (name, n.parse().expect("count"))
+        })
+        .collect();
+    let mut out = Vec::new();
+    for (name, now) in got.named() {
+        match want.iter().find(|(n, _)| *n == name) {
+            Some(&(_, was)) if was < now => out.push(format!("{name} rose {was} -> {now}")),
+            Some(&(_, was)) if was > now => out.push(format!("{name} fell {was} -> {now}")),
+            Some(_) => {}
+            None => out.push(format!("{name} not blessed")),
+        }
+    }
+    out.join(", ")
+}
+
 fn assert_golden(cells: Vec<Cell>) {
-    let golden = load_golden();
-    let mut bad = Vec::new();
+    let value_of = |path: PathBuf, tokens| -> BTreeMap<String, String> {
+        read_lines(&path, tokens).into_iter().collect()
+    };
+    let digests = value_of(golden_path(), 1);
+    let works = value_of(work_path(), WorkCounts::default().named().len());
+    let mut moved = Vec::new();
+    let mut work_moved = Vec::new();
     for Cell { key, run } in cells {
-        let digest = run();
-        match golden.get(&key) {
+        let (digest, work) = run();
+        let digest = format!("{digest:016x}");
+        match digests.get(&key) {
             Some(want) if *want == digest => {}
-            Some(want) => bad.push(format!("{key}: {digest:016x} != golden {want:016x}")),
-            None => bad.push(format!("{key}: missing from the golden file")),
+            Some(want) => moved.push(format!("{key}: {digest} != golden {want}")),
+            None => moved.push(format!("{key}: missing from the golden file")),
+        }
+        match works.get(&key) {
+            Some(want) if *want == work_text(&work) => {}
+            Some(want) => work_moved.push(format!("{key}: {}", work_diff(want, &work))),
+            None => work_moved.push(format!("{key}: missing from the work file")),
         }
     }
     assert!(
-        bad.is_empty(),
-        "{} digest(s) moved:\n{}",
-        bad.len(),
-        bad.join("\n")
+        moved.is_empty() && work_moved.is_empty(),
+        "{} digest(s) moved:\n{}\n{} work count line(s) moved (a rise is new work \
+         per run and wants a cause; a fall is a re-bless, said in the commit):\n{}",
+        moved.len(),
+        moved.join("\n"),
+        work_moved.len(),
+        work_moved.join("\n")
     );
 }
 
@@ -455,17 +516,57 @@ fn fuzz_cell_digests_hold() {
     assert_golden(fuzz_cells());
 }
 
+/// Each golden file lists exactly the cells `bless` writes, once each:
+/// a duplicate line would silently shadow another, and a line no
+/// generator emits any more would never be checked.
 #[test]
-#[ignore = "rewrites tests/golden/stats.txt; run explicitly to re-bless"]
+fn golden_files_list_exactly_the_blessed_cells() {
+    let want: Vec<String> = all_cells().into_iter().map(|c| c.key).collect();
+    let want_set: BTreeSet<&String> = want.iter().collect();
+    assert_eq!(
+        want_set.len(),
+        want.len(),
+        "two generated cells share a key"
+    );
+    for (path, tokens) in [
+        (golden_path(), 1),
+        (work_path(), WorkCounts::default().named().len()),
+    ] {
+        let mut seen = BTreeSet::new();
+        let mut bad = Vec::new();
+        for (key, _) in read_lines(&path, tokens) {
+            if !want_set.contains(&key) {
+                bad.push(format!("{key}: no generator emits it"));
+            }
+            if !seen.insert(key.clone()) {
+                bad.push(format!("{key}: listed twice"));
+            }
+        }
+        for key in want_set.iter().filter(|k| !seen.contains(**k)) {
+            bad.push(format!("{key}: never blessed"));
+        }
+        assert!(bad.is_empty(), "{}:\n{}", path.display(), bad.join("\n"));
+    }
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/stats.txt and work.txt; run explicitly to re-bless"]
 fn bless() {
-    let mut text = String::from(
+    let mut stats = String::from(
         "# FNV-1a digests of persisted SimStats, one trace event stream and mid-run snapshot bytes.\n\
          # Regenerate: cargo test --test golden_stats -- --ignored\n",
     );
+    let mut work = String::from(
+        "# Exact simulator work counts (ss_core::WorkCounts) of the runs behind stats.txt.\n\
+         # Regenerate: cargo test --test golden_stats -- --ignored\n",
+    );
     for Cell { key, run } in all_cells() {
-        text.push_str(&format!("{:016x} {key}\n", run()));
+        let (digest, counts) = run();
+        stats.push_str(&format!("{digest:016x} {key}\n"));
+        work.push_str(&format!("{} {key}\n", work_text(&counts)));
     }
-    let path = golden_path();
-    std::fs::create_dir_all(path.parent().expect("has parent")).expect("create golden dir");
-    std::fs::write(&path, text).expect("write golden file");
+    for (path, text) in [(golden_path(), stats), (work_path(), work)] {
+        std::fs::create_dir_all(path.parent().expect("has parent")).expect("create golden dir");
+        std::fs::write(&path, text).expect("write golden file");
+    }
 }
