@@ -128,11 +128,7 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
     scratch_candidates: Vec<SeqNum>,
     /// Event-driven scheduler state: the incrementally-maintained ready
     /// set the IQ selection phase iterates instead of scanning the ROB.
-    /// Untouched (empty) when `legacy_scan` is set.
     sched: SchedQueue,
-    /// Cached `cfg.legacy_scan`: use the O(ROB) per-cycle scan instead of
-    /// the event-driven ready queue.
-    legacy_scan: bool,
     /// Recycled `Vec<SeqNum>` buffers for issue/recovery groups — the
     /// steady-state hot loop allocates nothing.
     group_pool: VecPool<SeqNum>,
@@ -254,7 +250,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             sq_used: 0,
             scratch_candidates: Vec::with_capacity(256),
             sched: SchedQueue::new(cfg.rob_entries as usize),
-            legacy_scan: cfg.legacy_scan,
             group_pool: VecPool::new(),
             scratch_woken: Vec::new(),
             scratch_squash: Vec::new(),
@@ -412,8 +407,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// without touching anything else, and it lands exactly on the
     /// watchdog deadline and on every invariant-check multiple, so
     /// statistics, errors and failure reports are those of stepping
-    /// every cycle. Quiet skip is off under `legacy_scan`, which does
-    /// not maintain the ready set the probe reads.
+    /// every cycle.
     ///
     /// The simulator must not be used further after an error.
     pub fn try_run_committed(&mut self, n: u64) -> Result<SimStats, SimError> {
@@ -423,7 +417,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         while self.stats.committed_uops < target {
             // Legal only when the cached recovery horizon is current (no
             // stage ran since it was computed).
-            let quiet = if self.step_dirty || self.legacy_scan {
+            let quiet = if self.step_dirty {
                 None
             } else {
                 self.quiet_skip()
@@ -473,9 +467,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     ///   watcher, store release), empty ready set, and no selectable
     ///   recovery member (tracked by the cached horizon
     ///   `recovery_ready_at`, recomputed only on cycles where a stage
-    ///   that can move wake times or recovery membership ran). Under
-    ///   `legacy_scan` the ready set is not maintained, so the issue
-    ///   gate is always open.
+    ///   that can move wake times or recovery membership ran).
     ///
     /// When a recovery member *is* selectable the issue stage walks the
     /// recovery buffer; otherwise that O(members) walk, the priciest
@@ -527,8 +519,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         if !scan_recovery {
             self.recovery_cross_check();
         }
-        let issue_needed = self.legacy_scan
-            || scan_recovery
+        let issue_needed = scan_recovery
             || self.sched.ready_len() > 0
             || self.rename.has_woken()
             || self.sched.has_store_woken()
@@ -1000,9 +991,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// [`Self::ready_to_issue`] and re-registers on mismatch (lazy
     /// invalidation), so a stale bit costs a re-check, never correctness.
     fn sched_register(&mut self, seq: SeqNum) {
-        if self.legacy_scan {
-            return;
-        }
         self.work.registrations += 1;
         let epoch = self.sched.invalidate(seq);
         let (srcs, store_dep) = {
@@ -1051,17 +1039,12 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// Drops `seq` from the scheduler (issued or flushed): clears its
     /// ready bit and stales every parked reference.
     fn sched_forget(&mut self, seq: SeqNum) {
-        if !self.legacy_scan {
-            self.sched.invalidate(seq);
-        }
+        self.sched.invalidate(seq);
     }
 
     /// Releases every µ-op parked on `store` (it executed or committed)
     /// and re-registers them immediately.
     fn sched_fire_store_event(&mut self, store: SeqNum) {
-        if self.legacy_scan {
-            return;
-        }
         self.sched.fire_store(store);
         while let Some(seq) = self.sched.pop_store_woken() {
             self.sched_register(seq);
@@ -1821,11 +1804,9 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// issue none, mutating nothing). A walk also records the buffer's
     /// next readiness horizon into the stepper cache.
     fn issue(&mut self, scan_recovery: bool) {
-        if !self.legacy_scan {
-            self.sched_drain_events();
-            #[cfg(debug_assertions)]
-            self.sched_cross_check();
-        }
+        self.sched_drain_events();
+        #[cfg(debug_assertions)]
+        self.sched_cross_check();
         if self.issue_blocked_at == Some(self.now) {
             // A replay squashed this cycle: selection is suppressed, and
             // the walk below never ran. Any horizon the caller wanted is
@@ -1929,9 +1910,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         // loop can *set* a ready bit (`sched_register` of a stale
         // candidate re-parks it; issue clears bits), so resuming after
         // the last processed age sees exactly the survivors a single
-        // full collection would have. The legacy path rebuilds the whole
-        // candidate list by scanning the ROB. Both reuse the scratch
-        // buffer.
+        // full collection would have. Batches reuse the scratch buffer.
         if width > 0 {
             /// Ready entries pulled per batch: comfortably above the
             /// 6-wide issue width, small enough to keep the common case
@@ -1943,9 +1922,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             let mut consumed = 0u64;
             'select: loop {
                 candidates.clear();
-                if self.legacy_scan {
-                    candidates.extend(self.rob.iter().filter(|e| e.is_iq_waiting()).map(|e| e.seq));
-                } else if self.sched.ready_len() > 0 {
+                if self.sched.ready_len() > 0 {
                     if let Some(base) = base {
                         let span = self.rob.len() as u64;
                         if consumed < span {
@@ -1966,24 +1943,17 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         break 'select;
                     }
                     self.work.select_checks += 1;
-                    if self.legacy_scan {
-                        if !self.ready_to_issue(seq) {
-                            continue;
-                        }
-                    } else {
-                        // Lazy invalidation: a ready bit may have gone
-                        // stale since it was set (producer squashed,
-                        // wakeup revised later, store dependence
-                        // re-armed). Re-verify and re-park on mismatch —
-                        // `sched_register` re-derives the same conditions
-                        // `ready_to_issue` checks, so a not-ready entry
-                        // can never re-mark itself ready.
-                        let live = self.entry(seq).is_some_and(RobEntry::is_iq_waiting);
-                        debug_assert!(live, "ready bit on non-IQ-waiting µ-op {seq}");
-                        if !live || !self.ready_to_issue(seq) {
-                            self.sched_register(seq);
-                            continue;
-                        }
+                    // Lazy invalidation: a ready bit may have gone stale
+                    // since it was set (producer squashed, wakeup revised
+                    // later, store dependence re-armed). Re-verify and
+                    // re-park on mismatch — `sched_register` re-derives
+                    // the same conditions `ready_to_issue` checks, so a
+                    // not-ready entry can never re-mark itself ready.
+                    let live = self.entry(seq).is_some_and(RobEntry::is_iq_waiting);
+                    debug_assert!(live, "ready bit on non-IQ-waiting µ-op {seq}");
+                    if !live || !self.ready_to_issue(seq) {
+                        self.sched_register(seq);
+                        continue;
                     }
                     if !Self::take_ports(
                         self.entry(seq).expect("entry").uop.class,
@@ -2008,9 +1978,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         first_iq_issue = false;
                     }
                     issued_group.push(seq);
-                }
-                if self.legacy_scan {
-                    break;
                 }
                 // Resume the next batch just past the last processed age.
                 let head = base.expect("candidates imply a ROB head");

@@ -49,8 +49,7 @@ struct ClassState {
     free: Vec<PhysReg>,
     info: Vec<RegInfo>,
     /// Per-register consumer watch lists: waiting µ-ops parked until this
-    /// register's wake time changes (event-driven scheduler only; empty
-    /// under the legacy scan).
+    /// register's wake time changes.
     watchers: Vec<Vec<(SeqNum, u32)>>,
 }
 

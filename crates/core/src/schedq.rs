@@ -18,8 +18,8 @@
 //! The fourth parking surface — per-register consumer watch lists fired
 //! by wake-time changes — lives in [`crate::rename::RenameUnit`], next to
 //! the scoreboard it indexes. See DESIGN.md "Scheduler data structures"
-//! for the full event inventory and the equivalence argument against the
-//! legacy scan.
+//! for the full event inventory and the argument that selection picks
+//! exactly the µ-ops a scan of the whole window would.
 
 use ss_types::{Cycle, EpochRing, SeqBitmap, SeqNum, WakeHeap};
 

@@ -8,8 +8,6 @@
 //!             [--campaign-seed S] [--repro FILE]
 //! experiments trace --bench NAME --config SPEC [--config SPEC2]
 //!             [--window LO..HI] [--format perfetto|pipeview] [--out FILE]
-//! experiments bench [--out FILE] [--smoke] [--baseline FILE]
-//!             [--max-regress PCT]
 //! experiments snapfuzz [--seeds N] [--seed S]
 //! experiments serve --socket PATH [--jobs N] [--queue-depth D]
 //!             [--checkpoint-dir DIR]
@@ -53,10 +51,6 @@ fn main() {
     // Same for the trace capture subcommand.
     if args.first().map(String::as_str) == Some("trace") {
         std::process::exit(ss_harness::tracecmd::run_cli(&args[1..]));
-    }
-    // And the scheduler-throughput benchmark.
-    if args.first().map(String::as_str) == Some("bench") {
-        std::process::exit(ss_harness::bench::run_cli(&args[1..]));
     }
     // And the snapshot-corruption fuzzer.
     if args.first().map(String::as_str) == Some("snapfuzz") {

@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod chaos;
 pub mod configs;
 pub mod energy;

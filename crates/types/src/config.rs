@@ -456,15 +456,6 @@ pub struct SimConfig {
     /// canonical commit log) for divergence context dumps; 0 disables the
     /// ring (the default). Memory is O(`n`), independent of run length.
     pub commit_log_window: u32,
-
-    // ---- scheduler implementation ----
-    /// Use the legacy per-cycle O(ROB) scan in the issue stage instead of
-    /// the event-driven ready queue. Off by default; kept for one release
-    /// as the differential reference the equivalence tests compare the
-    /// event-driven scheduler against (the two are byte-identical in
-    /// [`crate::SimStats`]). Model behaviour does not depend on this
-    /// knob — only simulator speed does.
-    pub legacy_scan: bool,
 }
 
 impl SimConfig {
@@ -689,7 +680,6 @@ impl Default for SimConfig {
             invariant_check_interval: 0,
             degrade: None,
             commit_log_window: 0,
-            legacy_scan: false,
         }
     }
 }
@@ -835,13 +825,6 @@ impl SimConfigBuilder {
     /// divergence context dumps (0 disables).
     pub fn commit_log_window(mut self, n: u32) -> Self {
         self.cfg.commit_log_window = n;
-        self
-    }
-
-    /// Selects the legacy scan-based issue stage instead of the
-    /// event-driven ready queue (differential testing only).
-    pub fn legacy_scan(mut self, on: bool) -> Self {
-        self.cfg.legacy_scan = on;
         self
     }
 
@@ -1037,11 +1020,5 @@ mod tests {
         assert!(c.degrade.is_some());
         assert_eq!(c.commit_log_window, 32);
         assert!(SimConfig::builder().watchdog_cycles(0).try_build().is_err());
-    }
-
-    #[test]
-    fn legacy_scan_defaults_off() {
-        assert!(!SimConfig::default().legacy_scan);
-        assert!(SimConfig::builder().legacy_scan(true).build().legacy_scan);
     }
 }
