@@ -41,6 +41,12 @@ use ss_harness::{exec, experiments, Report, Session};
 use ss_types::CancelFlag;
 use std::path::PathBuf;
 
+/// Reports a bad command line and exits 2, like every subcommand.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg} (see --help)");
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // The fuzz campaign has its own flag set; intercept it before
@@ -85,22 +91,20 @@ fn main() {
     let mut resume = false;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
+        let mut value = |missing: &str| it.next().unwrap_or_else(|| usage_error(missing));
         match a.as_str() {
             "--quick" => quick = true,
             "--smoke" => smoke = true,
             "--no-cache" => cache = false,
             "--no-progress" => progress = false,
             "--jobs" | "-j" => {
-                jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs needs a worker count")
+                jobs = value("--jobs needs a worker count")
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("--jobs needs a worker count"))
             }
-            "--out" => out = PathBuf::from(it.next().expect("--out needs a directory")),
+            "--out" => out = PathBuf::from(value("--out needs a directory")),
             "--checkpoint-dir" => {
-                checkpoint_dir = Some(PathBuf::from(
-                    it.next().expect("--checkpoint-dir needs a directory"),
-                ))
+                checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir needs a directory")))
             }
             "--resume" => resume = true,
             "--help" | "-h" => {
@@ -139,8 +143,7 @@ fn main() {
         }
     };
     if resume && checkpoint_dir.is_none() {
-        eprintln!("--resume requires --checkpoint-dir (the directory of the interrupted sweep)");
-        std::process::exit(2);
+        usage_error("--resume requires --checkpoint-dir (the directory of the interrupted sweep)");
     }
     let cache_dir = match &checkpoint_dir {
         Some(d) => Some(d.join("cache")),
@@ -169,8 +172,7 @@ fn main() {
         } else if let Some(e) = experiments::find(w) {
             selected.push(e);
         } else {
-            eprintln!("unknown experiment `{w}` (see --help)");
-            std::process::exit(2);
+            usage_error(&format!("unknown experiment `{w}`"));
         }
     }
 

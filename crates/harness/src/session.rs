@@ -642,6 +642,48 @@ mod tests {
     }
 
     #[test]
+    fn warm_snapshot_from_another_build_is_rewarmed() {
+        let dir = tmp("foreign-warm");
+        let cfg = configs::spec_sched(4, false);
+        let bench = benchmark("mix_int").unwrap();
+        let cold = Session::new(LEN, None).try_run(&cfg, bench).expect("runs");
+        let mut sess = Session::new(LEN, None);
+        sess.enable_warm_fork(dir.clone());
+        // What a build with another `SimConfig` leaves at this cell's
+        // warm path: an intact snapshot whose fingerprint is not this
+        // machine's (here, the same warmup on the banked machine).
+        let path = sess.warm_path(&cfg.name, bench.name).unwrap();
+        let foreign = RunRequest::kernel((bench.build)(WORKLOAD_SEED))
+            .config(configs::spec_sched(4, true).spec)
+            .length(RunLength {
+                warmup: LEN.warmup,
+                measure: 0,
+            })
+            .capture_warm()
+            .execute()
+            .unwrap()
+            .snapshot
+            .unwrap();
+        let fingerprint = ss_core::config_fingerprint(&cfg.config);
+        assert_ne!(foreign.config_fingerprint, fingerprint);
+        ss_snapshot::write_atomic(&path, &foreign).unwrap();
+
+        let got = sess
+            .try_run(&cfg, bench)
+            .expect("re-warms instead of failing");
+        assert_eq!(got, cold, "re-warmed run is bit-identical to a cold one");
+        assert_eq!(sess.warm_forked, 0, "the foreign snapshot was not forked");
+        let rewritten = ss_snapshot::read_verified(&path).unwrap();
+        assert_eq!(rewritten.config_fingerprint, fingerprint, "file replaced");
+        // The replacement is one this build forks from.
+        let mut next = Session::new(LEN, None);
+        next.enable_warm_fork(dir.clone());
+        assert_eq!(next.try_run(&cfg, bench).expect("runs"), cold);
+        assert_eq!(next.warm_forked, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn journal_records_finished_cells_across_sessions() {
         let dir = tmp("journal");
         let cfg = configs::baseline(0);
