@@ -64,19 +64,6 @@ pub struct WorkCounts {
     pub registrations: u64,
 }
 
-impl WorkCounts {
-    /// Every count with its field name, in declaration order.
-    pub fn named(&self) -> [(&'static str, u64); 5] {
-        [
-            ("ticks", self.ticks),
-            ("issue_calls", self.issue_calls),
-            ("recovery_visits", self.recovery_visits),
-            ("select_checks", self.select_checks),
-            ("registrations", self.registrations),
-        ]
-    }
-}
-
 /// Per-cycle issue-stage context shared by the replay and scheduler
 /// selection loops (drives Schedule Shifting decisions).
 #[derive(Debug, Default)]
