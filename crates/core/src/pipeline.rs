@@ -36,8 +36,8 @@ use ss_types::persist::{DecodeError, Persist, PersistState, Reader, Writer};
 use ss_types::trace::{NullSink, TraceEvent, TraceSink};
 use ss_types::{
     BankInterleaving, CritCriterion, Cycle, DeadlockReport, DivergenceReport, InvariantReport,
-    OpClass, ReplayCause, ReplayScheme, SeqBitmap, SeqNum, ShiftPolicy, SimConfig, SimError,
-    SimStats, VecPool,
+    OpClass, ReplayCause, ReplayScheme, SeqNum, ShiftPolicy, SimConfig, SimError, SimStats,
+    VecPool,
 };
 use ss_workloads::{TraceSource, WrongPathGen};
 use std::collections::VecDeque;
@@ -56,7 +56,8 @@ pub struct WorkCounts {
     pub ticks: u64,
     /// Ticks whose issue gate was open.
     pub issue_calls: u64,
-    /// Recovery-buffer members the issue stage's walk inspected.
+    /// Recovery-buffer members the issue stage's walk re-verified (only
+    /// members whose ready bit is set are visited).
     pub recovery_visits: u64,
     /// Ready-set candidates selection re-verified.
     pub select_checks: u64,
@@ -123,9 +124,6 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
     scratch_woken: Vec<(SeqNum, u32)>,
     /// Scratch seq list for squash walks (reused per event).
     scratch_squash: Vec<SeqNum>,
-    /// Scratch bitset marking µ-ops replayed from the recovery buffer
-    /// this cycle (O(1) membership for the group cleanup).
-    replayed_marks: SeqBitmap,
     /// In-flight correct-path stores with a known address, in program
     /// order: `(quadword, seq)`. The memory-order check walks this
     /// (bounded by the store queue) instead of the whole ROB per load.
@@ -167,15 +165,6 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
     /// A structured error detected mid-tick (e.g. a malformed µ-op at the
     /// fetch boundary), surfaced by [`Simulator::try_run_committed`].
     pending_error: Option<SimError>,
-
-    /// Stepper cache ([`Simulator::tick`]): the earliest cycle a
-    /// recovery-buffer member becomes selectable. Pure scratch —
-    /// reconstructible, never persisted in snapshots.
-    recovery_ready_at: Cycle,
-    /// Whether a stage that can move wake times or recovery membership
-    /// ran since `recovery_ready_at` was computed (set by a snapshot
-    /// restore too, since the cache describes the pre-restore machine).
-    step_dirty: bool,
 
     /// Bounded ring of the last `commit_log_window` committed µ-ops (the
     /// canonical commit log; O(window) memory regardless of run length).
@@ -240,7 +229,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             group_pool: VecPool::new(),
             scratch_woken: Vec::new(),
             scratch_squash: Vec::new(),
-            replayed_marks: SeqBitmap::new(cfg.rob_entries as usize),
             store_ring: VecDeque::with_capacity(cfg.sq_entries as usize + 1),
             muldiv_free: Cycle::ZERO,
             fpdiv_free: [Cycle::ZERO; 2],
@@ -260,8 +248,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             degrade_window_start: Cycle::ZERO,
             degrade_window_replays: 0,
             pending_error: None,
-            recovery_ready_at: Cycle::NEVER,
-            step_dirty: true,
             commit_ring: VecDeque::new(),
             diff: None,
             wakeup_bug_armed: false,
@@ -402,14 +388,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         let watchdog = self.cfg.watchdog_cycles;
         let interval = self.cfg.invariant_check_interval;
         while self.stats.committed_uops < target {
-            // Legal only when the cached recovery horizon is current (no
-            // stage ran since it was computed).
-            let quiet = if self.step_dirty {
-                None
-            } else {
-                self.quiet_skip()
-            };
-            if let Some((skip, dispatch_stall)) = quiet {
+            if let Some((skip, dispatch_stall)) = self.quiet_skip() {
                 // Land exactly on the watchdog deadline (the report must
                 // carry the same cycle a per-cycle check would see) and
                 // on every invariant-check multiple.
@@ -451,15 +430,14 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// * commit — ROB head absent, not `Done`, or `done_at > now`;
     /// * execute — no in-flight group due (`issue_cycle + delay + 1`);
     /// * issue — no drainable scheduler event (due timer, woken
-    ///   watcher, store release), empty ready set, and no selectable
-    ///   recovery member (tracked by the cached horizon
-    ///   `recovery_ready_at`, recomputed only on cycles where a stage
-    ///   that can move wake times or recovery membership ran).
+    ///   watcher, store release) and both ready sets empty: IQ µ-ops and
+    ///   recovery-buffer members register with the same event-driven
+    ///   scheduler, so one set of checks covers both.
     ///
-    /// When a recovery member *is* selectable the issue stage walks the
-    /// recovery buffer; otherwise that O(members) walk, the priciest
-    /// always-on cost during replay storms, is skipped. Dispatch and
-    /// fetch exit on their first check when they have nothing to do.
+    /// Dispatch and fetch exit on their first check when they have
+    /// nothing to do. Debug builds assert on every tick, once the
+    /// cycle's scheduler events are drained, that no selectable recovery
+    /// member lacks its ready bit.
     pub fn tick(&mut self) {
         self.work.ticks += 1;
         self.now += 1;
@@ -468,11 +446,9 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             self.stats.degrade_cycles += 1;
         }
         let now = self.now;
-        let mut dirty = self.step_dirty;
 
         if self.deferred_wakes.iter().any(|&(at, _, _)| at <= now) {
             self.apply_deferred_wakes();
-            dirty = true;
         }
         if self
             .rob
@@ -480,7 +456,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             .is_some_and(|h| h.state == UopState::Done && h.done_at <= now)
         {
             self.commit();
-            dirty = true;
         }
         if self
             .inflight
@@ -488,40 +463,19 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             .is_some_and(|&(c, _)| c + self.delay < now)
         {
             self.execute();
-            dirty = true;
         }
-        let scan_recovery = if dirty {
-            // Wake times or membership may have moved; the horizon is
-            // stale. An empty buffer needs no walk to re-derive it.
-            if self.recovery.is_empty() {
-                self.recovery_ready_at = Cycle::NEVER;
-                false
-            } else {
-                true
-            }
-        } else {
-            self.recovery_ready_at <= now
-        };
-        #[cfg(debug_assertions)]
-        if !scan_recovery {
-            self.recovery_cross_check();
-        }
-        let issue_needed = scan_recovery
+        let issue_needed = self.sched.recovery_ready_len() > 0
             || self.sched.ready_len() > 0
             || self.rename.has_woken()
             || self.sched.has_store_woken()
             || self.sched.next_due().is_some_and(|d| d <= now);
-        let issued_before = self.stats.issued_total;
         if issue_needed {
             self.work.issue_calls += 1;
-            self.issue(scan_recovery);
+            self.issue();
+        } else {
+            #[cfg(debug_assertions)]
+            self.assert_no_stranded_recovery();
         }
-        // Past this cycle's walk, only an actual issue can move wake
-        // times (wakeup speculation on the issued µ-op's destination);
-        // drains re-park without waking, and dispatch/fetch cannot touch
-        // recovery (new dispatches are IQ-tracked, not recovery members,
-        // and fetch touches only the frontend/predictors/i-cache).
-        self.step_dirty = self.stats.issued_total != issued_before;
 
         self.dispatch();
         self.fetch();
@@ -530,15 +484,15 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         }
     }
 
-    /// Debug-build proof that the cached recovery horizon is sound: when
-    /// `tick` skips the recovery walk, no member may be selectable.
+    /// Debug-build proof that no recovery member is stranded: every
+    /// member selectable this cycle has its ready bit set, so the issue
+    /// stage's walk, which visits only marked members, misses none.
     #[cfg(debug_assertions)]
-    fn recovery_cross_check(&self) {
+    fn assert_no_stranded_recovery(&self) {
         for &seq in self.recovery.iter().flat_map(|(_, g)| g) {
             assert!(
-                !self.ready_to_issue(seq),
-                "stale recovery horizon {:?}: member {seq} is ready at {:?}",
-                self.recovery_ready_at,
+                self.sched.is_recovery_ready(seq) || !self.ready_to_issue(seq),
+                "stranded recovery member {seq} at {}",
                 self.now
             );
         }
@@ -557,37 +511,11 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         });
     }
 
-    /// [`Self::ready_to_issue`] for recovery members, answering *when*
-    /// instead of *whether*: `None` when the member is unbounded (a
-    /// source with no finite wake time, or an unexecuted predicted store
-    /// dependence — it cannot become selectable without an event that
-    /// re-dirties the stepper cache), otherwise the latest source wake
-    /// (selectable now iff `<= now`). Agrees with `ready_to_issue`
-    /// exactly: `Some(at) && at <= now ⇔ ready`.
-    fn replay_ready_at(&self, seq: SeqNum) -> Option<Cycle> {
-        let e = self.entry(seq).expect("recovery member in ROB");
-        let mut latest = Cycle::ZERO;
-        for s in e.srcs.iter().flatten() {
-            let w = self.rename.wake_at(*s);
-            if w == Cycle::NEVER {
-                return None;
-            }
-            if w > latest {
-                latest = w;
-            }
-        }
-        if e.store_dep.is_some_and(|dep| {
-            self.entry(dep)
-                .is_some_and(|s| s.uop.class.is_store() && !s.store_executed)
-        }) {
-            return None;
-        }
-        Some(latest)
-    }
-
     /// Probes whether the upcoming cycles are *quiet* — provably free of
-    /// any stage activity — and if so, how many may be skipped. Only
-    /// valid when the cached recovery horizon is current (`!step_dirty`).
+    /// any stage activity — and if so, how many may be skipped. Valid
+    /// between any two ticks: a marked ready set (IQ or recovery) is
+    /// busy, and every parked µ-op waits on the wake heap, whose next due
+    /// time bounds the skip, or on an event only a stage can fire.
     ///
     /// Returns `Some((n, dispatch_stall))` when cycles `now+1 ..= now+n`
     /// are all quiet (`dispatch_stall` reports whether each of them
@@ -602,13 +530,14 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     fn quiet_skip(&mut self) -> Option<(u64, bool)> {
         let c = self.now + 1;
         // Cheapest busy checks first: scheduler events pending this cycle.
-        if self.sched.ready_len() > 0 || self.rename.has_woken() || self.sched.has_store_woken() {
+        if self.sched.ready_len() > 0
+            || self.sched.recovery_ready_len() > 0
+            || self.rename.has_woken()
+            || self.sched.has_store_woken()
+        {
             return None;
         }
-        let mut event = self.recovery_ready_at;
-        if event <= c {
-            return None;
-        }
+        let mut event = Cycle::NEVER;
         if let Some(head) = self.rob.front() {
             if head.state == UopState::Done {
                 if head.done_at <= c {
@@ -937,11 +866,17 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     // ------------------------------------------------------------------
 
     fn entry(&self, seq: SeqNum) -> Option<&RobEntry> {
-        let base = self.rob.front()?.seq;
+        Self::rob_entry(&self.rob, seq)
+    }
+
+    /// [`Self::entry`] over a borrowed ROB, for callers that hold other
+    /// fields mutably.
+    fn rob_entry(rob: &VecDeque<RobEntry>, seq: SeqNum) -> Option<&RobEntry> {
+        let base = rob.front()?.seq;
         if seq < base {
             return None;
         }
-        self.rob.get((seq.get() - base.get()) as usize)
+        rob.get((seq.get() - base.get()) as usize)
     }
 
     fn entry_mut(&mut self, seq: SeqNum) -> Option<&mut RobEntry> {
@@ -960,7 +895,9 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// event that may change its readiness. Invalidate-then-classify:
     ///
     /// * every outstanding parked reference goes stale (epoch bump);
-    /// * not an IQ-waiting entry → nothing to track;
+    /// * neither IQ-waiting nor waiting in the recovery buffer → nothing
+    ///   to track (both kinds classify the same way below and differ
+    ///   only in which ready bitmap they mark);
     /// * a source is `NEVER` (conservative/unissued producer) → watch
     ///   only the `NEVER` sources; nothing can change until one of them
     ///   acquires a wake time, and the re-classification that triggers
@@ -972,7 +909,8 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     ///   the watcher); any source moving *later* is discovered at the
     ///   parked re-check, before the µ-op could have issued anyway;
     /// * blocked on an unexecuted predicted store → park on that store;
-    /// * otherwise → mark ready.
+    /// * otherwise → mark ready (the recovery bitmap for a recovery
+    ///   member).
     ///
     /// The ready bit is a *belief*: selection re-verifies with
     /// [`Self::ready_to_issue`] and re-registers on mismatch (lazy
@@ -980,12 +918,13 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     fn sched_register(&mut self, seq: SeqNum) {
         self.work.registrations += 1;
         let epoch = self.sched.invalidate(seq);
-        let (srcs, store_dep) = {
+        let (srcs, store_dep, in_recovery) = {
             let Some(e) = self.entry(seq) else { return };
-            if !e.is_iq_waiting() {
+            let in_recovery = e.is_recovery_waiting();
+            if !in_recovery && !e.is_iq_waiting() {
                 return;
             }
-            (e.srcs, e.store_dep)
+            (e.srcs, e.store_dep, in_recovery)
         };
         let now = self.now;
         let mut latest = Cycle::ZERO;
@@ -1020,7 +959,11 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 return;
             }
         }
-        self.sched.mark_ready(seq);
+        if in_recovery {
+            self.sched.mark_recovery_ready(seq);
+        } else {
+            self.sched.mark_ready(seq);
+        }
     }
 
     /// Drops `seq` from the scheduler (issued or flushed): clears its
@@ -1061,23 +1004,35 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     }
 
     /// Debug-build cross-check (every 256 cycles): no eligible ready
-    /// µ-op may be stranded outside the ready bitmap, and every marked
-    /// bit must belong to a live IQ-waiting entry. The bitmap may
-    /// legitimately hold entries that are no longer `ready_to_issue`
-    /// (lazy invalidation); selection filters those.
+    /// µ-op may be stranded outside its ready bitmap, and every marked
+    /// bit must belong to a live entry of the matching kind (IQ-waiting
+    /// or recovery member). The bitmaps may legitimately hold entries
+    /// that are no longer `ready_to_issue` (lazy invalidation); the issue
+    /// stage filters those.
     #[cfg(debug_assertions)]
     fn sched_cross_check(&self) {
         if !self.now.get().is_multiple_of(256) {
             return;
         }
         for e in &self.rob {
-            if e.is_iq_waiting() && self.ready_to_issue(e.seq) {
+            let member = e.is_recovery_waiting();
+            if (member || e.is_iq_waiting()) && self.ready_to_issue(e.seq) {
+                let marked = if member {
+                    self.sched.is_recovery_ready(e.seq)
+                } else {
+                    self.sched.is_ready(e.seq)
+                };
                 assert!(
-                    self.sched.is_ready(e.seq),
-                    "stranded ready µ-op {} ({:?}) at {}",
-                    e.seq,
-                    e.uop.class,
-                    self.now
+                    marked,
+                    "stranded ready µ-op {} ({:?}, recovery={member}) at {}",
+                    e.seq, e.uop.class, self.now
+                );
+            }
+            if self.sched.is_recovery_ready(e.seq) {
+                assert!(
+                    member,
+                    "recovery ready bit on non-member µ-op {} ({:?}) at {}",
+                    e.seq, e.state, self.now
                 );
             }
             if self.sched.is_ready(e.seq) {
@@ -1695,8 +1650,8 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         if let Some((new, _)) = dst {
             self.rename.reset_timing(new);
         }
-        // Memory µ-ops went back to IQ-waiting; recovery entries only
-        // need their stale parked references dropped.
+        // Memory µ-ops went back to IQ-waiting, the rest to the recovery
+        // buffer; both register with the scheduler.
         self.sched_register(seq);
     }
 
@@ -1785,22 +1740,19 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     // issue
     // ------------------------------------------------------------------
 
-    /// The issue stage. With `scan_recovery` false the recovery-buffer
-    /// walk is omitted — only legal when the caller has proven no member
-    /// is selectable this cycle (the walk would inspect every member and
-    /// issue none, mutating nothing). A walk also records the buffer's
-    /// next readiness horizon into the stepper cache.
-    fn issue(&mut self, scan_recovery: bool) {
+    /// The issue stage: drain the cycle's scheduler events, replay
+    /// ready recovery-buffer members, then select from the IQ ready set.
+    /// Both phases visit only µ-ops whose ready bit is set and re-verify
+    /// each one, re-registering it on a mismatch (lazy invalidation).
+    fn issue(&mut self) {
         self.sched_drain_events();
         #[cfg(debug_assertions)]
-        self.sched_cross_check();
+        {
+            self.sched_cross_check();
+            self.assert_no_stranded_recovery();
+        }
         if self.issue_blocked_at == Some(self.now) {
-            // A replay squashed this cycle: selection is suppressed, and
-            // the walk below never ran. Any horizon the caller wanted is
-            // unknown — force a rescan next cycle.
-            if scan_recovery {
-                self.recovery_ready_at = Cycle::ZERO;
-            }
+            // A replay squashed this cycle: selection is suppressed.
             return;
         }
         let mut width = self.cfg.issue_width;
@@ -1813,37 +1765,32 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         let mut cycle_state = IssueCycleState::default();
         let mut issued_group: Vec<SeqNum> = self.group_pool.get();
 
-        // Recovery buffer first (Morancho-style): scan oldest group first,
-        // skipping not-ready entries. (A literal single-group select can
-        // livelock once several replay events interleave group ages, so
-        // the buffer carries per-entry ready bits instead — see DESIGN.md.)
-        let mut replay_candidates = std::mem::take(&mut self.scratch_candidates);
-        replay_candidates.clear();
-        if scan_recovery {
-            replay_candidates.extend(self.recovery.iter().flat_map(|(_, g)| g.iter().copied()));
+        // Recovery buffer first (Morancho-style): oldest group first,
+        // members in order, visiting only entries whose ready bit is set.
+        // (A literal single-group select can livelock once several replay
+        // events interleave group ages, so the buffer carries per-entry
+        // ready bits instead — see DESIGN.md.) The marked members are
+        // collected up front; nothing in the loop can set a bit.
+        let mut candidates = std::mem::take(&mut self.scratch_candidates);
+        candidates.clear();
+        let mut marked = self.sched.recovery_ready_len();
+        for &seq in self.recovery.iter().flat_map(|(_, g)| g) {
+            if marked == 0 {
+                break;
+            }
+            if self.sched.is_recovery_ready(seq) {
+                candidates.push(seq);
+                marked -= 1;
+            }
         }
-        // Next readiness horizon, rebuilt during the walk. Members that
-        // issue leave the buffer and contribute nothing; a member that
-        // is ready but loses arbitration (width/ports) folds a past
-        // cycle in, forcing a rescan next cycle. Exact only when nothing
-        // issues this cycle — any issue can move wake times, which
-        // re-dirties the cache anyway (see `tick`).
-        let mut horizon = Cycle::NEVER;
-        let mut replayed_any = false;
-        for &seq in &replay_candidates {
+        for &seq in &candidates {
             if width == 0 {
-                // Remaining members unexamined; their bounds are unknown.
-                horizon = Cycle::ZERO;
                 break;
             }
             self.work.recovery_visits += 1;
-            match self.replay_ready_at(seq) {
-                None => continue,
-                Some(at) if at > self.now => {
-                    horizon = horizon.min(at);
-                    continue;
-                }
-                Some(at) => horizon = horizon.min(at),
+            if !self.ready_to_issue(seq) {
+                self.sched_register(seq);
+                continue;
             }
             if !Self::take_ports(
                 self.entry(seq).expect("entry").uop.class,
@@ -1862,30 +1809,11 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             }
             self.do_issue(seq, &mut cycle_state);
             self.stats.recovery_buffer_replays += 1;
-            self.replayed_marks.insert(seq);
             issued_group.push(seq);
-            replayed_any = true;
         }
-        if scan_recovery {
-            self.recovery_ready_at = horizon;
-        }
-        if replayed_any {
-            // Drop the issued µ-ops from their groups: O(total members)
-            // via the scratch bitset (a `contains` against the issued
-            // list would be quadratic in the replay-storm worst case).
-            let marks = &self.replayed_marks;
-            for (_, group) in &mut self.recovery {
-                group.retain(|s| !marks.contains(*s));
-            }
-            // Only recovery issues are in the group so far.
-            for &seq in &issued_group {
-                self.replayed_marks.remove(seq);
-            }
-            while let Some(pos) = self.recovery.iter().position(|(_, g)| g.is_empty()) {
-                if let Some((_, g)) = self.recovery.remove(pos) {
-                    self.group_pool.put(g);
-                }
-            }
+        // Only replays are in the issue group so far.
+        if !issued_group.is_empty() {
+            self.prune_recovery();
         }
 
         // Scheduler: oldest-first selection over IQ-resident µ-ops. The
@@ -1904,7 +1832,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             /// at one batch.
             const SELECT_BATCH: usize = 16;
             let mut first_iq_issue = true;
-            let mut candidates = std::mem::take(&mut replay_candidates);
             let base = self.rob.front().map(|e| e.seq);
             let mut consumed = 0u64;
             'select: loop {
@@ -1970,15 +1897,31 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 let head = base.expect("candidates imply a ROB head");
                 consumed = last.get() + 1 - head.get();
             }
-            replay_candidates = candidates;
         }
-        self.scratch_candidates = replay_candidates;
+        self.scratch_candidates = candidates;
 
         if !issued_group.is_empty() {
             self.inflight.push_back((self.now, issued_group));
         } else {
             self.group_pool.put(issued_group);
         }
+    }
+
+    /// Drops the members that left the recovery buffer (replayed, or
+    /// flushed off the ROB tail) and recycles the groups they emptied,
+    /// keeping group order. A member still waiting has `in_recovery` set
+    /// ([`Self::check_invariants`] enforces it), so that flag is the
+    /// whole membership test.
+    fn prune_recovery(&mut self) {
+        let (rob, pool) = (&self.rob, &mut self.group_pool);
+        self.recovery.retain_mut(|(_, group)| {
+            group.retain(|&seq| Self::rob_entry(rob, seq).is_some_and(|e| e.in_recovery));
+            if group.is_empty() {
+                pool.put(std::mem::take(group));
+                return false;
+            }
+            true
+        });
     }
 
     /// Source wakeup + memory-dependence readiness.
@@ -2497,18 +2440,11 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         // reuses the flushed range. Deferred revisions for unwound
         // registers are dropped lazily by the avail-reset guard.
         self.next_seq = branch_seq.next();
-        // Purge stale seqs from replay structures (entries validate by
-        // state, but keep the queues tidy).
+        // Purge flushed seqs from replay structures (in-flight entries
+        // validate by state, but keep the queues tidy).
+        self.prune_recovery();
         let last = self.rob.back().map(|e| e.seq);
         let valid = |s: &SeqNum| last.is_some_and(|l| *s <= l);
-        for (_, g) in &mut self.recovery {
-            g.retain(valid);
-        }
-        while let Some(pos) = self.recovery.iter().position(|(_, g)| g.is_empty()) {
-            if let Some((_, g)) = self.recovery.remove(pos) {
-                self.group_pool.put(g);
-            }
-        }
         for (_, g) in &mut self.inflight {
             g.retain(valid);
         }
@@ -2595,7 +2531,6 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
             self.iq_used.save(w);
             self.lq_used.save(w);
             self.sq_used.save(w);
-            self.replayed_marks.save_state(w);
             self.store_ring.save(w);
             self.muldiv_free.save(w);
             self.fpdiv_free.save(w);
@@ -2706,8 +2641,6 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
         self.scratch_woken.clear();
         self.scratch_squash.clear();
         self.pending_error = None;
-        // The gated-stepper cache describes the pre-restore machine.
-        self.step_dirty = true;
         Ok(())
     }
 
@@ -2740,7 +2673,6 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
         self.iq_used = Persist::load(r)?;
         self.lq_used = Persist::load(r)?;
         self.sq_used = Persist::load(r)?;
-        self.replayed_marks.restore_state(r)?;
         self.store_ring = Persist::load(r)?;
         self.muldiv_free = Persist::load(r)?;
         self.fpdiv_free = Persist::load(r)?;
@@ -2802,12 +2734,12 @@ mod tests {
         Simulator::new(cfg, KernelTrace::new(kernels::dep_chain_l2(2)))
     }
 
-    /// The stepper cache (recovery horizon, dirty flag) must stay exact
-    /// across every entry point: a run interrupted by a capture, more
-    /// stepping, a restore back to the capture and single `tick`s ends
-    /// on the same statistics as one uninterrupted call.
+    /// The stepper's gates and quiet skip must stay exact across every
+    /// entry point: a run interrupted by a capture, more stepping, a
+    /// restore back to the capture and single `tick`s ends on the same
+    /// statistics as one uninterrupted call.
     #[test]
-    fn stepper_cache_survives_restore_and_direct_ticks() {
+    fn stepper_survives_restore_and_direct_ticks() {
         const TARGET: u64 = 12_000;
         let mut whole = sim();
         whole.try_run_committed(TARGET).unwrap();
@@ -2815,8 +2747,8 @@ mod tests {
         let mut split = sim();
         split.try_run_committed(4_000).unwrap();
         let snap = split.capture();
-        // Advance past the capture so the cache describes a later
-        // machine than the one restored below.
+        // Advance past the capture so the scheduler state describes a
+        // later machine than the one restored below.
         split.try_run_committed(3_000).unwrap();
         split.restore(&snap).unwrap();
         for _ in 0..500 {
@@ -2829,16 +2761,14 @@ mod tests {
         assert_eq!(split.stats(), whole.stats());
     }
 
-    /// A restore must mark the stepper cache dirty even when the
-    /// simulator it lands in holds a clean cache. The snapshot is taken
-    /// mid replay storm on a cycle where a recovery member becomes
-    /// selectable while no deferred wake, commit or execute is due (the
-    /// stages that would re-dirty the cache on their own); the target
-    /// simulator's clean cache says nothing is ever selectable. Without
-    /// the flag the next cycle skips the recovery walk: a debug build
-    /// trips `recovery_cross_check`, a release build diverges.
+    /// A restore into a used simulator mid replay storm must carry the
+    /// recovery buffer's ready bits with it. The snapshot is taken on a
+    /// cycle where a recovery member is marked ready while no deferred
+    /// wake, commit or execute is due, so nothing but the restored bit
+    /// opens the next cycle's issue gate; the target simulator has run
+    /// a different stretch of the same machine first.
     #[test]
-    fn restore_dirties_a_clean_stepper_cache() {
+    fn restore_mid_replay_storm_matches_an_uninterrupted_run() {
         const TARGET: u64 = 6_000;
         let plan = || FaultPlan::new().replay_storm(1_000, 4_000);
         let mut whole = sim();
@@ -2851,16 +2781,11 @@ mod tests {
         let snap = loop {
             assert!(src.stats.committed_uops < TARGET, "no restore point found");
             let c = src.now + 1;
-            let selectable = src
-                .recovery
-                .iter()
-                .flat_map(|(_, g)| g)
-                .any(|&seq| src.replay_ready_at(seq).is_some_and(|at| at <= c));
             let wakes_due = src.deferred_wakes.iter().any(|&(at, _, _)| at <= c);
             let commit_due =
                 (src.rob.front()).is_some_and(|h| h.state == UopState::Done && h.done_at <= c);
             let execute_due = (src.inflight.front()).is_some_and(|&(at, _)| at + src.delay < c);
-            if selectable && !(wakes_due || commit_due || execute_due) {
+            if src.sched.recovery_ready_len() > 0 && !(wakes_due || commit_due || execute_due) {
                 break src.capture();
             }
             src.tick();
@@ -2868,8 +2793,6 @@ mod tests {
 
         let mut dst = sim();
         dst.try_run_committed(500).unwrap();
-        dst.step_dirty = false;
-        dst.recovery_ready_at = Cycle::NEVER;
         dst.restore(&snap).unwrap();
         let done = dst.stats().committed_uops;
         dst.try_run_committed(TARGET - done).unwrap();

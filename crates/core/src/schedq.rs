@@ -4,8 +4,9 @@
 //! structure the pipeline maintains *incrementally* instead of rebuilding
 //! by scanning the ROB every cycle:
 //!
-//! * a ready bitmap ([`ss_types::SeqBitmap`]) — the age-ordered set of
-//!   IQ-resident µ-ops believed selectable right now;
+//! * two ready bitmaps ([`ss_types::SeqBitmap`]) — the age-ordered set
+//!   of IQ-resident µ-ops believed selectable right now, and the per-entry
+//!   ready bits of the recovery buffer's members;
 //! * a wake heap ([`ss_types::WakeHeap`]) — µ-ops whose sources all carry
 //!   *finite* future wake times, parked until the latest of them;
 //! * store-waiter lists — µ-ops blocked on a predicted store dependence,
@@ -27,6 +28,10 @@ use ss_types::{Cycle, EpochRing, SeqBitmap, SeqNum, WakeHeap};
 #[derive(Debug)]
 pub struct SchedQueue {
     ready: SeqBitmap,
+    /// Ready bits of recovery-buffer members (paper §2.1: each entry of
+    /// the buffer carries its own). Kept apart from `ready` because the
+    /// buffer is walked in group order, not selected by age.
+    recovery_ready: SeqBitmap,
     heap: WakeHeap,
     epochs: EpochRing,
     /// Ring of per-store waiter lists, indexed by the store's sequence
@@ -46,6 +51,7 @@ impl SchedQueue {
         let cap = ready.capacity();
         SchedQueue {
             ready,
+            recovery_ready: SeqBitmap::new(rob_entries),
             heap: WakeHeap::new(rob_entries),
             epochs: EpochRing::new(rob_entries),
             store_waiters: vec![Vec::new(); cap],
@@ -55,9 +61,10 @@ impl SchedQueue {
     }
 
     /// Invalidates every outstanding parked reference to `seq` and clears
-    /// its ready bit; returns the fresh epoch for new registrations.
+    /// its ready bits; returns the fresh epoch for new registrations.
     pub fn invalidate(&mut self, seq: SeqNum) -> u32 {
         self.ready.remove(seq);
+        self.recovery_ready.remove(seq);
         self.epochs.bump(seq)
     }
 
@@ -79,6 +86,21 @@ impl SchedQueue {
     /// Ready entries currently marked.
     pub fn ready_len(&self) -> usize {
         self.ready.len()
+    }
+
+    /// Marks recovery-buffer member `seq` ready to replay.
+    pub fn mark_recovery_ready(&mut self, seq: SeqNum) {
+        self.recovery_ready.insert(seq);
+    }
+
+    /// Whether recovery-buffer member `seq` is currently marked ready.
+    pub fn is_recovery_ready(&self, seq: SeqNum) -> bool {
+        self.recovery_ready.contains(seq)
+    }
+
+    /// Recovery-buffer members currently marked ready.
+    pub fn recovery_ready_len(&self) -> usize {
+        self.recovery_ready.len()
     }
 
     /// Collects the ready set within `[base, base + span)` into `out`,
@@ -180,6 +202,10 @@ mod tests {
         assert!(q.is_ready(s));
         let _fresh = q.invalidate(s);
         assert!(!q.is_ready(s));
+        q.mark_recovery_ready(s);
+        assert!(q.is_recovery_ready(s) && !q.is_ready(s));
+        let _fresh = q.invalidate(s);
+        assert_eq!(q.recovery_ready_len(), 0);
         assert_eq!(q.pop_due(Cycle::new(10)), None, "stale timer is dropped");
     }
 
@@ -217,4 +243,4 @@ mod tests {
     }
 }
 
-ss_types::impl_persist_state!(SchedQueue { store_waiters, store_woken ; ready, heap, epochs });
+ss_types::impl_persist_state!(SchedQueue { store_waiters, store_woken ; ready, recovery_ready, heap, epochs });

@@ -207,6 +207,13 @@ impl RobEntry {
         self.state == UopState::Waiting && !self.in_recovery && self.holds_iq
     }
 
+    /// Whether this entry waits in the recovery buffer to replay: the
+    /// membership predicate of the scheduler's recovery ready bits.
+    #[inline]
+    pub fn is_recovery_waiting(&self) -> bool {
+        self.state == UopState::Waiting && self.in_recovery
+    }
+
     /// Creates a freshly-dispatched entry.
     pub fn new(seq: SeqNum, uop: MicroOp, wrong_path: bool) -> Self {
         RobEntry {
@@ -280,9 +287,10 @@ mod tests {
         assert!(e.is_iq_waiting());
         e.in_recovery = true;
         assert!(!e.is_iq_waiting(), "recovery entries have their own loop");
+        assert!(e.is_recovery_waiting());
         e.in_recovery = false;
         e.state = UopState::InFlight;
-        assert!(!e.is_iq_waiting());
+        assert!(!e.is_iq_waiting() && !e.is_recovery_waiting());
     }
 
     fn prediction() -> BranchPrediction {

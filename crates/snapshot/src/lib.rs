@@ -42,7 +42,7 @@ pub const SNAPSHOT_MAGIC: &str = "ss-snapshot";
 
 /// Snapshot format version written and read by this build. Bump whenever
 /// the serialized field set of any component changes.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be used.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -425,11 +425,12 @@ mod tests {
     fn version_bump_is_a_typed_mismatch() {
         let mut bytes = sample().to_bytes();
         let v_pos = SNAPSHOT_MAGIC.len() + 2; // the digit after " v"
-        assert_eq!(bytes[v_pos], b'1');
-        bytes[v_pos] = b'2';
+        assert_eq!(bytes[v_pos], b'0' + SNAPSHOT_FORMAT_VERSION as u8);
+        bytes[v_pos] += 1;
         match Snapshot::from_bytes(&bytes) {
-            Err(SnapshotError::VersionMismatch { found: 2, expected }) => {
-                assert_eq!(expected, SNAPSHOT_FORMAT_VERSION)
+            Err(SnapshotError::VersionMismatch { found, expected }) => {
+                assert_eq!(found, SNAPSHOT_FORMAT_VERSION + 1);
+                assert_eq!(expected, SNAPSHOT_FORMAT_VERSION);
             }
             other => panic!("expected version mismatch, got {other:?}"),
         }

@@ -95,9 +95,9 @@ fn steady_state_tick_does_not_allocate() {
         after - before
     );
 
-    // The run loop on top of `tick`: quiet-window skipping and the
-    // recovery-horizon cache. Each call returns a `SimStats`; whatever
-    // building one costs is the only allocation allowed.
+    // The run loop on top of `tick`: the quiet-window probe runs on
+    // every iteration. Each call returns a `SimStats`; whatever building
+    // one costs is the only allocation allowed.
     const SLICES: u64 = 40;
     const SLICE: u64 = 500;
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
