@@ -647,39 +647,63 @@ mod tests {
         let cfg = configs::spec_sched(4, false);
         let bench = benchmark("mix_int").unwrap();
         let cold = Session::new(LEN, None).try_run(&cfg, bench).expect("runs");
-        let mut sess = Session::new(LEN, None);
-        sess.enable_warm_fork(dir.clone());
-        // What a build with another `SimConfig` leaves at this cell's
-        // warm path: an intact snapshot whose fingerprint is not this
-        // machine's (here, the same warmup on the banked machine).
-        let path = sess.warm_path(&cfg.name, bench.name).unwrap();
-        let foreign = RunRequest::kernel((bench.build)(WORKLOAD_SEED))
-            .config(configs::spec_sched(4, true).spec)
-            .length(RunLength {
-                warmup: LEN.warmup,
-                measure: 0,
-            })
-            .capture_warm()
-            .execute()
-            .unwrap()
-            .snapshot
-            .unwrap();
+        let mut probe = Session::new(LEN, None);
+        probe.enable_warm_fork(dir.clone());
+        let path = probe.warm_path(&cfg.name, bench.name).unwrap();
+        let warm_bytes = |spec| {
+            RunRequest::kernel((bench.build)(WORKLOAD_SEED))
+                .config(spec)
+                .length(RunLength {
+                    warmup: LEN.warmup,
+                    measure: 0,
+                })
+                .capture_warm()
+                .execute()
+                .unwrap()
+                .snapshot
+                .unwrap()
+                .to_bytes()
+        };
         let fingerprint = ss_core::config_fingerprint(&cfg.config);
-        assert_ne!(foreign.config_fingerprint, fingerprint);
-        ss_snapshot::write_atomic(&path, &foreign).unwrap();
+        // What another build can leave at this cell's warm path:
+        // * an intact snapshot whose fingerprint is not this machine's
+        //   (here, the same warmup on the banked machine);
+        let foreign = warm_bytes(configs::spec_sched(4, true).spec);
+        assert_ne!(
+            Snapshot::from_bytes(&foreign).unwrap().config_fingerprint,
+            fingerprint
+        );
+        // * this machine's own warm state, stamped with format version 1,
+        //   whose layout this build no longer reads.
+        let current = format!(
+            "{} v{} ",
+            ss_snapshot::SNAPSHOT_MAGIC,
+            ss_snapshot::SNAPSHOT_FORMAT_VERSION
+        );
+        let mut v1 = format!("{} v1 ", ss_snapshot::SNAPSHOT_MAGIC).into_bytes();
+        v1.extend_from_slice(&warm_bytes(cfg.spec)[current.len()..]);
+        assert!(matches!(
+            Snapshot::from_bytes(&v1),
+            Err(ss_snapshot::SnapshotError::VersionMismatch { found: 1, .. })
+        ));
 
-        let got = sess
-            .try_run(&cfg, bench)
-            .expect("re-warms instead of failing");
-        assert_eq!(got, cold, "re-warmed run is bit-identical to a cold one");
-        assert_eq!(sess.warm_forked, 0, "the foreign snapshot was not forked");
-        let rewritten = ss_snapshot::read_verified(&path).unwrap();
-        assert_eq!(rewritten.config_fingerprint, fingerprint, "file replaced");
-        // The replacement is one this build forks from.
-        let mut next = Session::new(LEN, None);
-        next.enable_warm_fork(dir.clone());
-        assert_eq!(next.try_run(&cfg, bench).expect("runs"), cold);
-        assert_eq!(next.warm_forked, 1);
+        for stale in [foreign, v1] {
+            std::fs::write(&path, stale).unwrap();
+            let mut sess = Session::new(LEN, None);
+            sess.enable_warm_fork(dir.clone());
+            let got = sess
+                .try_run(&cfg, bench)
+                .expect("re-warms instead of failing");
+            assert_eq!(got, cold, "re-warmed run is bit-identical to a cold one");
+            assert_eq!(sess.warm_forked, 0, "the stale snapshot was not forked");
+            let rewritten = ss_snapshot::read_verified(&path).unwrap();
+            assert_eq!(rewritten.config_fingerprint, fingerprint, "file replaced");
+            // The replacement is one this build forks from.
+            let mut next = Session::new(LEN, None);
+            next.enable_warm_fork(dir.clone());
+            assert_eq!(next.try_run(&cfg, bench).expect("runs"), cold);
+            assert_eq!(next.warm_forked, 1);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
