@@ -1,20 +1,23 @@
 //! Seeded-loop property tests for the event-driven ready queue
-//! ([`SchedQueue`]): a randomized sliding window of µ-ops is driven
-//! through every parking surface (ready bitmap, wake heap, store-waiter
-//! lists) and cross-checked each step against a naive reference model —
-//! the moral equivalent of the legacy full scan. Plain deterministic
+//! ([`SchedQueue`]): a randomized sliding window of µ-ops — IQ entries
+//! and recovery-buffer members — is driven through every parking surface
+//! (both ready bitmaps, wake heap, store-waiter lists) and cross-checked
+//! each step against a naive reference model — the moral equivalent of
+//! a full scan of the window. Plain deterministic
 //! loops over the vendored [`Xoshiro256`], per the workspace convention
 //! (no proptest).
 //!
 //! Invariants enforced every step:
 //! * **exact selection** — `collect_ready` returns precisely the model's
-//!   ready set, oldest first (so the issue stage selects exactly what a
-//!   scan would);
+//!   IQ ready set, oldest first (so the issue stage selects exactly what
+//!   a scan would), and the recovery ready bits are exactly the model's
+//!   ready recovery members;
 //! * **no stranding** — once time passes a parked entry's wake cycle, or
 //!   its blocking store fires, draining the queue surfaces it (a woken
 //!   µ-op can never be lost);
 //! * **epoch discipline** — records parked before a re-registration or
-//!   flush (epoch bump) never resurface.
+//!   flush (epoch bump) never resurface, and `invalidate` clears both
+//!   ready bits.
 
 use std::collections::BTreeMap;
 
@@ -38,11 +41,20 @@ enum State {
     Store(u64),
 }
 
-/// The reference model: a plain map the test scans like the legacy
-/// scheduler scanned the ROB.
+/// One window entry of the reference model.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    state: State,
+    /// A recovery-buffer member (its ready bit lives in the recovery
+    /// bitmap) rather than an IQ entry.
+    recovery: bool,
+}
+
+/// The reference model: a plain map the test scans the way a scheduler
+/// without event tracking would scan the ROB.
 struct Model {
-    /// Active window entries: seq → (current epoch, state).
-    entries: BTreeMap<u64, (u32, State)>,
+    /// Active window entries by seq.
+    entries: BTreeMap<u64, Entry>,
     /// Oldest active seq (window base).
     low: u64,
     /// Next seq to admit.
@@ -60,22 +72,46 @@ impl Model {
         }
     }
 
-    fn ready_seqs(&self) -> Vec<u64> {
+    /// Ready IQ entries (`recovery == false`) or ready recovery members
+    /// (`recovery == true`), oldest first.
+    fn ready_seqs(&self, recovery: bool) -> Vec<u64> {
         self.entries
             .iter()
-            .filter(|(_, (_, st))| *st == State::Ready)
+            .filter(|(_, e)| e.state == State::Ready && e.recovery == recovery)
             .map(|(&s, _)| s)
             .collect()
     }
 }
 
-/// Picks a random parked state for a (re-)registered µ-op and applies it
-/// to both the queue and the model.
-fn register(q: &mut SchedQueue, m: &mut Model, rng: &mut Xoshiro256, seq: u64, now: Cycle) {
+/// Sets `seq`'s ready bit in the bitmap its kind uses, as the pipeline's
+/// registration does.
+fn mark(q: &mut SchedQueue, seq: SeqNum, recovery: bool) {
+    if recovery {
+        q.mark_recovery_ready(seq);
+    } else {
+        q.mark_ready(seq);
+    }
+}
+
+/// Invalidates `seq` and checks that both of its ready bits are clear.
+fn invalidate(q: &mut SchedQueue, seq: u64) -> u32 {
     let epoch = q.invalidate(SeqNum::new(seq));
+    assert!(
+        !q.is_ready(SeqNum::new(seq)) && !q.is_recovery_ready(SeqNum::new(seq)),
+        "invalidate left a ready bit on {seq}"
+    );
+    epoch
+}
+
+/// Picks a random kind (IQ entry or recovery member) and parked state
+/// for a (re-)registered µ-op and applies them to both the queue and the
+/// model.
+fn register(q: &mut SchedQueue, m: &mut Model, rng: &mut Xoshiro256, seq: u64, now: Cycle) {
+    let epoch = invalidate(q, seq);
+    let recovery = rng.next_below(3) == 0;
     let state = match rng.next_below(4) {
         0 => {
-            q.mark_ready(SeqNum::new(seq));
+            mark(q, SeqNum::new(seq), recovery);
             State::Ready
         }
         1 => {
@@ -92,7 +128,7 @@ fn register(q: &mut SchedQueue, m: &mut Model, rng: &mut Xoshiro256, seq: u64, n
         }
         _ => State::Idle,
     };
-    m.entries.insert(seq, (epoch, state));
+    m.entries.insert(seq, Entry { state, recovery });
 }
 
 /// Releases every current waiter of `store` in both queue and model,
@@ -100,23 +136,24 @@ fn register(q: &mut SchedQueue, m: &mut Model, rng: &mut Xoshiro256, seq: u64, n
 fn fire_store(q: &mut SchedQueue, m: &mut Model, store: u64) {
     q.fire_store(SeqNum::new(store));
     while let Some(w) = q.pop_store_woken() {
-        let (_, st) = m
+        let e = m
             .entries
             .get_mut(&w.get())
             .unwrap_or_else(|| panic!("store {store} woke dead waiter {w}"));
         assert_eq!(
-            *st,
+            e.state,
             State::Store(store),
-            "store {store} woke {w}, which the model has in state {st:?}"
+            "store {store} woke {w}, which the model has in state {:?}",
+            e.state
         );
-        *st = State::Ready;
-        q.mark_ready(w);
+        e.state = State::Ready;
+        mark(q, w, e.recovery);
     }
     // No stranding: every current-epoch waiter of this store must have
     // been released above.
-    for (&s, &(_, st)) in &m.entries {
+    for (&s, e) in &m.entries {
         assert_ne!(
-            st,
+            e.state,
             State::Store(store),
             "µ-op {s} stranded on store {store} after it fired"
         );
@@ -127,19 +164,19 @@ fn fire_store(q: &mut SchedQueue, m: &mut Model, store: u64) {
 /// then asserts nothing due is left behind.
 fn drain_due(q: &mut SchedQueue, m: &mut Model, now: Cycle) {
     while let Some(s) = q.pop_due(now) {
-        let (_, st) = m
+        let e = m
             .entries
             .get_mut(&s.get())
             .unwrap_or_else(|| panic!("heap woke dead µ-op {s}"));
-        match *st {
+        match e.state {
             State::Timer(at) => assert!(at <= now, "µ-op {s} woke early ({at:?} > {now:?})"),
             other => panic!("heap woke {s}, which the model has in state {other:?}"),
         }
-        *st = State::Ready;
-        q.mark_ready(s);
+        e.state = State::Ready;
+        mark(q, s, e.recovery);
     }
-    for (&s, &(_, st)) in &m.entries {
-        if let State::Timer(at) = st {
+    for (&s, e) in &m.entries {
+        if let State::Timer(at) = e.state {
             assert!(
                 at > now,
                 "µ-op {s} stranded in the heap: due at {at:?}, now {now:?}"
@@ -148,20 +185,31 @@ fn drain_due(q: &mut SchedQueue, m: &mut Model, now: Cycle) {
     }
 }
 
-/// The full scan the legacy scheduler would do: the queue's ready set
-/// must match it exactly, oldest first.
+/// The full scan a scheduler without event tracking would do: the
+/// queue's ready sets must match it exactly, the IQ set oldest first.
 fn cross_check(q: &SchedQueue, m: &Model, scratch: &mut Vec<SeqNum>) {
-    let expect = m.ready_seqs();
+    let expect = m.ready_seqs(false);
     assert_eq!(q.ready_len(), expect.len(), "ready count diverged");
     scratch.clear();
     q.collect_ready(SeqNum::new(m.low), SPAN, scratch);
     let got: Vec<u64> = scratch.iter().map(|s| s.get()).collect();
     assert_eq!(got, expect, "ready set or age order diverged from scan");
-    for (&s, &(_, st)) in &m.entries {
+    assert_eq!(
+        q.recovery_ready_len(),
+        m.ready_seqs(true).len(),
+        "recovery ready count diverged"
+    );
+    for (&s, e) in &m.entries {
+        let ready = e.state == State::Ready;
         assert_eq!(
             q.is_ready(SeqNum::new(s)),
-            st == State::Ready,
-            "is_ready({s}) disagrees with model state {st:?}"
+            ready && !e.recovery,
+            "is_ready({s}) disagrees with model entry {e:?}"
+        );
+        assert_eq!(
+            q.is_recovery_ready(SeqNum::new(s)),
+            ready && e.recovery,
+            "is_recovery_ready({s}) disagrees with model entry {e:?}"
         );
     }
 }
@@ -191,7 +239,7 @@ fn ready_queue_matches_full_scan_model() {
                     if !m.entries.is_empty() {
                         let seq = m.low;
                         fire_store(&mut q, &mut m, seq);
-                        q.invalidate(SeqNum::new(seq));
+                        invalidate(&mut q, seq);
                         m.entries.remove(&seq);
                         m.low += 1;
                     }
@@ -232,10 +280,11 @@ fn ready_queue_matches_full_scan_model() {
         for s in keys {
             fire_store(&mut q, &mut m, s);
         }
-        for (&s, &(_, st)) in &m.entries {
+        for (&s, e) in &m.entries {
             assert!(
-                matches!(st, State::Ready | State::Idle),
-                "µ-op {s} still parked ({st:?}) after global wake"
+                matches!(e.state, State::Ready | State::Idle),
+                "µ-op {s} still parked ({:?}) after global wake",
+                e.state
             );
         }
         cross_check(&q, &m, &mut scratch);
