@@ -24,6 +24,27 @@ use ss_core::Simulator;
 use ss_harness::ConfigSpec;
 use ss_workloads::{benchmark, KernelTrace};
 
+const USAGE: &str = "usage: trace <benchmark> [--config NAME] [--cycles N] [--skip N] [--every N]";
+
+/// Reports a bad command line and exits 2, like the `experiments` binary.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg} (see --help)");
+    std::process::exit(2)
+}
+
+/// The value following `flag`, or a usage error when it is missing.
+fn value(flag: &str, v: Option<String>) -> String {
+    v.unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+}
+
+/// The count following `flag`, or a usage error when it is missing or
+/// not a non-negative integer.
+fn count(flag: &str, v: Option<String>) -> u64 {
+    let v = value(flag, v);
+    v.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} expects a count, got `{v}`")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut bench_name = None;
@@ -34,33 +55,30 @@ fn main() {
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--config" => config_name = it.next().expect("--config needs a name"),
-            "--cycles" => cycles = it.next().and_then(|v| v.parse().ok()).expect("--cycles N"),
-            "--skip" => skip = it.next().and_then(|v| v.parse().ok()).expect("--skip N"),
-            "--every" => every = it.next().and_then(|v| v.parse().ok()).expect("--every N"),
+            "--config" => config_name = value("--config", it.next()),
+            "--cycles" => cycles = count("--cycles", it.next()),
+            "--skip" => skip = count("--skip", it.next()),
+            "--every" => every = count("--every", it.next()),
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: trace <benchmark> [--config NAME] [--cycles N] [--skip N] [--every N]"
-                );
+                eprintln!("{USAGE}");
                 return;
             }
             other => bench_name = Some(other.to_string()),
         }
     }
+    if every == 0 {
+        usage_error("--every must be at least 1");
+    }
     let bench_name = bench_name.unwrap_or_else(|| "crafty_like".to_string());
     let Some(bench) = benchmark(&bench_name) else {
-        eprintln!(
+        usage_error(&format!(
             "unknown benchmark `{bench_name}`; available: {:?}",
             ss_workloads::benchmark_names()
-        );
-        std::process::exit(2);
+        ));
     };
     let cfg = match config_name.parse::<ConfigSpec>() {
         Ok(spec) => spec.named(),
-        Err(e) => {
-            eprintln!("{e} (e.g. SpecSched_4_Crit)");
-            std::process::exit(2);
-        }
+        Err(e) => usage_error(&format!("{e} (e.g. SpecSched_4_Crit)")),
     };
 
     println!("# {} on {}", bench.name, cfg.name);
