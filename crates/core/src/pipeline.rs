@@ -866,17 +866,11 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     // ------------------------------------------------------------------
 
     fn entry(&self, seq: SeqNum) -> Option<&RobEntry> {
-        Self::rob_entry(&self.rob, seq)
-    }
-
-    /// [`Self::entry`] over a borrowed ROB, for callers that hold other
-    /// fields mutably.
-    fn rob_entry(rob: &VecDeque<RobEntry>, seq: SeqNum) -> Option<&RobEntry> {
-        let base = rob.front()?.seq;
+        let base = self.rob.front()?.seq;
         if seq < base {
             return None;
         }
-        rob.get((seq.get() - base.get()) as usize)
+        self.rob.get((seq.get() - base.get()) as usize)
     }
 
     fn entry_mut(&mut self, seq: SeqNum) -> Option<&mut RobEntry> {
@@ -967,7 +961,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     }
 
     /// Drops `seq` from the scheduler (issued or flushed): clears its
-    /// ready bit and stales every parked reference.
+    /// ready bits and stales every parked reference.
     fn sched_forget(&mut self, seq: SeqNum) {
         self.sched.invalidate(seq);
     }
@@ -1913,15 +1907,18 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// ([`Self::check_invariants`] enforces it), so that flag is the
     /// whole membership test.
     fn prune_recovery(&mut self) {
-        let (rob, pool) = (&self.rob, &mut self.group_pool);
-        self.recovery.retain_mut(|(_, group)| {
-            group.retain(|&seq| Self::rob_entry(rob, seq).is_some_and(|e| e.in_recovery));
-            if group.is_empty() {
-                pool.put(std::mem::take(group));
-                return false;
+        let mut recovery = std::mem::take(&mut self.recovery);
+        for (_, group) in &mut recovery {
+            group.retain(|&seq| self.entry(seq).is_some_and(|e| e.in_recovery));
+        }
+        recovery.retain_mut(|(_, group)| {
+            let keep = !group.is_empty();
+            if !keep {
+                self.group_pool.put(std::mem::take(group));
             }
-            true
+            keep
         });
+        self.recovery = recovery;
     }
 
     /// Source wakeup + memory-dependence readiness.
