@@ -38,10 +38,9 @@ use ss_frontend::{FrontendOracle, ProgramSpec, RvTraceSource};
 use ss_oracle::InOrderModel;
 use ss_snapshot::Snapshot;
 use ss_types::persist::PersistState;
-use ss_types::trace::{TraceEvent, TraceSink};
+use ss_types::trace::{CaptureSink, TraceEvent, TraceSink};
 use ss_types::{CancelFlag, ConfigSpec, SimConfig, SimError, SimStats};
 use ss_workloads::{kernels, KernelSpec, KernelTrace, TraceSource};
-use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
@@ -169,19 +168,6 @@ enum Fork {
     Path(String),
 }
 
-/// What pipeline events to keep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum TraceReq {
-    /// No tracing (zero-cost `NullSink` path).
-    Off,
-    /// Bounded flight recorder: the most recent `capacity` events
-    /// (`trace=ring:{capacity}`).
-    Ring(usize),
-    /// Every event whose µ-op sequence number falls in `[lo, hi)`, plus
-    /// occupancy samples (`trace=win:{lo}..{hi}`).
-    Window(u64, u64),
-}
-
 /// Everything a finished run produced.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -247,7 +233,9 @@ pub struct RunRequest {
     deadline_ms: Option<u64>,
     check: bool,
     fork: Fork,
-    trace: TraceReq,
+    /// The capture sink to run with; `None` keeps the zero-cost
+    /// `NullSink` path.
+    trace: Option<CaptureSink>,
     faults: FaultPlan,
     seed_bug: bool,
     checkpoint: Option<String>,
@@ -262,7 +250,7 @@ impl RunRequest {
             deadline_ms: None,
             check: false,
             fork: Fork::Fresh,
-            trace: TraceReq::Off,
+            trace: None,
             faults: FaultPlan::new(),
             seed_bug: false,
             checkpoint: None,
@@ -397,7 +385,7 @@ impl RunRequest {
     /// Keeps a bounded flight recorder of the most recent `capacity`
     /// pipeline events (the fuzzing sink).
     pub fn ring_trace(mut self, capacity: usize) -> Self {
-        self.trace = TraceReq::Ring(capacity.max(1));
+        self.trace = Some(CaptureSink::ring(capacity));
         self
     }
 
@@ -405,7 +393,7 @@ impl RunRequest {
     /// `[lo, hi)`, plus per-cycle occupancy samples (the pipeview /
     /// Perfetto sink).
     pub fn window_trace(mut self, window: std::ops::Range<u64>) -> Self {
-        self.trace = TraceReq::Window(window.start, window.end);
+        self.trace = Some(CaptureSink::with_window(window));
         self
     }
 
@@ -606,7 +594,7 @@ impl Drive<'_> {
         cfg: SimConfig,
         spec: KernelSpec,
         check: bool,
-        trace: TraceReq,
+        trace: Option<CaptureSink>,
     ) -> Result<RunOutcome, SimError> {
         let checker = if check {
             spec.validate().map_err(SimError::ConfigInvalid)?;
@@ -626,9 +614,9 @@ impl Drive<'_> {
         cfg: SimConfig,
         src: T,
         checker: Option<DiffChecker>,
-        trace: TraceReq,
+        trace: Option<CaptureSink>,
     ) -> Result<RunOutcome, SimError> {
-        match RunSink::for_req(&trace) {
+        match trace {
             None => self.run(Simulator::new(cfg, src), checker),
             Some(sink) => self.run(Simulator::with_sink(cfg, src, sink), checker),
         }
@@ -640,9 +628,9 @@ impl Drive<'_> {
         self,
         cfg: SimConfig,
         src: T,
-        trace: TraceReq,
+        trace: Option<CaptureSink>,
     ) -> Result<RunOutcome, SimError> {
-        match RunSink::for_req(&trace) {
+        match trace {
             None => self.run_fresh(Simulator::new(cfg, src), None),
             Some(sink) => self.run_fresh(Simulator::with_sink(cfg, src, sink), None),
         }
@@ -772,76 +760,9 @@ impl Sink for ss_types::NullSink {
     }
 }
 
-/// The runner's own capture sink: a bounded ring or a µ-op sequence
-/// window, selected at run time (the simulator stays monomorphized over
-/// one traced sink type).
-#[derive(Debug)]
-enum RunSink {
-    Ring {
-        buf: VecDeque<TraceEvent>,
-        capacity: usize,
-    },
-    Window {
-        events: Vec<TraceEvent>,
-        lo: u64,
-        hi: u64,
-    },
-}
-
-impl RunSink {
-    fn for_req(req: &TraceReq) -> Option<RunSink> {
-        match *req {
-            TraceReq::Off => None,
-            TraceReq::Ring(capacity) => Some(RunSink::Ring {
-                buf: VecDeque::with_capacity(capacity),
-                capacity,
-            }),
-            TraceReq::Window(lo, hi) => Some(RunSink::Window {
-                events: Vec::new(),
-                lo,
-                hi,
-            }),
-        }
-    }
-}
-
-impl TraceSink for RunSink {
-    fn record(&mut self, ev: TraceEvent) {
-        match self {
-            RunSink::Ring { buf, capacity } => {
-                if buf.len() == *capacity {
-                    buf.pop_front();
-                }
-                buf.push_back(ev);
-            }
-            RunSink::Window { events, lo, hi } => {
-                // Occupancy samples carry no sequence number and always
-                // pass (same contract as the harness capture sink).
-                let wanted = match ev.seq() {
-                    Some(seq) => (*lo..*hi).contains(&seq.get()),
-                    None => true,
-                };
-                if wanted {
-                    events.push(ev);
-                }
-            }
-        }
-    }
-
-    fn recent(&self) -> Vec<TraceEvent> {
-        match self {
-            RunSink::Ring { buf, .. } => buf.iter().copied().collect(),
-            RunSink::Window { events, .. } => events.clone(),
-        }
-    }
-}
-
-impl Sink for RunSink {
+impl Sink for CaptureSink {
     fn into_events(self) -> Vec<TraceEvent> {
-        match self {
-            RunSink::Ring { buf, .. } => buf.into_iter().collect(),
-            RunSink::Window { events, .. } => events,
-        }
+        CaptureSink::into_events(self)
     }
 }
 
@@ -872,10 +793,8 @@ impl fmt::Display for RunRequest {
         if self.check {
             write!(f, " check=1")?;
         }
-        match self.trace {
-            TraceReq::Off => {}
-            TraceReq::Ring(cap) => write!(f, " trace=ring:{cap}")?,
-            TraceReq::Window(lo, hi) => write!(f, " trace=win:{lo}..{hi}")?,
+        if let Some(sink) = &self.trace {
+            write!(f, " trace={sink}")?;
         }
         if self.faults != FaultPlan::new() {
             write!(f, " faults={}", self.faults)?;
@@ -913,7 +832,7 @@ impl FromStr for RunRequest {
         let mut deadline: Option<u64> = None;
         let mut fork: Option<Fork> = None;
         let mut check = false;
-        let mut trace: Option<TraceReq> = None;
+        let mut trace: Option<CaptureSink> = None;
         let mut faults: Option<FaultPlan> = None;
         let mut bug = false;
         let mut note: Option<String> = None;
@@ -1002,7 +921,7 @@ impl FromStr for RunRequest {
                 },
                 "trace" => {
                     trace = Some(if let Some(cap) = val.strip_prefix("ring:") {
-                        TraceReq::Ring(
+                        CaptureSink::ring(
                             cap.parse::<usize>()
                                 .ok()
                                 .filter(|&c| c > 0)
@@ -1015,7 +934,7 @@ impl FromStr for RunRequest {
                             .ok_or_else(|| {
                                 err(format!("trace `{val}`: expected `win:{{lo}}..{{hi}}`"))
                             })?;
-                        TraceReq::Window(lo, hi)
+                        CaptureSink::with_window(lo..hi)
                     } else {
                         return Err(err(format!(
                             "trace `{val}`: expected `ring:{{cap}}` or `win:{{lo}}..{{hi}}`"
@@ -1046,7 +965,7 @@ impl FromStr for RunRequest {
             deadline_ms: deadline,
             check,
             fork: fork.unwrap_or(Fork::Fresh),
-            trace: trace.unwrap_or(TraceReq::Off),
+            trace,
             faults: faults.unwrap_or_default(),
             seed_bug: bug,
             checkpoint: note,

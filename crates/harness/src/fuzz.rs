@@ -11,7 +11,7 @@
 //! failure class persists) and writes a plain-text repro file that
 //! `experiments fuzz --repro <file>` replays.
 //!
-//! Every cell runs with a bounded [`RingSink`] trace attached, so a
+//! Every cell runs with a bounded [`CaptureSink`] ring attached, so a
 //! failing cell's [`DivergenceReport`](ss_types::DivergenceReport) /
 //! [`DeadlockReport`](ss_types::DeadlockReport) carries the trailing
 //! pipeline-event window and each repro file gets a
@@ -25,7 +25,7 @@
 
 use crate::session::CellFailure;
 use ss_core::{FaultPlan, RunLength, RunRequest};
-use ss_trace::{pipeview, RingSink, TraceEvent};
+use ss_trace::{pipeview, CaptureSink, TraceEvent};
 use ss_types::exec::{scoped_workers, WorkQueue};
 use ss_types::{
     ReplayScheme, SchedPolicyKind, ShiftPolicy, SimConfig, SimError, SplitMix64, Xoshiro256,
@@ -253,7 +253,7 @@ pub fn run_cell(cell: &FuzzCell) -> Result<(), SimError> {
                 measure: run,
             })
             .checked(true)
-            .ring_trace(RingSink::DEFAULT_CAPACITY)
+            .ring_trace(CaptureSink::DEFAULT_CAPACITY)
             .faults(plan);
         if seed_bug {
             req = req.seed_wakeup_bug();

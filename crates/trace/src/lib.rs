@@ -1,19 +1,16 @@
 //! Pipeline observability: trace sinks, Perfetto export, and a
 //! Konata-style ASCII pipeview.
 //!
-//! The event vocabulary and the [`TraceSink`] contract live in
-//! [`ss_types::trace`]; the pipeline in `ss-core` feeds whatever sink it
-//! is monomorphized with. This crate supplies the sinks worth having and
-//! the two renderers that turn a captured event stream into something a
-//! human can read:
+//! The event vocabulary, the [`TraceSink`] contract and the one
+//! capturing sink live in [`ss_types::trace`]; the pipeline in `ss-core`
+//! feeds whatever sink it is monomorphized with. This crate re-exports
+//! them and supplies the renderers that turn a captured event stream
+//! into something a human can read:
 //!
-//! * [`RingSink`] — bounded ring of the most recent events; the default
-//!   capture for fuzzing and failure reports ("flight recorder").
-//! * [`CaptureSink`] — keeps everything (optionally only a µ-op sequence
-//!   window) for offline rendering.
-//! * [`SpillSink`] — streams the stable one-line text encoding to any
-//!   `io::Write` for full-run captures too large for memory, with
-//!   [`read_spill`] to load them back.
+//! * [`CaptureSink`] — the one capturing sink, a bounded ring of the
+//!   newest events or every event of a µ-op sequence window
+//!   (re-exported from `ss-types`, where the runner in `ss-core` uses
+//!   it too).
 //! * [`perfetto::export_chrome_trace`] — Chrome-trace-event JSON
 //!   (`chrome://tracing`, [Perfetto](https://ui.perfetto.dev)): one
 //!   track per pipeline stage, counter tracks for occupancy, and flow
@@ -30,16 +27,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod capture;
 pub mod json;
 pub mod perfetto;
 pub mod pipeview;
-mod ring;
-mod spill;
-
-pub use capture::CaptureSink;
-pub use ring::RingSink;
-pub use spill::{read_spill, SpillSink};
 
 // Re-export the vocabulary so sink users need only one crate.
-pub use ss_types::trace::{NullSink, TraceEvent, TraceSink};
+pub use ss_types::trace::{CaptureSink, NullSink, TraceEvent, TraceSink};

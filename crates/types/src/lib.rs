@@ -77,4 +77,4 @@ pub use ready::{EpochRing, SeqBitmap, VecPool, WakeHeap};
 pub use replay::ReplayCause;
 pub use rng::{SplitMix64, Xoshiro256};
 pub use stats::{CacheStats, SimStats};
-pub use trace::{NullSink, TraceEvent, TraceSink};
+pub use trace::{CaptureSink, NullSink, TraceEvent, TraceSink};

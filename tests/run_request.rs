@@ -9,12 +9,15 @@
 //!   particular carry the marker itself in
 //!   [`ParseRequestError::library_only`], and converting such an error
 //!   into [`SimError`] names the marker.
+//! * **Capture** — a request's window trace is exactly the event stream
+//!   the library's capture sink records on a direct run.
 
-use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest};
+use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest, Simulator};
 use speculative_scheduling::frontend::ProgramSpec;
 use speculative_scheduling::harness::configs::ConfigSpec;
+use speculative_scheduling::trace::CaptureSink;
 use speculative_scheduling::types::{SimError, SplitMix64};
-use speculative_scheduling::workloads::kernels;
+use speculative_scheduling::workloads::{kernels, KernelTrace};
 
 /// Draws a uniform value in `0..n` (n ≤ 2^32 keeps the bias negligible).
 fn pick(rng: &mut SplitMix64, n: u64) -> u64 {
@@ -192,4 +195,36 @@ fn library_only_and_malformed_forms_are_typed_parse_errors() {
             None => assert!(!msg.contains("library-only"), "`{msg}`"),
         }
     }
+}
+
+/// The runner's window mode and a direct simulator run with the library
+/// sink capture the same events in the same order.
+#[test]
+fn window_trace_matches_a_direct_capture_sink_run() {
+    let spec: ConfigSpec = "SpecSched_4".parse().unwrap();
+    let window = 100..300;
+    let outcome = RunRequest::bench("ptr_chase_big", 0xb5)
+        .config(spec)
+        .length(RunLength {
+            warmup: 0,
+            measure: window.end,
+        })
+        .window_trace(window.clone())
+        .execute()
+        .expect("traced request runs");
+
+    let bench = kernels::benchmark("ptr_chase_big").unwrap();
+    let mut sim = Simulator::with_sink(
+        spec.config(),
+        KernelTrace::new((bench.build)(0xb5)),
+        CaptureSink::with_window(window.clone()),
+    );
+    sim.try_run_committed(window.end).expect("direct run");
+    let direct = sim.into_sink().into_events();
+
+    assert!(
+        direct.iter().any(|e| e.seq().is_some()),
+        "window captured no µ-op events"
+    );
+    assert_eq!(outcome.trace, direct);
 }

@@ -10,9 +10,7 @@ use speculative_scheduling::core::{DiffChecker, RunLength, Simulator};
 use speculative_scheduling::harness::fuzz::{error_trace, run_campaign, FuzzOptions};
 use speculative_scheduling::oracle::InOrderModel;
 use speculative_scheduling::prelude::*;
-use speculative_scheduling::trace::{
-    json, perfetto, pipeview, CaptureSink, NullSink, RingSink, TraceEvent,
-};
+use speculative_scheduling::trace::{json, perfetto, pipeview, CaptureSink, NullSink, TraceEvent};
 use speculative_scheduling::types::SimError;
 use speculative_scheduling::workloads::{kernels, KernelSpec, KernelTrace};
 
@@ -48,10 +46,10 @@ fn stats_with<S: speculative_scheduling::trace::TraceSink>(sink: S) -> SimStats 
 #[test]
 fn stats_are_identical_with_and_without_tracing() {
     let null = stats_with(NullSink);
-    let ring = stats_with(RingSink::default());
-    let capture = stats_with(CaptureSink::new());
-    assert_eq!(null, ring, "RingSink perturbed the simulation");
-    assert_eq!(null, capture, "CaptureSink perturbed the simulation");
+    let ring = stats_with(CaptureSink::ring(CaptureSink::DEFAULT_CAPACITY));
+    let capture = stats_with(CaptureSink::with_window(0..u64::MAX));
+    assert_eq!(null, ring, "ring capture perturbed the simulation");
+    assert_eq!(null, capture, "window capture perturbed the simulation");
     assert!(
         null.replayed_miss + null.replayed_bank + null.replayed_prf > 0,
         "fixture must actually replay"
@@ -134,7 +132,11 @@ fn perfetto_export_roundtrips_through_schema_validation() {
 fn seeded_bug_divergence_carries_squash_trace() {
     let spec = missy_kernel();
     let oracle = InOrderModel::from_spec(spec.clone());
-    let mut sim = Simulator::with_sink(missy_cfg(), KernelTrace::new(spec), RingSink::default());
+    let mut sim = Simulator::with_sink(
+        missy_cfg(),
+        KernelTrace::new(spec),
+        CaptureSink::ring(CaptureSink::DEFAULT_CAPACITY),
+    );
     sim.attach_diff_checker(DiffChecker::new(Box::new(oracle)));
     sim.seed_wakeup_bug();
     let err = sim
