@@ -506,8 +506,10 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             iq: self.iq_used,
             lq: self.lq_used,
             sq: self.sq_used,
+            frontend: self.frontend.len() as u32,
             recovery: self.recovery.iter().map(|(_, g)| g.len() as u32).sum(),
             inflight: self.inflight.iter().map(|(_, g)| g.len() as u32).sum(),
+            wrong_path: self.wrong_path_mode,
         });
     }
 

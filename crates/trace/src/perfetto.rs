@@ -251,14 +251,18 @@ pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
                 iq,
                 lq,
                 sq,
+                frontend,
                 recovery,
                 inflight,
+                wrong_path,
             } => {
                 e.push(&format!(
                     "\"ph\":\"C\",\"name\":\"occupancy\",\"ts\":{},\"pid\":{PID},\
                      \"args\":{{\"rob\":{rob},\"iq\":{iq},\"lq\":{lq},\"sq\":{sq},\
-                     \"recovery\":{recovery},\"inflight\":{inflight}}}",
-                    cycle.get()
+                     \"frontend\":{frontend},\"recovery\":{recovery},\"inflight\":{inflight},\
+                     \"wrong_path\":{}}}",
+                    cycle.get(),
+                    u8::from(wrong_path)
                 ));
             }
         }
@@ -330,8 +334,10 @@ mod tests {
                 iq: 3,
                 lq: 1,
                 sq: 0,
+                frontend: 4,
                 recovery: 1,
                 inflight: 2,
+                wrong_path: false,
             },
         ]
     }

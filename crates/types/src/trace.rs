@@ -157,10 +157,14 @@ pub enum TraceEvent {
         lq: u32,
         /// Occupied SQ entries.
         sq: u32,
+        /// µ-ops in the frontend pipe (fetched, not yet dispatched).
+        frontend: u32,
         /// µ-ops waiting in the recovery buffer.
         recovery: u32,
         /// µ-ops in the issue-to-execute pipe.
         inflight: u32,
+        /// Fetch is on a mispredicted branch's wrong path.
+        wrong_path: bool,
     },
 }
 
@@ -329,12 +333,16 @@ impl fmt::Display for TraceEvent {
                 iq,
                 lq,
                 sq,
+                frontend,
                 recovery,
                 inflight,
+                wrong_path,
             } => write!(
                 f,
-                "O c={} rob={rob} iq={iq} lq={lq} sq={sq} rec={recovery} inf={inflight}",
-                cycle.get()
+                "O c={} rob={rob} iq={iq} lq={lq} sq={sq} front={frontend} rec={recovery} \
+                 inf={inflight} wp={}",
+                cycle.get(),
+                u8::from(wrong_path)
             ),
         }
     }
@@ -519,8 +527,10 @@ mod tests {
                 iq: 30,
                 lq: 12,
                 sq: 8,
+                frontend: 16,
                 recovery: 2,
                 inflight: 6,
+                wrong_path: true,
             },
         ]
     }
@@ -639,8 +649,10 @@ mod tests {
             iq: 1,
             lq: 0,
             sq: 0,
+            frontend: 0,
             recovery: 0,
             inflight: 0,
+            wrong_path: false,
         });
         assert_eq!(c.to_string(), "win:3..6");
         let events = c.into_events();
