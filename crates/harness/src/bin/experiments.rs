@@ -7,7 +7,8 @@
 //! experiments fuzz [--seeds N] [--smoke] [--jobs N] [--out DIR]
 //!             [--campaign-seed S] [--repro FILE]
 //! experiments trace --bench NAME --config SPEC [--config SPEC2]
-//!             [--window LO..HI] [--format perfetto|pipeview] [--out FILE]
+//!             [--window LO..HI] [--format perfetto|pipeview|occupancy]
+//!             [--every N] [--out FILE] [--check]
 //! experiments snapfuzz [--seeds N] [--seed S]
 //! experiments serve --socket PATH [--jobs N] [--queue-depth D]
 //!             [--checkpoint-dir DIR]

@@ -1,11 +1,10 @@
-//! A bad command line is a usage error: the `experiments` and `trace`
-//! binaries print a message and exit 2, as every subcommand does,
-//! instead of panicking with a backtrace.
+//! A bad command line is a usage error: the `experiments` binary prints
+//! a message and exits 2, as every subcommand does, instead of
+//! panicking with a backtrace.
 
 use std::process::Command;
 
 const EXE: &str = env!("CARGO_BIN_EXE_experiments");
-const TRACE: &str = env!("CARGO_BIN_EXE_trace");
 
 /// Runs `exe` with `args` and asserts a clean usage error.
 fn assert_usage_error(exe: &str, args: &[&str]) {
@@ -38,16 +37,48 @@ fn bad_sweep_arguments_exit_2_without_panicking() {
 
 #[test]
 fn bad_trace_arguments_exit_2_without_panicking() {
-    let cases: [&[&str]; 7] = [
-        &["mix_int", "--cycles", "x"],
-        &["mix_int", "--skip"],
-        &["mix_int", "--config"],
-        &["mix_int", "--every", "0"],
-        &["mix_int", "--every", "-1"],
-        &["mix_int", "--config", "NoSuchConfig_4"],
-        &["no_such_benchmark"],
+    let cases: [&[&str]; 9] = [
+        &["--config", "SpecSched_4", "--window", "x"],
+        &["--config", "SpecSched_4", "--window"],
+        &["--config"],
+        &[
+            "--config",
+            "SpecSched_4",
+            "--format",
+            "occupancy",
+            "--every",
+            "0",
+        ],
+        &[
+            "--config",
+            "SpecSched_4",
+            "--format",
+            "occupancy",
+            "--every",
+            "-1",
+        ],
+        &["--config", "NoSuchConfig_4"],
+        &["--bench", "no_such_benchmark", "--config", "SpecSched_4"],
+        &[
+            "--format",
+            "occupancy",
+            "--config",
+            "SpecSched_4",
+            "--config",
+            "SpecSched_4_Crit",
+        ],
+        &[
+            "--config",
+            "SpecSched_4",
+            "--format",
+            "perfetto",
+            "--every",
+            "2",
+        ],
     ];
-    for args in cases {
-        assert_usage_error(TRACE, args);
+    for case in cases {
+        let mut args = vec!["trace", "--bench", "mix_int"];
+        args.extend_from_slice(case);
+        assert_usage_error(EXE, &args);
     }
 }
