@@ -654,7 +654,7 @@ impl Drive<'_> {
     }
 
     /// Fork-capable driver (persistent sources).
-    fn run<T: TraceSource + PersistState, S: TraceSink + Sink>(
+    fn run<T: TraceSource + PersistState, S: TraceSink>(
         mut self,
         mut sim: Simulator<T, S>,
         checker: Option<DiffChecker>,
@@ -671,7 +671,7 @@ impl Drive<'_> {
                     stats: end.delta(&warm),
                     snapshot: Some(snapshot),
                     work: sim.work(),
-                    trace: sim.into_sink().into_events(),
+                    trace: sim.sink().recent(),
                 })
             }
             Fork::Snapshot(snap) => {
@@ -686,7 +686,7 @@ impl Drive<'_> {
                     stats: end.delta(&warm),
                     snapshot: None,
                     work: sim.work(),
-                    trace: sim.into_sink().into_events(),
+                    trace: sim.sink().recent(),
                 })
             }
             Fork::Path(_) => unreachable!("paths resolve to snapshots in execute_observed"),
@@ -694,7 +694,7 @@ impl Drive<'_> {
     }
 
     /// Cold-start driver (any source).
-    fn run_fresh<T: TraceSource, S: TraceSink + Sink>(
+    fn run_fresh<T: TraceSource, S: TraceSink>(
         mut self,
         mut sim: Simulator<T, S>,
         checker: Option<DiffChecker>,
@@ -707,7 +707,7 @@ impl Drive<'_> {
             stats: end.delta(&warm),
             snapshot: None,
             work: sim.work(),
-            trace: sim.into_sink().into_events(),
+            trace: sim.sink().recent(),
         })
     }
 
@@ -746,23 +746,6 @@ impl Drive<'_> {
             let done = (sim.stats().committed_uops - start).min(n);
             (self.progress)(base + done, total);
         }
-    }
-}
-
-/// Sink finalization: hand back whatever events were kept.
-trait Sink {
-    fn into_events(self) -> Vec<TraceEvent>;
-}
-
-impl Sink for ss_types::NullSink {
-    fn into_events(self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
-impl Sink for CaptureSink {
-    fn into_events(self) -> Vec<TraceEvent> {
-        CaptureSink::into_events(self)
     }
 }
 

@@ -428,16 +428,6 @@ impl CaptureSink {
         }
     }
 
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no event has been kept.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Consumes the sink, returning the held events oldest first.
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.events.into()
@@ -455,6 +445,7 @@ impl TraceSink for CaptureSink {
         self.events.push_back(ev);
     }
 
+    /// Every held event, oldest first (the run's whole capture).
     fn recent(&self) -> Vec<TraceEvent> {
         self.events.iter().copied().collect()
     }
@@ -603,11 +594,10 @@ mod tests {
     #[test]
     fn ring_keeps_newest() {
         let mut r = CaptureSink::ring(3);
-        assert!(r.is_empty());
+        assert!(r.recent().is_empty());
         for n in 0..5 {
             r.record(commit(n));
         }
-        assert_eq!(r.len(), 3);
         let recent = r.recent();
         assert_eq!(recent, vec![commit(2), commit(3), commit(4)]);
         assert_eq!(r.into_events(), recent);
@@ -632,7 +622,6 @@ mod tests {
         for n in 0..10 {
             c.record(commit(n));
         }
-        assert_eq!(c.len(), 10);
         assert_eq!(c.recent().len(), 10);
         assert_eq!(c.into_events().len(), 10);
     }
