@@ -33,7 +33,7 @@
 
 use crate::diff::DiffChecker;
 use crate::fault::FaultPlan;
-use crate::pipeline::{Simulator, WorkCounts};
+use crate::pipeline::{load_snapshot, Simulator, WorkCounts};
 use ss_frontend::{FrontendOracle, ProgramSpec, RvTraceSource};
 use ss_oracle::InOrderModel;
 use ss_snapshot::Snapshot;
@@ -409,16 +409,6 @@ impl RunRequest {
         self
     }
 
-    /// The on-disk snapshot path this request forks from, if any. The
-    /// serve layer uses it to satisfy the fork from its resident
-    /// warm-state store instead of re-reading the file per request.
-    pub fn snapshot_path(&self) -> Option<&str> {
-        match &self.fork {
-            Fork::Path(p) => Some(p),
-            _ => None,
-        }
-    }
-
     /// The EMA cost-tracking key the serve layer buckets this request
     /// under: `{config}|{source}` — one moving average per
     /// (machine, workload) cell, whatever the lengths and trimmings.
@@ -491,13 +481,7 @@ impl RunRequest {
         // here, and the path becomes the default checkpoint note.
         let (fork, checkpoint) = match fork {
             Fork::Path(path) => {
-                let snap =
-                    ss_snapshot::read_verified(std::path::Path::new(&path)).map_err(|e| {
-                        SimError::SnapshotCorrupt {
-                            path: path.clone(),
-                            reason: e.to_string(),
-                        }
-                    })?;
+                let snap = load_snapshot(std::path::Path::new(&path))?;
                 (Fork::Snapshot(Box::new(snap)), checkpoint.or(Some(path)))
             }
             other => (other, checkpoint),

@@ -13,7 +13,7 @@
 //! experiments serve --socket PATH [--jobs N] [--queue-depth D]
 //!             [--checkpoint-dir DIR]
 //! experiments client --socket PATH [--id ID] [--prio CLASS]
-//!             [--cancel-after N] [--stats] [--shutdown] [--req TEXT]
+//!             [--cancel-after N] [--metrics] [--shutdown] [--req TEXT]
 //! experiments run --req TEXT
 //! experiments chaos [--seed N] [--events N] [--dir DIR]
 //! experiments rvrun [--prog SPEC] [--config SPEC]... [--all] [--delay D]

@@ -29,6 +29,7 @@
 //! The event schedule and a full transcript are written to the working
 //! directory (CI uploads them as artifacts on failure).
 
+use crate::cli::{usage_error, wants_help, Args};
 use crate::serve::{stats_to_wire, ServeOptions, Server};
 use crate::store::Store;
 use ss_core::RunRequest;
@@ -157,16 +158,16 @@ impl Client {
     }
 }
 
-/// Fetches and parses one `health` report off a fresh connection.
-fn health(socket: &Path) -> Result<HashMap<String, u64>, String> {
+/// Fetches and parses one `metrics` report off a fresh connection.
+fn metrics(socket: &Path) -> Result<HashMap<String, u64>, String> {
     let mut c = Client::connect(socket)?;
-    c.send("health")?;
+    c.send("metrics")?;
     let Some(line) = c.recv()? else {
-        return Err("connection closed on health".into());
+        return Err("connection closed on metrics".into());
     };
     let rest = line
-        .strip_prefix("health ")
-        .ok_or_else(|| format!("unexpected health reply `{line}`"))?;
+        .strip_prefix("metrics ")
+        .ok_or_else(|| format!("unexpected metrics reply `{line}`"))?;
     Ok(rest
         .split_whitespace()
         .filter_map(|t| t.split_once('='))
@@ -174,8 +175,8 @@ fn health(socket: &Path) -> Result<HashMap<String, u64>, String> {
         .collect())
 }
 
-/// Polls `health` until `pred` holds or the timeout expires.
-fn wait_health(
+/// Polls `metrics` until `pred` holds or the timeout expires.
+fn wait_metrics(
     socket: &Path,
     what: &str,
     timeout: Duration,
@@ -183,12 +184,12 @@ fn wait_health(
 ) -> Result<HashMap<String, u64>, String> {
     let t0 = Instant::now();
     loop {
-        let h = health(socket)?;
+        let h = metrics(socket)?;
         if pred(&h) {
             return Ok(h);
         }
         if t0.elapsed() > timeout {
-            return Err(format!("timed out waiting for {what}: last health {h:?}"));
+            return Err(format!("timed out waiting for {what}: last metrics {h:?}"));
         }
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -244,7 +245,7 @@ impl Chaos {
     /// Poison: a worker dies on purpose; the supervisor must restore the
     /// pool to full strength.
     fn event_poison(&mut self, workers: u64) -> Result<(), String> {
-        let before = health(&self.socket)?;
+        let before = metrics(&self.socket)?;
         let id = self.fresh_id("p");
         let mut c = Client::connect(&self.socket)?;
         c.send(&format!("poison {id}"))?;
@@ -259,7 +260,7 @@ impl Chaos {
             return Err(format!("poison: unexpected replies {replies:?}"));
         }
         let restarted_before = before.get("restarted").copied().unwrap_or(0);
-        let h = wait_health(
+        let h = wait_metrics(
             &self.socket,
             "worker respawn",
             Duration::from_secs(10),
@@ -326,7 +327,7 @@ impl Chaos {
     /// Disconnect: vanish mid-run; the orphaned run must be cancelled
     /// and the vanish counted.
     fn event_disconnect(&mut self) -> Result<(), String> {
-        let before = health(&self.socket)?;
+        let before = metrics(&self.socket)?;
         let id = self.fresh_id("d");
         let mut c = Client::connect(&self.socket)?;
         c.send(&format!(
@@ -346,7 +347,7 @@ impl Chaos {
         }
         drop(c);
         let vanished_before = before.get("clients_vanished").copied().unwrap_or(0);
-        let h = wait_health(
+        let h = wait_metrics(
             &self.socket,
             "orphan cancellation",
             Duration::from_secs(15),
@@ -473,46 +474,22 @@ impl Chaos {
 /// full chaos schedule against a live server; exits 0 only if every
 /// availability and byte-identity assertion holds.
 pub fn run_chaos_cli(args: &[String]) -> i32 {
-    let mut seed: u64 = 0xC4A05;
-    let mut events: usize = 12;
-    let mut dir: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| {
-                        v.strip_prefix("0x")
-                            .map_or_else(|| v.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
-                    })
-                    .expect("--seed needs a number")
-            }
-            "--events" => {
-                events = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--events needs a count")
-            }
-            "--dir" => dir = Some(PathBuf::from(it.next().expect("--dir needs a directory"))),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments chaos [--seed N] [--events N] [--dir DIR]\n\
-                     \n\
-                     flags (with defaults):\n\
-                     \x20 --seed N     fault-schedule seed (0xc4a05)\n\
-                     \x20 --events N   scheduled events before the fixed phases (12)\n\
-                     \x20 --dir DIR    working directory for the socket, schedule,\n\
-                     \x20              and transcript (temp dir)"
-                );
-                return 0;
-            }
-            other => {
-                eprintln!("unknown chaos flag `{other}`");
-                return 2;
-            }
-        }
+    if wants_help(args) {
+        eprintln!(
+            "usage: experiments chaos [--seed N] [--events N] [--dir DIR]\n\
+             \n\
+             flags (with defaults):\n\
+             \x20 --seed N     fault-schedule seed (0xc4a05)\n\
+             \x20 --events N   scheduled events before the fixed phases (12)\n\
+             \x20 --dir DIR    working directory for the socket, schedule,\n\
+             \x20              and transcript (temp dir)"
+        );
+        return 0;
     }
+    let (seed, events, dir) = match parse_args(args) {
+        Ok(parsed) => parsed,
+        Err(msg) => return usage_error(&msg),
+    };
     let dir = dir.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("ss-chaos-{}-{seed:x}", std::process::id()))
     });
@@ -536,6 +513,21 @@ pub fn run_chaos_cli(args: &[String]) -> i32 {
             1
         }
     }
+}
+
+/// `--seed`, `--events` and `--dir`, with their defaults.
+fn parse_args(args: &[String]) -> Result<(u64, usize, Option<PathBuf>), String> {
+    let (mut seed, mut events, mut dir) = (0xC4A05, 12, None);
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--seed" => seed = args.seed("--seed needs a number")?,
+            "--events" => events = args.parse("--events needs a count")?,
+            "--dir" => dir = Some(PathBuf::from(args.value("--dir needs a directory")?)),
+            other => return Err(format!("unknown chaos flag `{other}`")),
+        }
+    }
+    Ok((seed, events, dir))
 }
 
 /// The full harness run. Returns the transcript on success, or the
@@ -609,11 +601,11 @@ fn run_chaos(seed: u64, events: usize, dir: &Path) -> Result<Vec<String>, (Vec<S
             return Err(fail(chaos, format!("post-schedule clean sweep: {e}")));
         }
     }
-    match health(&chaos.socket) {
-        Ok(h) => chaos.log(format!("final health: {h:?}")),
+    match metrics(&chaos.socket) {
+        Ok(h) => chaos.log(format!("final metrics: {h:?}")),
         Err(e) => {
             server.shutdown();
-            return Err(fail(chaos, format!("final health: {e}")));
+            return Err(fail(chaos, format!("final metrics: {e}")));
         }
     }
 

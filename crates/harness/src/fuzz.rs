@@ -433,14 +433,8 @@ pub fn parse_repro(text: &str) -> Result<(FuzzCell, Option<u64>), String> {
         seed_bug: false,
     };
     let mut recorded_seq = None;
-    let parse_u64 = |v: &str| -> Result<u64, String> {
-        let v = v.trim();
-        if let Some(hex) = v.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16).map_err(|e| format!("bad number `{v}`: {e}"))
-        } else {
-            v.parse().map_err(|e| format!("bad number `{v}`: {e}"))
-        }
-    };
+    let parse_u64 =
+        |v: &str| crate::cli::parse_seed(v).ok_or_else(|| format!("bad number `{}`", v.trim()));
     for line in lines {
         let Some((key, val)) = line.split_once(' ') else {
             continue;
@@ -733,12 +727,8 @@ pub fn run_cli(args: &[String]) -> i32 {
                 "--out" => opts.out_dir = Some(PathBuf::from(grab("--out")?)),
                 "--campaign-seed" => {
                     let v = grab("--campaign-seed")?;
-                    let v = v.trim();
-                    opts.campaign_seed = if let Some(hex) = v.strip_prefix("0x") {
-                        u64::from_str_radix(hex, 16).map_err(|e| format!("{e}"))?
-                    } else {
-                        v.parse().map_err(|e| format!("{e}"))?
-                    };
+                    opts.campaign_seed = crate::cli::parse_seed(&v)
+                        .ok_or(format!("--campaign-seed needs a number, got `{v}`"))?;
                 }
                 "--seed-bug" => opts.seed_bug = true,
                 "--repro" => repro = Some(PathBuf::from(grab("--repro")?)),

@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
+mod cli;
 pub mod configs;
 pub mod energy;
 pub mod exec;

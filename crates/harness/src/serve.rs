@@ -1,13 +1,15 @@
 //! Simulation-as-a-service: the `experiments serve` resident batch
 //! server.
 //!
-//! A long-lived process keeps hot state across requests — a bounded
-//! in-memory results front (over a read-only view of a sweep's results
-//! [`Store`]), a resident warm-[`Snapshot`] store, and the
-//! per-(config, kernel) cost history — and executes [`RunRequest`]s
+//! A long-lived process keeps hot state across requests — an in-memory
+//! results front (over a read-only view of a sweep's results [`Store`])
+//! and the per-(config, source) cost history, both [`BoundedMap`]s of
+//! [`RESULTS_FRONT_CAPACITY`] entries — and executes [`RunRequest`]s
 //! received over a Unix-domain socket, line by line. No async runtime,
 //! no dependencies: a threaded accept loop, [`PrioQueue`] worker
-//! dispatch, and plain `std::os::unix::net` sockets.
+//! dispatch, and plain `std::os::unix::net` sockets. The socket is the
+//! only way to observe the server: the `metrics` verb reports every
+//! counter, gauge and resident-map size.
 //!
 //! # Protocol
 //!
@@ -16,8 +18,7 @@
 //! ```text
 //! run <id> [prio=interactive|normal|bulk] <request-text>
 //! cancel <id>
-//! stats
-//! health
+//! metrics
 //! ping
 //! poison <id>          # chaos hook, only with --allow-poison
 //! shutdown
@@ -26,7 +27,9 @@
 //! `<request-text>` is the canonical [`RunRequest`] encoding
 //! (`src=bench:fp_compute@0xb5 cfg=SpecSched_4_Crit len=w1000m5000 …`,
 //! optionally carrying a `deadline=<ms>` wall-clock budget);
-//! `<id>` is a client-chosen token scoped to the connection. Server →
+//! `<id>` is a client-chosen token scoped to the connection. A
+//! `fork=snap:PATH` request reads and verifies its snapshot file on the
+//! worker, each time it runs, as `experiments run --req` does. Server →
 //! client:
 //!
 //! ```text
@@ -35,7 +38,7 @@
 //! done <id> <k=v ...>              # wire-encoded SimStats (stats_to_wire)
 //! err <id> <message>               # typed SimError rendering
 //! overloaded <id> depth=<d> limit=<l>
-//! stats <k=v ...> | health <k=v ...> | pong | bye
+//! metrics <k=v ...> | pong | bye
 //! ```
 //!
 //! # Scheduling policy
@@ -75,15 +78,16 @@
 //!   requests get `drain_grace_ms` to finish, then stragglers are
 //!   cancelled with typed errors and the process exits.
 //!
-//! `health` reports the live counters behind all of this; the
+//! `metrics` reports the live counters behind all of this; the
 //! `experiments chaos` harness drives every one of these paths against
 //! a real server under a seeded fault schedule.
 
+use crate::cli::{usage_error, wants_help, Args};
 use crate::store::Store;
 use ss_core::RunRequest;
-use ss_snapshot::Snapshot;
 use ss_types::{
-    Backoff, CacheStats, CancelFlag, CostEma, PrioQueue, Priority, PushError, SimError, SimStats,
+    Backoff, BoundedMap, CacheStats, CancelFlag, CostEma, PrioQueue, Priority, PushError, SimError,
+    SimStats,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -102,7 +106,8 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Results the server keeps in memory, however many requests it serves.
 /// A result evicted from this front is simulated again (or re-read from
-/// the results store) when next asked for.
+/// the results store) when next asked for. The cost history keeps as
+/// many cells; an evicted cell classifies as unknown (normal) again.
 pub const RESULTS_FRONT_CAPACITY: usize = 4096;
 
 /// Executed jobs kept in the [`Server::exec_log`] evidence ring.
@@ -267,8 +272,7 @@ const BUCKETS: usize = (65 - SUB_BITS as usize) * SUB;
 /// resident server's memory stays flat however many jobs it runs.
 /// Percentiles report the upper bound of the bucket holding the
 /// nearest-rank sample.
-#[derive(Clone)]
-pub struct LatencyHistogram {
+struct LatencyHistogram {
     counts: Box<[u64; BUCKETS]>,
     total: u64,
 }
@@ -307,7 +311,7 @@ impl LatencyHistogram {
     }
 
     /// Samples recorded.
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.total
     }
 
@@ -328,47 +332,13 @@ impl LatencyHistogram {
     }
 
     /// Median.
-    pub fn p50(&self) -> Option<u64> {
+    fn p50(&self) -> Option<u64> {
         self.percentile(50.0)
     }
 
     /// 99th percentile.
-    pub fn p99(&self) -> Option<u64> {
+    fn p99(&self) -> Option<u64> {
         self.percentile(99.0)
-    }
-}
-
-/// The in-memory front of the results cache: canonical request text →
-/// statistics, at most `capacity` entries. When full, the oldest entry
-/// makes room.
-struct ResultsFront {
-    capacity: usize,
-    map: HashMap<String, SimStats>,
-    /// Keys in insertion order.
-    order: VecDeque<String>,
-}
-
-impl ResultsFront {
-    fn new(capacity: usize) -> ResultsFront {
-        ResultsFront {
-            capacity,
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    /// Keeps `stats` for `text`. A resident text keeps its entry: a
-    /// request's result never changes.
-    fn insert(&mut self, text: String, stats: SimStats) {
-        if self.map.contains_key(&text) {
-            return;
-        }
-        if self.order.len() == self.capacity {
-            let oldest = self.order.pop_front().expect("a full front is non-empty");
-            self.map.remove(&oldest);
-        }
-        self.order.push_back(text.clone());
-        self.map.insert(text, stats);
     }
 }
 
@@ -376,15 +346,15 @@ impl ResultsFront {
 struct ServerState {
     opts: ServeOptions,
     queue: PrioQueue<Task>,
-    /// Bounded front of the results cache.
-    results: Mutex<ResultsFront>,
+    /// The in-memory front of the results cache: canonical request
+    /// text → statistics.
+    results: Mutex<BoundedMap<SimStats>>,
     /// Read-only view of the checkpoint directory's results store.
     store: Option<Store>,
-    /// snapshot path → loaded, verified warm state.
-    snapshots: Mutex<HashMap<String, Snapshot>>,
+    /// Per-cell wall-cost averages that classify requests without `prio=`.
     ema: Mutex<CostEma>,
     /// admission seq → cancel flag for every unfinished run (the drain
-    /// path's kill list).
+    /// path's kill list): at most `queue_depth + jobs` entries.
     inflight: Mutex<HashMap<u64, Arc<CancelFlag>>>,
     completed: AtomicU64,
     cache_hits: AtomicU64,
@@ -403,8 +373,8 @@ struct ServerState {
     /// (class, admission seq) of the last [`EXEC_LOG_CAPACITY`] executed
     /// jobs, in execution order.
     exec_log: Mutex<VecDeque<(Priority, u64)>>,
-    /// Queue latency (µs) per class.
-    latency_us: Mutex<[LatencyHistogram; 3]>,
+    /// Queue wait (µs) per class, indexed by [`Priority::index`].
+    wait_us: Mutex<[LatencyHistogram; 3]>,
 }
 
 /// A running server: background accept loop, supervised worker pool,
@@ -436,10 +406,9 @@ impl Server {
         });
         let state = Arc::new(ServerState {
             queue: PrioQueue::new(opts.queue_depth),
-            results: Mutex::new(ResultsFront::new(RESULTS_FRONT_CAPACITY)),
+            results: Mutex::new(BoundedMap::new(RESULTS_FRONT_CAPACITY)),
             store,
-            snapshots: Mutex::new(HashMap::new()),
-            ema: Mutex::new(CostEma::new()),
+            ema: Mutex::new(CostEma::new(RESULTS_FRONT_CAPACITY)),
             inflight: Mutex::new(HashMap::new()),
             completed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -456,7 +425,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             exec_log: Mutex::new(VecDeque::with_capacity(EXEC_LOG_CAPACITY)),
-            latency_us: Mutex::default(),
+            wait_us: Mutex::default(),
             opts,
         });
         let workers = Arc::new(Mutex::new(
@@ -486,54 +455,12 @@ impl Server {
         &self.state.opts.socket
     }
 
-    /// Requests executed to completion (success or typed failure).
-    pub fn completed(&self) -> u64 {
-        self.state.completed.load(Ordering::SeqCst)
-    }
-
-    /// Requests answered straight from the results cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.state.cache_hits.load(Ordering::SeqCst)
-    }
-
-    /// Requests rejected by admission control.
-    pub fn rejected(&self) -> u64 {
-        self.state.rejected.load(Ordering::SeqCst)
-    }
-
-    /// Worker threads the supervisor has respawned after a fatal panic.
-    pub fn workers_restarted(&self) -> u64 {
-        self.state.workers_restarted.load(Ordering::SeqCst)
-    }
-
-    /// Panics contained inside a worker without losing the thread.
-    pub fn panics_caught(&self) -> u64 {
-        self.state.panics_caught.load(Ordering::SeqCst)
-    }
-
-    /// Clients that vanished mid-conversation (failed reply write or
-    /// disconnect with runs still in flight).
-    pub fn clients_vanished(&self) -> u64 {
-        self.state.clients_vanished.load(Ordering::SeqCst)
-    }
-
-    /// Runs that exhausted their wall-clock deadline.
-    pub fn deadline_exceeded(&self) -> u64 {
-        self.state.deadline_exceeded.load(Ordering::SeqCst)
-    }
-
     /// `(class, admission-sequence)` of the last [`EXEC_LOG_CAPACITY`]
     /// executed requests, in execution order — the soak test's
     /// FIFO-within-priority evidence.
     pub fn exec_log(&self) -> Vec<(Priority, u64)> {
         let log = self.state.exec_log.lock().expect("exec log lock");
         log.iter().copied().collect()
-    }
-
-    /// Queue-latency histograms in microseconds, indexed by
-    /// [`Priority::index`].
-    pub fn latency_us(&self) -> [LatencyHistogram; 3] {
-        self.state.latency_us.lock().expect("latency lock").clone()
     }
 
     /// Initiates shutdown (idempotent), drains with the configured
@@ -878,11 +805,8 @@ fn handle_connection(state: &Arc<ServerState>, stream: UnixStream) {
                     "ping" => {
                         send(state, &conn, "pong");
                     }
-                    "stats" => {
-                        send(state, &conn, &server_stats_line(state));
-                    }
-                    "health" => {
-                        send(state, &conn, &health_line(state));
+                    "metrics" => {
+                        send(state, &conn, &metrics_line(state));
                     }
                     "shutdown" => {
                         send(state, &conn, "bye");
@@ -963,45 +887,56 @@ fn handle_connection(state: &Arc<ServerState>, stream: UnixStream) {
     }
 }
 
-fn server_stats_line(state: &ServerState) -> String {
-    format!(
-        "stats depth={} limit={} completed={} cached={} rejected={} cancelled={} failed={} results={} ema_cells={}",
-        state.queue.depth(),
-        state.queue.limit(),
-        state.completed.load(Ordering::SeqCst),
-        state.cache_hits.load(Ordering::SeqCst),
-        state.rejected.load(Ordering::SeqCst),
-        state.cancelled.load(Ordering::SeqCst),
-        state.failed.load(Ordering::SeqCst),
-        state.results.lock().expect("results lock").map.len(),
-        state.ema.lock().expect("ema lock").len(),
-    )
-}
-
-/// The `health` payload: liveness gauges and failure counters.
-fn health_line(state: &ServerState) -> String {
+/// The `metrics` payload, one `k=v` line: pool strength, queue depth
+/// per class, request and failure counters, the size of each resident
+/// map against its capacity, and queue wait per class
+/// (`wait.{class}.n`, plus `wait.{class}.p50_us` and `.p99_us` once the
+/// class has a sample).
+fn metrics_line(state: &ServerState) -> String {
     let [qi, qn, qb] = state.queue.depths();
-    format!(
-        "health uptime_ms={} workers={} live={} busy={} restarted={} qi={qi} qn={qn} qb={qb} \
-         inflight={} completed={} cached={} rejected={} cancelled={} failed={} \
-         deadline_exceeded={} panics_caught={} clients_vanished={} drain_cancelled={} results={}",
+    let n = |c: &AtomicU64| c.load(Ordering::SeqCst);
+    let (results, results_cap) = {
+        let front = state.results.lock().expect("results lock");
+        (front.len(), front.capacity())
+    };
+    let (ema_cells, ema_cap) = {
+        let ema = state.ema.lock().expect("ema lock");
+        (ema.len(), ema.capacity())
+    };
+    let mut line = format!(
+        "metrics uptime_ms={} workers={} live={} busy={} restarted={} depth={} limit={} \
+         qi={qi} qn={qn} qb={qb} inflight={} completed={} cached={} rejected={} cancelled={} \
+         failed={} deadline_exceeded={} panics_caught={} clients_vanished={} \
+         drain_cancelled={} results={results} results_cap={results_cap} \
+         ema_cells={ema_cells} ema_cap={ema_cap}",
         state.started.elapsed().as_millis(),
         state.opts.jobs,
-        state.live_workers.load(Ordering::SeqCst),
-        state.busy_workers.load(Ordering::SeqCst),
-        state.workers_restarted.load(Ordering::SeqCst),
+        n(&state.live_workers),
+        n(&state.busy_workers),
+        n(&state.workers_restarted),
+        qi + qn + qb,
+        state.queue.limit(),
         state.inflight.lock().expect("inflight lock").len(),
-        state.completed.load(Ordering::SeqCst),
-        state.cache_hits.load(Ordering::SeqCst),
-        state.rejected.load(Ordering::SeqCst),
-        state.cancelled.load(Ordering::SeqCst),
-        state.failed.load(Ordering::SeqCst),
-        state.deadline_exceeded.load(Ordering::SeqCst),
-        state.panics_caught.load(Ordering::SeqCst),
-        state.clients_vanished.load(Ordering::SeqCst),
-        state.drain_cancelled.load(Ordering::SeqCst),
-        state.results.lock().expect("results lock").map.len(),
-    )
+        n(&state.completed),
+        n(&state.cache_hits),
+        n(&state.rejected),
+        n(&state.cancelled),
+        n(&state.failed),
+        n(&state.deadline_exceeded),
+        n(&state.panics_caught),
+        n(&state.clients_vanished),
+        n(&state.drain_cancelled),
+    );
+    let wait = state.wait_us.lock().expect("wait lock");
+    for class in Priority::ALL {
+        let h = &wait[class.index()];
+        let tag = class.tag();
+        let _ = write!(line, " wait.{tag}.n={}", h.count());
+        if let (Some(p50), Some(p99)) = (h.p50(), h.p99()) {
+            let _ = write!(line, " wait.{tag}.p50_us={p50} wait.{tag}.p99_us={p99}");
+        }
+    }
+    line
 }
 
 /// Admits a `poison <id>` chaos request (only with
@@ -1070,7 +1005,7 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
         }
         None => (None, rest),
     };
-    let mut req = match req_text.parse::<RunRequest>() {
+    let req = match req_text.parse::<RunRequest>() {
         Ok(r) => r,
         Err(e) => {
             // Through `SimError`, so a library-only `<…>` marker comes
@@ -1098,34 +1033,6 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
             &format!("err {id} request id already in flight"),
         );
         return;
-    }
-    // Satisfy disk-snapshot forks from the resident warm-state store.
-    if let Some(path) = req.snapshot_path().map(str::to_string) {
-        let hit = state
-            .snapshots
-            .lock()
-            .expect("snapshot lock")
-            .get(&path)
-            .cloned();
-        let snap = match hit {
-            Some(s) => Some(s),
-            None => match ss_snapshot::read_verified(Path::new(&path)) {
-                Ok(s) => {
-                    state
-                        .snapshots
-                        .lock()
-                        .expect("snapshot lock")
-                        .insert(path.clone(), s.clone());
-                    Some(s)
-                }
-                // Leave the path in place: execution reports the typed
-                // SnapshotCorrupt / io error with full context.
-                Err(_) => None,
-            },
-        };
-        if let Some(s) = snap {
-            req = req.from_snapshot(s).checkpoint_note(&path);
-        }
     }
     let cost_key = req.cost_key();
     let prio = explicit_prio.unwrap_or_else(|| {
@@ -1200,13 +1107,7 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
 /// the checkpoint's results store. A store hit joins the front; a
 /// missing, stale or corrupt store entry is only a miss, left in place.
 fn cached_result(state: &ServerState, canonical: &str) -> Option<SimStats> {
-    if let Some(s) = state
-        .results
-        .lock()
-        .expect("results lock")
-        .map
-        .get(canonical)
-    {
+    if let Some(s) = state.results.lock().expect("results lock").get(canonical) {
         return Some(s.clone());
     }
     let stats = state.store.as_ref()?.get(canonical).ok().flatten()?;
@@ -1250,7 +1151,7 @@ fn run_job(state: &Arc<ServerState>, job: Job) {
         }
         log.push_back((job.prio, job.seq));
     }
-    state.latency_us.lock().expect("latency lock")[job.prio.index()].record(wait_us);
+    state.wait_us.lock().expect("wait lock")[job.prio.index()].record(wait_us);
     let Job {
         seq,
         id,
@@ -1331,90 +1232,49 @@ fn run_job(state: &Arc<ServerState>, job: Job) {
 // `experiments run`.
 // ---------------------------------------------------------------------
 
+const SERVE_USAGE: &str = "usage: experiments serve --socket PATH [flags]\n\
+     \n\
+     flags (with defaults):\n\
+     \x20 --socket PATH            socket path (experiments.sock)\n\
+     \x20 --jobs N                 worker threads (cores - 1)\n\
+     \x20 --queue-depth D          admission bound (64)\n\
+     \x20 --checkpoint-dir DIR     answer from a sweep's results in DIR/cache\n\
+     \x20 --interactive-max-ms MS  interactive cost ceiling (200)\n\
+     \x20 --bulk-min-ms MS         bulk cost floor (2000)\n\
+     \x20 --read-timeout-ms MS     reader liveness poll (1000)\n\
+     \x20 --write-timeout-ms MS    reply-write bound before a client\n\
+     \x20                          counts as vanished (5000)\n\
+     \x20 --drain-grace-ms MS      graceful-shutdown budget (5000)\n\
+     \x20 --allow-poison           enable the `poison` chaos verb (off)";
+
+const CLIENT_USAGE: &str = "usage: experiments client --socket PATH [flags]\n\
+     \n\
+     flags (with defaults):\n\
+     \x20 --req 'src=... cfg=... len=...'  request to run\n\
+     \x20 --id ID                  request id token (r1)\n\
+     \x20 --prio P                 interactive|normal|bulk (server EMA)\n\
+     \x20 --deadline-ms MS         arm a wall-clock deadline on the request\n\
+     \x20 --cancel-after N         cancel after N progress lines\n\
+     \x20 --retries N              retry budget for connect/overloaded (3)\n\
+     \x20 --retry-base-ms MS       backoff base delay (100)\n\
+     \x20 --retry-cap-ms MS        backoff delay cap (5000)\n\
+     \x20 --retry-seed N           backoff jitter seed (0x5EED)\n\
+     \x20 --timeout-ms MS          overall wall budget, 0 = unlimited (0)\n\
+     \x20 --metrics | --shutdown   send a control verb instead of --req";
+
+const RUN_USAGE: &str = "usage: experiments run --req 'src=... cfg=... len=...'";
+
 /// `experiments serve --socket PATH [flags]`: runs the server until a
 /// client sends `shutdown` (or the process is killed).
 pub fn run_serve_cli(args: &[String]) -> i32 {
-    let mut opts = ServeOptions {
-        jobs: ss_types::exec::default_jobs(),
-        ..ServeOptions::default()
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => opts.socket = PathBuf::from(it.next().expect("--socket needs a path")),
-            "--jobs" | "-j" => {
-                opts.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs needs a worker count")
-            }
-            "--queue-depth" => {
-                opts.queue_depth = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--queue-depth needs a count")
-            }
-            "--checkpoint-dir" => {
-                opts.checkpoint_dir = Some(PathBuf::from(
-                    it.next().expect("--checkpoint-dir needs a directory"),
-                ))
-            }
-            "--interactive-max-ms" => {
-                opts.interactive_max_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--interactive-max-ms needs a millisecond count")
-            }
-            "--bulk-min-ms" => {
-                opts.bulk_min_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--bulk-min-ms needs a millisecond count")
-            }
-            "--read-timeout-ms" => {
-                opts.read_timeout_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--read-timeout-ms needs a millisecond count")
-            }
-            "--write-timeout-ms" => {
-                opts.write_timeout_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--write-timeout-ms needs a millisecond count")
-            }
-            "--drain-grace-ms" => {
-                opts.drain_grace_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--drain-grace-ms needs a millisecond count")
-            }
-            "--allow-poison" => opts.allow_poison = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments serve --socket PATH [flags]\n\
-                     \n\
-                     flags (with defaults):\n\
-                     \x20 --socket PATH            socket path (experiments.sock)\n\
-                     \x20 --jobs N                 worker threads (cores - 1)\n\
-                     \x20 --queue-depth D          admission bound (64)\n\
-                     \x20 --checkpoint-dir DIR     answer from a sweep's results in DIR/cache\n\
-                     \x20 --interactive-max-ms MS  interactive cost ceiling (200)\n\
-                     \x20 --bulk-min-ms MS         bulk cost floor (2000)\n\
-                     \x20 --read-timeout-ms MS     reader liveness poll (1000)\n\
-                     \x20 --write-timeout-ms MS    reply-write bound before a client\n\
-                     \x20                          counts as vanished (5000)\n\
-                     \x20 --drain-grace-ms MS      graceful-shutdown budget (5000)\n\
-                     \x20 --allow-poison           enable the `poison` chaos verb (off)"
-                );
-                return 0;
-            }
-            other => {
-                eprintln!("unknown serve flag `{other}`");
-                return 2;
-            }
-        }
+    if wants_help(args) {
+        eprintln!("{SERVE_USAGE}");
+        return 0;
     }
+    let opts = match parse_serve_args(args) {
+        Ok(o) => o,
+        Err(msg) => return usage_error(&msg),
+    };
     let server = match Server::start(opts) {
         Ok(s) => s,
         Err(e) => {
@@ -1433,6 +1293,46 @@ pub fn run_serve_cli(args: &[String]) -> i32 {
     0
 }
 
+fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
+    let mut opts = ServeOptions {
+        jobs: ss_types::exec::default_jobs(),
+        ..ServeOptions::default()
+    };
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--socket" => opts.socket = PathBuf::from(args.value("--socket needs a path")?),
+            "--jobs" | "-j" => opts.jobs = args.parse("--jobs needs a worker count")?,
+            "--queue-depth" => opts.queue_depth = args.parse("--queue-depth needs a count")?,
+            "--checkpoint-dir" => {
+                opts.checkpoint_dir = Some(PathBuf::from(
+                    args.value("--checkpoint-dir needs a directory")?,
+                ))
+            }
+            "--interactive-max-ms" => {
+                opts.interactive_max_ms =
+                    args.parse("--interactive-max-ms needs a millisecond count")?
+            }
+            "--bulk-min-ms" => {
+                opts.bulk_min_ms = args.parse("--bulk-min-ms needs a millisecond count")?
+            }
+            "--read-timeout-ms" => {
+                opts.read_timeout_ms = args.parse("--read-timeout-ms needs a millisecond count")?
+            }
+            "--write-timeout-ms" => {
+                opts.write_timeout_ms =
+                    args.parse("--write-timeout-ms needs a millisecond count")?
+            }
+            "--drain-grace-ms" => {
+                opts.drain_grace_ms = args.parse("--drain-grace-ms needs a millisecond count")?
+            }
+            "--allow-poison" => opts.allow_poison = true,
+            other => return Err(format!("unknown serve flag `{other}`")),
+        }
+    }
+    Ok(opts)
+}
+
 /// One client attempt's verdict.
 enum Attempt {
     /// Terminal outcome: exit with this code, no retry.
@@ -1443,6 +1343,28 @@ enum Attempt {
     Fail(String),
 }
 
+/// What a client asks the server.
+enum Ask {
+    /// `run` this request text (with `--deadline-ms` already armed).
+    Run(String),
+    /// A control verb: `metrics` or `shutdown`.
+    Verb(&'static str),
+}
+
+/// A parsed `experiments client` command line.
+struct ClientArgs {
+    socket: PathBuf,
+    id: String,
+    prio: Option<String>,
+    ask: Ask,
+    cancel_after: Option<u32>,
+    retries: u32,
+    retry_base_ms: u64,
+    retry_cap_ms: u64,
+    retry_seed: u64,
+    timeout_ms: u64,
+}
+
 /// `experiments client --socket PATH [flags]`: one-shot client with
 /// seeded-backoff retries. Streams every server line to stdout; exits 0
 /// on `done` (or acknowledged control message), 1 on `err`. Connect
@@ -1450,177 +1372,128 @@ enum Attempt {
 /// backoff — safe because completed runs are memoized server-side and
 /// answered `ack cached`, so a retried request never re-executes.
 pub fn run_client_cli(args: &[String]) -> i32 {
-    let mut socket = PathBuf::from("experiments.sock");
-    let mut id = String::from("r1");
-    let mut prio: Option<String> = None;
-    let mut req: Option<String> = None;
-    let mut cancel_after: Option<u32> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut retries: u32 = 3;
-    let mut retry_base_ms: u64 = 100;
-    let mut retry_cap_ms: u64 = 5_000;
-    let mut retry_seed: u64 = 0x5EED;
-    let mut timeout_ms: u64 = 0;
-    let mut want_stats = false;
-    let mut want_health = false;
-    let mut want_shutdown = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = PathBuf::from(it.next().expect("--socket needs a path")),
-            "--id" => id = it.next().expect("--id needs a token").clone(),
-            "--prio" => prio = Some(it.next().expect("--prio needs a class").clone()),
-            "--req" => req = Some(it.next().expect("--req needs request text").clone()),
-            "--cancel-after" => {
-                cancel_after = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--cancel-after needs a progress-line count"),
-                )
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--deadline-ms needs a millisecond count"),
-                )
-            }
-            "--retries" => {
-                retries = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--retries needs a count")
-            }
-            "--retry-base-ms" => {
-                retry_base_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--retry-base-ms needs a millisecond count")
-            }
-            "--retry-cap-ms" => {
-                retry_cap_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--retry-cap-ms needs a millisecond count")
-            }
-            "--retry-seed" => {
-                retry_seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--retry-seed needs a number")
-            }
-            "--timeout-ms" => {
-                timeout_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--timeout-ms needs a millisecond count")
-            }
-            "--stats" => want_stats = true,
-            "--health" => want_health = true,
-            "--shutdown" => want_shutdown = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments client --socket PATH [flags]\n\
-                     \n\
-                     flags (with defaults):\n\
-                     \x20 --req 'src=... cfg=... len=...'  request to run\n\
-                     \x20 --id ID                  request id token (r1)\n\
-                     \x20 --prio P                 interactive|normal|bulk (server EMA)\n\
-                     \x20 --deadline-ms MS         arm a wall-clock deadline on the request\n\
-                     \x20 --cancel-after N         cancel after N progress lines\n\
-                     \x20 --retries N              retry budget for connect/overloaded (3)\n\
-                     \x20 --retry-base-ms MS       backoff base delay (100)\n\
-                     \x20 --retry-cap-ms MS        backoff delay cap (5000)\n\
-                     \x20 --retry-seed N           backoff jitter seed (0x5EED)\n\
-                     \x20 --timeout-ms MS          overall wall budget, 0 = unlimited (0)\n\
-                     \x20 --stats | --health | --shutdown   control verbs"
-                );
-                return 0;
-            }
-            other => {
-                eprintln!("unknown client flag `{other}`");
-                return 2;
-            }
-        }
+    if wants_help(args) {
+        eprintln!("{CLIENT_USAGE}");
+        return 0;
     }
-    // Arm the deadline by round-tripping through the typed request, so
-    // a malformed request fails here, not at the server.
-    if let Some(ms) = deadline_ms {
-        match req.as_deref().map(str::parse::<RunRequest>) {
-            Some(Ok(parsed)) => req = Some(parsed.deadline_ms(ms).to_string()),
-            Some(Err(e)) => {
-                eprintln!("client: {e}");
-                return 2;
-            }
-            None => {
-                eprintln!("client: --deadline-ms needs --req");
-                return 2;
-            }
-        }
-    }
+    let args = match parse_client_args(args) {
+        Ok(a) => a,
+        Err(msg) => return usage_error(&msg),
+    };
     let overall = Instant::now();
-    let out_of_budget =
-        |overall: &Instant| timeout_ms > 0 && overall.elapsed().as_millis() as u64 >= timeout_ms;
-    let mut backoff = Backoff::new(retry_base_ms, retry_cap_ms, retry_seed);
+    let mut backoff = Backoff::new(args.retry_base_ms, args.retry_cap_ms, args.retry_seed);
     let mut attempt = 0u32;
     loop {
-        let verdict = client_attempt(
-            &socket,
-            &id,
-            prio.as_deref(),
-            req.as_deref(),
-            cancel_after,
-            want_stats,
-            want_health,
-            want_shutdown,
-            timeout_ms,
-            &overall,
-        );
-        match verdict {
+        match client_attempt(&args, &overall) {
             Attempt::Exit(code) => return code,
             Attempt::Fail(reason) => {
                 eprintln!("client: {reason}");
                 return 1;
             }
             Attempt::Retry(reason) => {
-                if attempt >= retries {
+                if attempt >= args.retries {
                     eprintln!("client: giving up after {attempt} retries ({reason})");
                     return 1;
                 }
                 attempt += 1;
                 let delay = backoff.next_delay_ms();
-                if out_of_budget(&overall) {
+                if out_of_budget(args.timeout_ms, &overall) {
                     eprintln!("client: --timeout-ms budget exhausted ({reason})");
                     return 1;
                 }
-                eprintln!("client: {reason}; retry {attempt}/{retries} in {delay} ms");
+                eprintln!(
+                    "client: {reason}; retry {attempt}/{} in {delay} ms",
+                    args.retries
+                );
                 std::thread::sleep(Duration::from_millis(delay));
             }
         }
     }
 }
 
+fn parse_client_args(args: &[String]) -> Result<ClientArgs, String> {
+    let mut socket = PathBuf::from("experiments.sock");
+    let mut id = String::from("r1");
+    let mut prio = None;
+    let mut req: Option<&str> = None;
+    let mut verb = None;
+    let mut cancel_after = None;
+    let mut deadline_ms: Option<u64> = None;
+    let mut retries = 3;
+    let mut retry_base_ms = 100;
+    let mut retry_cap_ms = 5_000;
+    let mut retry_seed = 0x5EED;
+    let mut timeout_ms = 0;
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--socket" => socket = PathBuf::from(args.value("--socket needs a path")?),
+            "--id" => id = args.value("--id needs a token")?.to_string(),
+            "--prio" => prio = Some(args.value("--prio needs a class")?.to_string()),
+            "--req" => req = Some(args.value("--req needs request text")?),
+            "--cancel-after" => {
+                cancel_after = Some(args.parse("--cancel-after needs a progress-line count")?)
+            }
+            "--deadline-ms" => {
+                deadline_ms = Some(args.parse("--deadline-ms needs a millisecond count")?)
+            }
+            "--retries" => retries = args.parse("--retries needs a count")?,
+            "--retry-base-ms" => {
+                retry_base_ms = args.parse("--retry-base-ms needs a millisecond count")?
+            }
+            "--retry-cap-ms" => {
+                retry_cap_ms = args.parse("--retry-cap-ms needs a millisecond count")?
+            }
+            "--retry-seed" => retry_seed = args.seed("--retry-seed needs a number")?,
+            "--timeout-ms" => timeout_ms = args.parse("--timeout-ms needs a millisecond count")?,
+            "--metrics" => verb = Some("metrics"),
+            "--shutdown" => verb = Some("shutdown"),
+            other => return Err(format!("unknown client flag `{other}`")),
+        }
+    }
+    let ask = match (verb, req, deadline_ms) {
+        (_, None, Some(_)) => return Err("--deadline-ms needs --req".into()),
+        (Some(verb), _, _) => Ask::Verb(verb),
+        (None, Some(text), None) => Ask::Run(text.to_string()),
+        // Arm the deadline by round-tripping through the typed request,
+        // so a malformed request fails here, not at the server.
+        (None, Some(text), Some(ms)) => {
+            let parsed = text.parse::<RunRequest>().map_err(|e| e.to_string())?;
+            Ask::Run(parsed.deadline_ms(ms).to_string())
+        }
+        (None, None, None) => return Err("client needs --req, --metrics or --shutdown".into()),
+    };
+    Ok(ClientArgs {
+        socket,
+        id,
+        prio,
+        ask,
+        cancel_after,
+        retries,
+        retry_base_ms,
+        retry_cap_ms,
+        retry_seed,
+        timeout_ms,
+    })
+}
+
+/// Whether the client's overall `--timeout-ms` budget (0 = none) is
+/// spent.
+fn out_of_budget(timeout_ms: u64, overall: &Instant) -> bool {
+    timeout_ms > 0 && overall.elapsed().as_millis() as u64 >= timeout_ms
+}
+
 /// One connect-send-read transaction against the server.
-#[allow(clippy::too_many_arguments)]
-fn client_attempt(
-    socket: &Path,
-    id: &str,
-    prio: Option<&str>,
-    req: Option<&str>,
-    cancel_after: Option<u32>,
-    want_stats: bool,
-    want_health: bool,
-    want_shutdown: bool,
-    timeout_ms: u64,
-    overall: &Instant,
-) -> Attempt {
+fn client_attempt(args: &ClientArgs, overall: &Instant) -> Attempt {
+    let socket = &args.socket;
+    let id = &args.id;
     let mut stream = match UnixStream::connect(socket) {
         Ok(s) => s,
         Err(e) => {
             return Attempt::Retry(format!("cannot connect to {}: {e}", socket.display()));
         }
     };
-    if timeout_ms > 0 {
+    if args.timeout_ms > 0 {
         // Poll in slices so the overall budget is enforced even when
         // the server stops talking mid-conversation.
         let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -1632,12 +1505,10 @@ fn client_attempt(
     let send_line = |s: &mut UnixStream, line: &str| -> bool {
         s.write_all(line.as_bytes()).is_ok() && s.write_all(b"\n").is_ok() && s.flush().is_ok()
     };
-    let out_of_budget =
-        |overall: &Instant| timeout_ms > 0 && overall.elapsed().as_millis() as u64 >= timeout_ms;
     let read_line = |reader: &mut BufReader<UnixStream>| -> Result<Option<String>, Attempt> {
         let mut line = String::new();
         loop {
-            if out_of_budget(overall) {
+            if out_of_budget(args.timeout_ms, overall) {
                 return Err(Attempt::Fail("--timeout-ms budget exhausted".into()));
             }
             line.clear();
@@ -1653,33 +1524,24 @@ fn client_attempt(
             }
         }
     };
-    if want_stats || want_health || want_shutdown {
-        let verb = if want_shutdown {
-            "shutdown"
-        } else if want_health {
-            "health"
-        } else {
-            "stats"
-        };
-        if !send_line(&mut stream, verb) {
-            return Attempt::Retry("send failed".into());
-        }
-        return match read_line(&mut reader) {
-            Ok(Some(line)) => {
-                println!("{line}");
-                Attempt::Exit(0)
+    let line = match &args.ask {
+        Ask::Verb(verb) => {
+            if !send_line(&mut stream, verb) {
+                return Attempt::Retry("send failed".into());
             }
-            Ok(None) => Attempt::Retry("connection closed before a reply".into()),
-            Err(a) => a,
-        };
-    }
-    let Some(req) = req else {
-        eprintln!("client: --req (or --stats/--health/--shutdown) is required");
-        return Attempt::Exit(2);
-    };
-    let line = match prio {
-        Some(p) => format!("run {id} prio={p} {req}"),
-        None => format!("run {id} {req}"),
+            return match read_line(&mut reader) {
+                Ok(Some(line)) => {
+                    println!("{line}");
+                    Attempt::Exit(0)
+                }
+                Ok(None) => Attempt::Retry("connection closed before a reply".into()),
+                Err(a) => a,
+            };
+        }
+        Ask::Run(req) => match &args.prio {
+            Some(p) => format!("run {id} prio={p} {req}"),
+            None => format!("run {id} {req}"),
+        },
     };
     if !send_line(&mut stream, &line) {
         return Attempt::Retry("send failed".into());
@@ -1703,7 +1565,7 @@ fn client_attempt(
             "overloaded" => return Attempt::Retry("server overloaded".into()),
             "progress" => {
                 progress_seen += 1;
-                if cancel_after == Some(progress_seen)
+                if args.cancel_after == Some(progress_seen)
                     && !send_line(&mut stream, &format!("cancel {id}"))
                 {
                     return Attempt::Fail("cancel send failed".into());
@@ -1718,31 +1580,13 @@ fn client_attempt(
 /// offline (no server) and prints the identical `done <k=v ...>` line —
 /// the reference output the CI smoke test diffs server replies against.
 pub fn run_offline_cli(args: &[String]) -> i32 {
-    let mut req: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--req" => req = Some(it.next().expect("--req needs request text").clone()),
-            "--help" | "-h" => {
-                eprintln!("usage: experiments run --req 'src=... cfg=... len=...'");
-                return 0;
-            }
-            other => {
-                eprintln!("unknown run flag `{other}`");
-                return 2;
-            }
-        }
+    if wants_help(args) {
+        eprintln!("{RUN_USAGE}");
+        return 0;
     }
-    let Some(text) = req else {
-        eprintln!("run: --req is required");
-        return 2;
-    };
-    let parsed = match text.parse::<RunRequest>() {
+    let parsed = match parse_run_args(args) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("run: {}", SimError::from(e));
-            return 2;
-        }
+        Err(msg) => return usage_error(&msg),
     };
     let id = "offline";
     match parsed.execute() {
@@ -1755,6 +1599,21 @@ pub fn run_offline_cli(args: &[String]) -> i32 {
             1
         }
     }
+}
+
+fn parse_run_args(args: &[String]) -> Result<RunRequest, String> {
+    let mut req = None;
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--req" => req = Some(args.value("--req needs request text")?),
+            other => return Err(format!("unknown run flag `{other}`")),
+        }
+    }
+    let text = req.ok_or("run needs --req")?;
+    // Through `SimError`, so a library-only `<…>` marker names itself.
+    text.parse::<RunRequest>()
+        .map_err(|e| SimError::from(e).to_string())
 }
 
 #[cfg(test)]
@@ -1930,30 +1789,30 @@ mod tests {
 
     #[test]
     fn results_front_never_exceeds_its_capacity() {
-        let mut front = ResultsFront::new(3);
+        let mut front = BoundedMap::new(3);
         let stats = |n: u64| SimStats {
             cycles: n,
             ..Default::default()
         };
         for n in 0..10u64 {
             front.insert(format!("req{n}"), stats(n));
-            assert!(front.map.len() <= 3);
-            assert!(front.order.len() <= 3);
+            assert!(front.len() <= 3);
         }
-        assert_eq!(front.map.len(), 3);
+        assert_eq!(front.len(), 3);
         // The newest entries stay; the oldest made room.
-        assert_eq!(front.map.get("req9"), Some(&stats(9)));
-        assert_eq!(front.map.get("req7"), Some(&stats(7)));
-        assert_eq!(front.map.get("req6"), None);
+        assert_eq!(front.get("req9"), Some(&stats(9)));
+        assert_eq!(front.get("req7"), Some(&stats(7)));
+        assert_eq!(front.get("req6"), None);
         // Re-inserting a resident text keeps its entry and evicts nothing.
         front.insert("req8".into(), stats(80));
-        assert_eq!(front.map.len(), 3);
-        assert_eq!(front.map.get("req8"), Some(&stats(8)));
-        assert_eq!(front.map.get("req7"), Some(&stats(7)));
+        assert_eq!(front.len(), 3);
+        assert_eq!(front.get("req8"), Some(&stats(8)));
+        assert_eq!(front.get("req7"), Some(&stats(7)));
     }
 
-    /// Sends `run <id> <req>` and returns (ack line, done payload).
-    fn run_over(
+    /// Sends `run <id> <req>` and returns (ack line, terminal line),
+    /// skipping progress lines.
+    fn run_to_end(
         lines: &mut std::io::Lines<BufReader<UnixStream>>,
         c: &mut UnixStream,
         id: &str,
@@ -1963,11 +1822,93 @@ mod tests {
         let ack = lines.next().unwrap().unwrap();
         loop {
             let line = lines.next().unwrap().unwrap();
-            if let Some(rest) = line.strip_prefix(&format!("done {id} ")) {
-                return (ack, rest.to_string());
+            if !line.starts_with("progress ") {
+                return (ack, line);
             }
-            assert!(line.starts_with("progress "), "unexpected line {line}");
         }
+    }
+
+    /// Sends `run <id> <req>` and returns (ack line, done payload).
+    fn run_over(
+        lines: &mut std::io::Lines<BufReader<UnixStream>>,
+        c: &mut UnixStream,
+        id: &str,
+        req: &str,
+    ) -> (String, String) {
+        let (ack, end) = run_to_end(lines, c, id, req);
+        let done = end
+            .strip_prefix(&format!("done {id} "))
+            .unwrap_or_else(|| panic!("expected done, got {end}"));
+        (ack, done.to_string())
+    }
+
+    #[test]
+    fn served_snapshot_forks_read_their_file_on_every_run() {
+        let dir = std::env::temp_dir().join(format!("ss-serve-fork-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("warm.snap");
+        let warm = "src=bench:fp_compute@0xb5 cfg=SpecSched_4 len=w200m0 fork=capture"
+            .parse::<RunRequest>()
+            .unwrap()
+            .execute()
+            .unwrap()
+            .snapshot
+            .expect("capture produces a snapshot");
+        ss_snapshot::write_atomic(&path, &warm).unwrap();
+        let fork = |len: &str| {
+            format!(
+                "src=bench:fp_compute@0xb5 cfg=SpecSched_4 len={len} fork=snap:{}",
+                path.display()
+            )
+        };
+        let server = Server::start(ServeOptions {
+            socket: dir.join("fork.sock"),
+            jobs: 1,
+            queue_depth: 4,
+            ..ServeOptions::default()
+        })
+        .expect("server starts");
+        let mut c = UnixStream::connect(server.socket()).unwrap();
+        let mut lines = BufReader::new(c.try_clone().unwrap()).lines();
+        // A served fork answers the bytes `experiments run --req` prints.
+        let text = fork("w200m2000");
+        let offline = text.parse::<RunRequest>().unwrap().execute().unwrap();
+        let (ack, done) = run_over(&mut lines, &mut c, "a", &text);
+        assert_eq!(ack, "ack a queued prio=normal");
+        assert_eq!(
+            done,
+            stats_to_wire(&offline.stats),
+            "same bytes as `run --req`"
+        );
+        // With the file gone, a new run from the same warm state is a
+        // typed error: the server kept no copy of the snapshot.
+        std::fs::remove_file(&path).unwrap();
+        let (_, end) = run_to_end(&mut lines, &mut c, "b", &fork("w200m3000"));
+        let corrupt = format!("err b corrupt snapshot {}: snapshot io: ", path.display());
+        assert!(end.starts_with(&corrupt), "{end}");
+        // A file in an older format names the version mismatch.
+        ss_snapshot::write_atomic(&path, &warm).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let vpos = ss_snapshot::SNAPSHOT_MAGIC.len() + 2;
+        assert_eq!(
+            bytes[vpos],
+            b'0' + ss_snapshot::SNAPSHOT_FORMAT_VERSION as u8
+        );
+        bytes[vpos] = b'1';
+        std::fs::write(&path, bytes).unwrap();
+        let (_, end) = run_to_end(&mut lines, &mut c, "c", &fork("w200m4000"));
+        assert_eq!(
+            end,
+            format!(
+                "err c snapshot version mismatch {}: found v1, this build reads v{}",
+                path.display(),
+                ss_snapshot::SNAPSHOT_FORMAT_VERSION
+            )
+        );
+        drop(c);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2079,7 +2020,7 @@ mod tests {
     }
 
     #[test]
-    fn server_answers_ping_run_and_stats_over_the_socket() {
+    fn server_answers_ping_run_and_metrics_over_the_socket() {
         let dir = std::env::temp_dir().join(format!("ss-serve-unit-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let server = Server::start(ServeOptions {
@@ -2110,14 +2051,34 @@ mod tests {
         assert_eq!(lines.next().unwrap().unwrap(), "ack b cached");
         let cached = lines.next().unwrap().unwrap();
         assert_eq!(cached.strip_prefix("done b ").unwrap(), done);
-        // Health reports a fully alive pool and the completed run.
-        c.write_all(b"health\n").unwrap();
-        let health = lines.next().unwrap().unwrap();
-        assert!(health.starts_with("health uptime_ms="), "{health}");
-        assert!(health.contains("workers=1"), "{health}");
-        assert!(health.contains(" live=1"), "{health}");
-        assert!(health.contains(" restarted=0"), "{health}");
-        assert!(health.contains(" completed=1"), "{health}");
+        // Metrics report a fully alive pool, the completed run, the hit,
+        // each resident map against its capacity and the queue wait.
+        c.write_all(b"metrics\n").unwrap();
+        let metrics = lines.next().unwrap().unwrap();
+        assert!(metrics.starts_with("metrics uptime_ms="), "{metrics}");
+        for kv in [
+            " workers=1 ",
+            " live=1 ",
+            " restarted=0 ",
+            " depth=0 limit=4 ",
+            " completed=1 ",
+            " cached=1 ",
+            " results=1 results_cap=4096 ",
+            " ema_cells=1 ema_cap=4096 ",
+            " wait.interactive.n=0 ",
+            " wait.normal.n=1 wait.normal.p50_us=",
+            " wait.bulk.n=0",
+        ] {
+            assert!(metrics.contains(kv), "`{kv}` missing from {metrics}");
+        }
+        assert!(!metrics.contains("wait.bulk.p50_us"), "{metrics}");
+        // `stats` and `health` are retired: `metrics` is the one status verb.
+        c.write_all(b"stats\nhealth\n").unwrap();
+        assert_eq!(lines.next().unwrap().unwrap(), "err - unknown verb `stats`");
+        assert_eq!(
+            lines.next().unwrap().unwrap(),
+            "err - unknown verb `health`"
+        );
         // Poison is refused unless explicitly enabled.
         c.write_all(b"poison p1\n").unwrap();
         let refused = lines.next().unwrap().unwrap();

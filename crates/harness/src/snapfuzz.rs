@@ -18,6 +18,7 @@
 //!
 //! [`Simulator::restore`]: ss_core::Simulator::restore
 
+use crate::cli::{usage_error, wants_help, Args};
 use ss_core::{RunLength, Simulator};
 use ss_snapshot::{Mutation, Snapshot};
 use ss_types::rng::Xoshiro256;
@@ -121,34 +122,14 @@ pub fn run_campaign(seed: u64, count: u64) -> SnapFuzzStats {
 
 /// CLI entry point for `experiments snapfuzz`.
 pub fn run_cli(args: &[String]) -> i32 {
-    let mut seed = 0xC0FF_EE5E_ED00_0001u64;
-    let mut count = 500u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                let v = v.strip_prefix("0x").unwrap_or(v);
-                seed = u64::from_str_radix(v, 16)
-                    .or_else(|_| v.parse())
-                    .expect("--seed needs a number");
-            }
-            "--seeds" => {
-                count = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds needs a count")
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: experiments snapfuzz [--seeds N] [--seed S]");
-                return 0;
-            }
-            other => {
-                eprintln!("unknown snapfuzz flag `{other}` (see --help)");
-                return 2;
-            }
-        }
+    if wants_help(args) {
+        eprintln!("usage: experiments snapfuzz [--seeds N] [--seed S]");
+        return 0;
     }
+    let (seed, count) = match parse_args(args) {
+        Ok(parsed) => parsed,
+        Err(msg) => return usage_error(&msg),
+    };
     let stats = run_campaign(seed, count);
     println!(
         "snapfuzz seed {seed:#x}: {} mutations — container {} rejected / {} accepted, \
@@ -167,6 +148,20 @@ pub fn run_cli(args: &[String]) -> i32 {
         eprintln!("snapshot corruption escaped typed handling (see ESCAPE/PANIC lines above)");
         1
     }
+}
+
+/// `--seed` and `--seeds`, with their defaults.
+fn parse_args(args: &[String]) -> Result<(u64, u64), String> {
+    let (mut seed, mut count) = (0xC0FF_EE5E_ED00_0001, 500);
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--seed" => seed = args.seed("--seed needs a number")?,
+            "--seeds" => count = args.parse("--seeds needs a count")?,
+            other => return Err(format!("unknown snapfuzz flag `{other}`")),
+        }
+    }
+    Ok((seed, count))
 }
 
 #[cfg(test)]

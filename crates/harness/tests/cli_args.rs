@@ -82,3 +82,102 @@ fn bad_trace_arguments_exit_2_without_panicking() {
         assert_usage_error(EXE, &args);
     }
 }
+
+#[test]
+fn bad_serve_arguments_exit_2_without_panicking() {
+    let cases: [&[&str]; 6] = [
+        &["--jobs", "x"],
+        &["--jobs"],
+        &["--queue-depth", "-1"],
+        &["--socket"],
+        &["--drain-grace-ms", "soon"],
+        &["--no-such-flag"],
+    ];
+    for case in cases {
+        let mut args = vec!["serve"];
+        args.extend_from_slice(case);
+        assert_usage_error(EXE, &args);
+    }
+}
+
+#[test]
+fn bad_client_arguments_exit_2_without_panicking() {
+    let cases: [&[&str]; 9] = [
+        &["--retries"],
+        &["--retries", "x", "--metrics"],
+        &["--socket"],
+        &["--retry-seed", "zz", "--metrics"],
+        &["--stats"],
+        &["--health"],
+        &["--deadline-ms", "5", "--metrics"],
+        &["--req", "src=nowhere", "--deadline-ms", "5"],
+        &["--id", "r1"],
+    ];
+    for case in cases {
+        let mut args = vec!["client", "--socket", "/nonexistent/ss.sock"];
+        args.extend_from_slice(case);
+        assert_usage_error(EXE, &args);
+    }
+}
+
+#[test]
+fn bad_run_arguments_exit_2_without_panicking() {
+    let cases: [&[&str]; 4] = [
+        &["--req"],
+        &[],
+        &[
+            "--req",
+            "src=bench:mix_int@0x1 cfg=NoSuchConfig_4 len=w0m10",
+        ],
+        &["--no-such-flag"],
+    ];
+    for case in cases {
+        let mut args = vec!["run"];
+        args.extend_from_slice(case);
+        assert_usage_error(EXE, &args);
+    }
+}
+
+#[test]
+fn bad_chaos_arguments_exit_2_without_panicking() {
+    let cases: [&[&str]; 5] = [
+        &["--seed", "zz"],
+        &["--seed"],
+        &["--events", "x"],
+        &["--dir"],
+        &["--no-such-flag"],
+    ];
+    for case in cases {
+        let mut args = vec!["chaos"];
+        args.extend_from_slice(case);
+        assert_usage_error(EXE, &args);
+    }
+}
+
+#[test]
+fn bad_snapfuzz_arguments_exit_2_without_panicking() {
+    let cases: [&[&str]; 5] = [
+        &["--seed", "zz"],
+        &["--seed"],
+        &["--seeds", "x"],
+        &["--seeds"],
+        &["--no-such-flag"],
+    ];
+    for case in cases {
+        let mut args = vec!["snapfuzz"];
+        args.extend_from_slice(case);
+        assert_usage_error(EXE, &args);
+    }
+}
+
+#[test]
+fn snapfuzz_reads_a_seed_without_a_prefix_as_decimal() {
+    let out = Command::new(EXE)
+        .args(["snapfuzz", "--seeds", "1", "--seed", "10"])
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("spawn binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.starts_with("snapfuzz seed 0xa: "), "{stdout}");
+}

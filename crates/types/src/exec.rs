@@ -18,7 +18,9 @@
 //!   admission control.
 //! * [`CostEma`] — per-key exponentially-weighted moving averages of
 //!   simulation cost (the Exo-OS predictive-scheduler recipe: α = 1/4),
-//!   used to classify incoming requests into priority levels.
+//!   used to classify incoming requests into priority levels, held in a
+//!   [`BoundedMap`] (FIFO eviction at a fixed capacity) like the serve
+//!   layer's results front.
 //!
 //! The pool deliberately has no knowledge of what a "job" is: callers
 //! index into their own job list with the indices handed out by
@@ -315,7 +317,7 @@ impl<T> PrioQueue<T> {
     }
 
     /// Pending items per class, indexed by [`Priority::index`] (the
-    /// serve layer's `health` report).
+    /// serve layer's `metrics` report).
     pub fn depths(&self) -> [usize; 3] {
         let inner = self.inner.lock().expect("prio queue poisoned");
         [
@@ -415,22 +417,89 @@ impl<T> PrioQueue<T> {
     }
 }
 
+/// A map of at most `capacity` entries keyed by text: when full, the
+/// oldest key makes room (FIFO eviction). A resident key keeps its slot;
+/// [`BoundedMap::insert`] leaves it alone and [`BoundedMap::get_mut`]
+/// updates it in place. A long-lived server keeps its per-request state
+/// in these, so its memory stays flat however many distinct keys it sees.
+#[derive(Debug)]
+pub struct BoundedMap<V> {
+    capacity: usize,
+    map: HashMap<String, V>,
+    /// Keys in insertion order.
+    order: VecDeque<String>,
+}
+
+impl<V> BoundedMap<V> {
+    /// An empty map holding at most `capacity` (≥ 1) entries.
+    pub fn new(capacity: usize) -> Self {
+        BoundedMap {
+            capacity,
+            map: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    /// The value under `key`, if resident.
+    pub fn get(&self, key: &str) -> Option<&V> {
+        self.map.get(key)
+    }
+
+    /// The value under `key` for an in-place update, if resident.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut V> {
+        self.map.get_mut(key)
+    }
+
+    /// Keeps `value` under `key` unless `key` is already resident, in
+    /// which case nothing changes. A full map first evicts its oldest key.
+    pub fn insert(&mut self, key: String, value: V) {
+        if self.map.contains_key(&key) {
+            return;
+        }
+        if self.order.len() == self.capacity {
+            let oldest = self.order.pop_front().expect("a full map is non-empty");
+            self.map.remove(&oldest);
+        }
+        self.order.push_back(key.clone());
+        self.map.insert(key, value);
+    }
+
+    /// Resident entries.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Whether nothing is resident.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// The most entries the map ever holds.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+}
+
 /// Per-key exponentially-weighted moving average of observed cost.
 ///
 /// The Exo-OS predictive-scheduler recipe: `ema = new/4 + 3·old/4`
 /// (α = 1/4), integer arithmetic so the estimate is deterministic across
 /// hosts. Keys are caller-defined (the serve layer uses
-/// `"{config}|{kernel}"`), costs are caller-defined units (the serve
-/// layer feeds wall-clock microseconds).
-#[derive(Debug, Default)]
+/// `"{config}|{source}"`), costs are caller-defined units (the serve
+/// layer feeds wall-clock milliseconds). At most `capacity` keys keep an
+/// estimate; the oldest is forgotten first, and a forgotten key
+/// classifies as unknown again.
+#[derive(Debug)]
 pub struct CostEma {
-    ema: HashMap<String, u64>,
+    ema: BoundedMap<u64>,
 }
 
 impl CostEma {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty tracker keeping at most `capacity` keys.
+    pub fn new(capacity: usize) -> Self {
+        CostEma {
+            ema: BoundedMap::new(capacity),
+        }
     }
 
     /// Folds one observed cost into `key`'s average. The first
@@ -438,9 +507,7 @@ impl CostEma {
     pub fn observe(&mut self, key: &str, cost: u64) {
         match self.ema.get_mut(key) {
             Some(ema) => *ema = (cost + 3 * *ema) / 4,
-            None => {
-                self.ema.insert(key.to_string(), cost);
-            }
+            None => self.ema.insert(key.to_string(), cost),
         }
     }
 
@@ -457,6 +524,11 @@ impl CostEma {
     /// Whether no cost has been observed yet.
     pub fn is_empty(&self) -> bool {
         self.ema.is_empty()
+    }
+
+    /// The most keys that keep an estimate.
+    pub fn capacity(&self) -> usize {
+        self.ema.capacity()
     }
 
     /// Classifies `key` by its estimate against two thresholds:
@@ -629,7 +701,7 @@ mod tests {
 
     #[test]
     fn cost_ema_converges_and_classifies() {
-        let mut ema = CostEma::new();
+        let mut ema = CostEma::new(16);
         assert_eq!(ema.predict("cell"), None);
         assert_eq!(ema.classify("cell", 100, 10_000), Priority::Normal);
         ema.observe("cell", 1_000);
@@ -650,5 +722,26 @@ mod tests {
         assert_eq!(ema.classify("big", 100, 10_000), Priority::Bulk);
         assert_eq!(ema.len(), 2);
         assert!(!ema.is_empty());
+    }
+
+    #[test]
+    fn cost_ema_forgets_its_oldest_key_at_capacity() {
+        const CAP: usize = 64;
+        let mut ema = CostEma::new(CAP);
+        for k in 0..CAP + 100 {
+            ema.observe(&format!("cell{k}"), 10 + k as u64);
+        }
+        assert_eq!(ema.len(), CAP);
+        assert_eq!(ema.capacity(), CAP);
+        assert_eq!(ema.predict("cell0"), None, "the oldest key is gone");
+        assert_eq!(ema.predict("cell99"), None);
+        assert_eq!(ema.predict("cell100"), Some(110), "the oldest kept key");
+        let last = CAP + 99;
+        assert_eq!(ema.predict(&format!("cell{last}")), Some(10 + last as u64));
+        // Updating a resident key moves nothing and evicts nothing.
+        ema.observe("cell100", 30);
+        assert_eq!(ema.predict("cell100"), Some((30 + 3 * 110) / 4));
+        assert_eq!(ema.len(), CAP);
+        assert_eq!(ema.classify("cell0", 100, 10_000), Priority::Normal);
     }
 }

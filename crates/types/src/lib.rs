@@ -69,7 +69,7 @@ pub use config::{
 };
 pub use config_spec::{ConfigFamily, ConfigSpec, ConfigVariant, NamedConfig, ParseConfigError};
 pub use error::{DeadlockReport, DivergenceReport, InvariantReport, PipelineSnapshot, SimError};
-pub use exec::{CancelFlag, CostEma, PrioQueue, Priority, PushError, WorkQueue};
+pub use exec::{BoundedMap, CancelFlag, CostEma, PrioQueue, Priority, PushError, WorkQueue};
 pub use ids::{Addr, ArchReg, Cycle, Pc, PhysReg, SeqNum};
 pub use op::{BranchKind, ExecPort, OpClass, RegClass};
 pub use persist::{DecodeError, Persist, PersistState, Reader, Writer};

@@ -82,15 +82,15 @@ impl Client {
         }
     }
 
-    /// Issues `health` and parses the `k=v` payload.
-    fn health(&mut self) -> HashMap<String, u64> {
-        self.send("health");
+    /// Issues `metrics` and parses the `k=v` payload.
+    fn metrics(&mut self) -> HashMap<String, u64> {
+        self.send("metrics");
         let line = self.recv();
-        let payload = line.strip_prefix("health ").expect("health reply");
+        let payload = line.strip_prefix("metrics ").expect("metrics reply");
         payload
             .split(' ')
             .filter_map(|kv| kv.split_once('='))
-            .map(|(k, v)| (k.to_string(), v.parse().expect("health value")))
+            .map(|(k, v)| (k.to_string(), v.parse().expect("metrics value")))
             .collect()
     }
 }
@@ -132,18 +132,21 @@ fn poisoned_workers_are_respawned_and_results_stay_byte_identical() {
     // The supervisor notices the corpses and respawns: the pool returns
     // to full strength.
     let t0 = Instant::now();
-    while server.workers_restarted() < 2 {
+    loop {
+        let restarted = c.metrics()["restarted"];
+        if restarted >= 2 {
+            break;
+        }
         assert!(
             t0.elapsed() < Duration::from_secs(10),
             "supervisor never respawned the poisoned workers \
-             (restarted={})",
-            server.workers_restarted()
+             (restarted={restarted})"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
     let t0 = Instant::now();
     loop {
-        let h = c.health();
+        let h = c.metrics();
         if h["live"] == 2 && h["busy"] == 0 {
             assert_eq!(h["workers"], 2);
             assert!(h["restarted"] >= 2);
@@ -172,8 +175,9 @@ fn poisoned_workers_are_respawned_and_results_stay_byte_identical() {
     );
 
     // Poison is an uncontained kill, not a caught panic.
-    assert_eq!(server.workers_restarted(), 2);
-    assert_eq!(server.panics_caught(), 0);
+    let m = c.metrics();
+    assert_eq!(m["restarted"], 2);
+    assert_eq!(m["panics_caught"], 0);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -227,7 +231,7 @@ fn deadline_exceeded_is_typed_with_evidence_while_neighbors_finish() {
         committed > 0 && committed < 400_000_000,
         "deadline fired mid-run, not at an edge: {committed}"
     );
-    assert_eq!(server.deadline_exceeded(), 1);
+    assert_eq!(doomed.metrics()["deadline_exceeded"], 1);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,6 +15,7 @@
 use speculative_scheduling::core::RunRequest;
 use speculative_scheduling::harness::serve::{stats_from_wire, ServeOptions, Server};
 use speculative_scheduling::types::SplitMix64;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -31,8 +32,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// (`w10m100`) so mutants that stay parseable execute in microseconds.
 const CORPUS: &[&str] = &[
     "ping",
-    "stats",
-    "health",
+    "metrics",
     "cancel ghost",
     "run m1 src=bench:fp_compute@0xb5 cfg=SpecSched_4 len=w10m100",
     "run m2 prio=interactive src=bench:mix_int@0x7 cfg=Baseline_2 len=w10m100",
@@ -118,8 +118,7 @@ fn is_typed_reply(line: &str) -> bool {
         .iter()
         .any(|p| line.starts_with(p))
         || line == "pong"
-        || line.starts_with("stats ")
-        || line.starts_with("health ")
+        || line.starts_with("metrics ")
 }
 
 /// What one mutant connection observed.
@@ -239,18 +238,30 @@ fn seeded_protocol_mutants_always_earn_typed_replies_and_never_wedge() {
         "most connections should survive to the trailing ping: {ponged}/{driven}"
     );
 
-    // Zero panics: the pool never lost a worker to malformed input.
-    assert_eq!(server.workers_restarted(), 0, "a mutant killed a worker");
-    assert_eq!(server.panics_caught(), 0, "a mutant panicked a worker");
-
-    // And the server still does real work, byte-identically.
     let mut c = UnixStream::connect(&socket).expect("connect after campaign");
     c.set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
+    let mut reader = BufReader::new(c.try_clone().expect("clone"));
+
+    // Zero panics: the pool never lost a worker to malformed input.
+    c.write_all(b"metrics\n").expect("send");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("recv");
+    let metrics: HashMap<&str, u64> = line
+        .trim_end()
+        .strip_prefix("metrics ")
+        .unwrap_or_else(|| panic!("expected metrics, got {line}"))
+        .split(' ')
+        .filter_map(|kv| kv.split_once('='))
+        .map(|(k, v)| (k, v.parse().expect("metrics value")))
+        .collect();
+    assert_eq!(metrics["restarted"], 0, "a mutant killed a worker");
+    assert_eq!(metrics["panics_caught"], 0, "a mutant panicked a worker");
+
+    // And the server still does real work, byte-identically.
     let req = "src=bench:fp_compute@0xb5 cfg=SpecSched_4 len=w200m2000";
     c.write_all(format!("run final {req}\nping\n").as_bytes())
         .expect("send");
-    let mut reader = BufReader::new(c);
     let text = loop {
         let mut line = String::new();
         assert!(reader.read_line(&mut line).expect("recv") > 0);

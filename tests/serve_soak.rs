@@ -69,6 +69,18 @@ impl Client {
             return line;
         }
     }
+
+    /// Issues `metrics` and parses the `k=v` payload.
+    fn metrics(&mut self) -> HashMap<String, u64> {
+        self.send("metrics");
+        let line = self.recv();
+        let payload = line.strip_prefix("metrics ").expect("metrics reply");
+        payload
+            .split(' ')
+            .filter_map(|kv| kv.split_once('='))
+            .map(|(k, v)| (k.to_string(), v.parse().expect("metrics value")))
+            .collect()
+    }
 }
 
 /// Runs one request to completion and returns the `done` payload.
@@ -195,21 +207,19 @@ fn saturated_mixed_workload_is_byte_identical_and_prioritized() {
         "interactive work did not overtake queued bulk work: {log:?}"
     );
 
-    // And the latency distributions agree: interactive p99 < bulk p99.
-    let lat = server.latency_us();
-    let interactive = &lat[Priority::Interactive.index()];
-    let bulk = &lat[Priority::Bulk.index()];
-    assert_eq!(interactive.count(), 6);
-    assert_eq!(bulk.count(), 10);
+    // And the queue-wait distributions agree: interactive p99 < bulk p99.
+    let m = Client::connect(&socket).metrics();
+    assert_eq!(m["wait.interactive.n"], 6);
+    assert_eq!(m["wait.bulk.n"], 10);
     assert!(
-        interactive.p99() < bulk.p99(),
-        "interactive p99 {:?}µs !< bulk p99 {:?}µs",
-        interactive.p99(),
-        bulk.p99()
+        m["wait.interactive.p99_us"] < m["wait.bulk.p99_us"],
+        "interactive p99 {}µs !< bulk p99 {}µs",
+        m["wait.interactive.p99_us"],
+        m["wait.bulk.p99_us"]
     );
 
-    assert_eq!(server.completed(), 16);
-    assert_eq!(server.rejected(), 0);
+    assert_eq!(m["completed"], 16);
+    assert_eq!(m["rejected"], 0);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -272,7 +282,7 @@ fn cancellation_interrupts_and_admission_control_rejects() {
     // The queued cells still complete normally afterwards.
     assert!(c.terminal("q1").starts_with("done q1 "));
     assert!(c.terminal("q2").starts_with("done q2 "));
-    assert_eq!(server.rejected(), 1);
+    assert_eq!(c.metrics()["rejected"], 1);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

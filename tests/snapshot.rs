@@ -157,6 +157,43 @@ fn bumped_format_version_is_a_typed_version_mismatch() {
 }
 
 #[test]
+fn forking_from_an_older_format_file_is_a_typed_version_mismatch() {
+    let cfg = configs::baseline(2);
+    let snap = warm_up(&cfg, kernels::mix_int(1), 500);
+    let dir = std::env::temp_dir().join(format!("ss-snapv1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("old.snap");
+    write_atomic(&path, &snap).expect("writes");
+    let mut on_disk = std::fs::read(&path).unwrap();
+    let vpos = SNAPSHOT_MAGIC.len() + 2;
+    assert_eq!(on_disk[vpos], b'0' + SNAPSHOT_FORMAT_VERSION as u8);
+    on_disk[vpos] = b'1';
+    std::fs::write(&path, on_disk).unwrap();
+    let err = RunRequest::kernel(kernels::mix_int(1))
+        .custom_config(cfg.config.clone())
+        .length(RunLength {
+            warmup: 0,
+            measure: 100,
+        })
+        .from_snapshot_path(path.display().to_string())
+        .execute()
+        .expect_err("a v1 file must not restore");
+    match err {
+        SimError::SnapshotVersionMismatch {
+            path: p,
+            found,
+            expected,
+        } => {
+            assert_eq!(p, path.display().to_string());
+            assert_eq!(found, 1);
+            assert_eq!(expected, SNAPSHOT_FORMAT_VERSION);
+        }
+        other => panic!("expected SimError::SnapshotVersionMismatch, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn restore_under_the_wrong_config_is_a_typed_corrupt_error() {
     let a = configs::baseline(2);
     let b = configs::spec_sched(4, true);
