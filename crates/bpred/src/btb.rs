@@ -2,7 +2,7 @@
 
 use ss_types::Pc;
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct BtbEntry {
     valid: bool,
     tag: u32,

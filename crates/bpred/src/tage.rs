@@ -10,7 +10,7 @@ use ss_types::{Pc, PredictorConfig};
 const MAX_COMPONENTS: usize = 16;
 
 /// One tagged-component entry.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct TageEntry {
     tag: u16,
     /// Signed 3-bit prediction counter, −4..=3; ≥ 0 predicts taken.

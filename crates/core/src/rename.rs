@@ -33,7 +33,7 @@ pub struct PhysRef {
     pub reg: PhysReg,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct RegInfo {
     wake_at: Cycle,
     avail_at: Cycle,

@@ -460,6 +460,7 @@ fn run_cell(
 mod tests {
     use super::*;
     use crate::configs;
+    use ss_snapshot::Snapshot;
     use ss_workloads::{benchmark, KernelSpec};
 
     const LEN: RunLength = RunLength {
@@ -673,21 +674,25 @@ mod tests {
             Snapshot::from_bytes(&foreign).unwrap().config_fingerprint,
             fingerprint
         );
-        // * this machine's own warm state, stamped with format version 1,
-        //   whose layout this build no longer reads.
+        // * this machine's own warm state, stamped with format version 1
+        //   or 2, whose layouts this build no longer reads.
         let current = format!(
             "{} v{} ",
             ss_snapshot::SNAPSHOT_MAGIC,
             ss_snapshot::SNAPSHOT_FORMAT_VERSION
         );
-        let mut v1 = format!("{} v1 ", ss_snapshot::SNAPSHOT_MAGIC).into_bytes();
-        v1.extend_from_slice(&warm_bytes(cfg.spec)[current.len()..]);
-        assert!(matches!(
-            Snapshot::from_bytes(&v1),
-            Err(ss_snapshot::SnapshotError::VersionMismatch { found: 1, .. })
-        ));
+        let payload = warm_bytes(cfg.spec)[current.len()..].to_vec();
+        let [v1, v2] = [1, 2].map(|version| {
+            let mut old = format!("{} v{version} ", ss_snapshot::SNAPSHOT_MAGIC).into_bytes();
+            old.extend_from_slice(&payload);
+            assert!(matches!(
+                Snapshot::from_bytes(&old),
+                Err(ss_snapshot::SnapshotError::VersionMismatch { found, .. }) if found == version
+            ));
+            old
+        });
 
-        for stale in [foreign, v1] {
+        for stale in [foreign, v1, v2] {
             std::fs::write(&path, stale).unwrap();
             let mut sess = Session::new(LEN, None);
             sess.enable_warm_fork(dir.clone());

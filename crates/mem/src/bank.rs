@@ -24,7 +24,7 @@ struct Target {
     set: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Queued {
     target: Target,
     service: Cycle,

@@ -8,7 +8,7 @@
 
 use ss_types::{Addr, CacheGeometry, Cycle};
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Line {
     valid: bool,
     tag: u64,
@@ -112,7 +112,7 @@ impl SetAssocCache {
 }
 
 /// One outstanding miss.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Mshr {
     line: u64,
     complete: Cycle,

@@ -5,7 +5,7 @@
 
 use ss_types::{Addr, Cycle, DramConfig};
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Bank {
     open_row: Option<u64>,
     busy_until: Cycle,

@@ -14,7 +14,7 @@ const TABLE_ENTRIES: usize = 256;
 /// Confidence needed before prefetches are emitted.
 const CONFIDENT: u8 = 2;
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct StrideEntry {
     tag: u32,
     last_addr: u64,

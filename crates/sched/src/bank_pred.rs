@@ -13,7 +13,7 @@
 
 use ss_types::Pc;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Entry {
     bank: u8,
     /// Bank delta between consecutive dynamic instances (mod the bank

@@ -23,7 +23,7 @@ pub enum FilterPrediction {
     Unstable,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Entry {
     ctr: u8,
     silenced: bool,

@@ -41,8 +41,9 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_MAGIC: &str = "ss-snapshot";
 
 /// Snapshot format version written and read by this build. Bump whenever
-/// the serialized field set of any component changes.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// the serialized field set of any component, or the codec, changes
+/// (version 3 writes sequences as literal stretches and runs).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be used.
 #[derive(Debug, Clone, PartialEq, Eq)]

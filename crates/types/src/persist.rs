@@ -17,7 +17,8 @@
 //! Decoding never panics: every malformed input surfaces as a
 //! [`DecodeError`], which the snapshot layer maps to a typed
 //! `SimError::SnapshotCorrupt`. The [`Reader`] is bounds-checked and
-//! length-capped, so truncated or bit-flipped payloads fail cleanly.
+//! charges every decoded sequence against a fixed [`DECODE_BUDGET`], so
+//! truncated or bit-flipped payloads fail cleanly before they allocate.
 //!
 //! The [`impl_persist!`] and [`impl_persist_state!`] macros generate the
 //! field-by-field implementations; they are invoked inside the module
@@ -78,18 +79,48 @@ impl Writer {
     }
 }
 
+/// The most memory, in bytes, one [`Reader`] may decode sequences into.
+/// A run of repeated elements is a few bytes on the wire whatever its
+/// length, so the input size no longer bounds what a decode allocates;
+/// this fixed budget does. It covers the largest state a section holds
+/// (an RV32IM image is capped at 64 MiB).
+pub const DECODE_BUDGET: usize = 256 << 20;
+
 /// A bounds-checked little-endian byte source. All reads are fallible;
 /// running off the end of the buffer is a [`DecodeError`], never a panic.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Bytes of sequence storage decoded so far, against [`DECODE_BUDGET`].
+    spent: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Creates a reader over `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            spent: 0,
+        }
+    }
+
+    /// Charges `count` elements of `size` bytes against the decode
+    /// budget, before anything is allocated for them.
+    fn charge(&mut self, count: usize, size: usize) -> Result<(), DecodeError> {
+        match count
+            .checked_mul(size)
+            .and_then(|b| b.checked_add(self.spent))
+        {
+            Some(total) if total <= DECODE_BUDGET => {
+                self.spent = total;
+                Ok(())
+            }
+            _ => Err(self.err(format_args!(
+                "{count} elements of {size} bytes exceed the {DECODE_BUDGET}-byte decode budget"
+            ))),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -230,40 +261,119 @@ impl<T: Persist> Persist for Option<T> {
     }
 }
 
-impl<T: Persist> Persist for Vec<T> {
-    fn save(&self, w: &mut Writer) {
-        self.len().save(w);
-        for v in self {
-            v.save(w);
+// ---- Sequences ----------------------------------------------------------
+//
+// A sequence is its length, then chunks until that many elements are
+// covered. A chunk is a `u32` header, `count << 1 | repeat`, followed by
+// `count` elements (a literal stretch) or by one element standing for
+// `count` equal ones (a run). Untouched table entries are runs, so a
+// table costs what the simulation touched. `PartialEq` on an element
+// type must imply equal encodings (derived equality does).
+
+/// Runs shorter than this stay inside the surrounding literal stretch,
+/// where a run would cost more header than it saves.
+const MIN_RUN: usize = 8;
+
+/// The largest count one chunk header can carry.
+const MAX_CHUNK: usize = (u32::MAX >> 1) as usize;
+
+fn put_chunk_header(w: &mut Writer, count: usize, repeat: bool) {
+    ((count as u32) << 1 | u32::from(repeat)).save(w);
+}
+
+fn put_literal<'a, T: Persist + 'a>(
+    w: &mut Writer,
+    from: usize,
+    to: usize,
+    at: &impl Fn(usize) -> &'a T,
+) {
+    let mut start = from;
+    while start < to {
+        let end = to.min(start + MAX_CHUNK);
+        put_chunk_header(w, end - start, false);
+        for i in start..end {
+            at(i).save(w);
         }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let len = usize::load(r)?;
-        // Every element costs at least one byte, so a length exceeding
-        // the remaining bytes is corrupt — reject before allocating.
-        if len > r.remaining() {
-            return Err(r.err(format_args!(
-                "length {len} exceeds {} remaining bytes",
-                r.remaining()
-            )));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::load(r)?);
-        }
-        Ok(out)
+        start = end;
     }
 }
 
-impl<T: Persist> Persist for VecDeque<T> {
-    fn save(&self, w: &mut Writer) {
-        self.len().save(w);
-        for v in self {
-            v.save(w);
+fn save_seq<'a, T: Persist + PartialEq + 'a>(
+    w: &mut Writer,
+    len: usize,
+    at: impl Fn(usize) -> &'a T,
+) {
+    len.save(w);
+    let mut literal_from = 0;
+    let mut i = 0;
+    while i < len {
+        let mut j = i + 1;
+        while j < len && j - i < MAX_CHUNK && at(j) == at(i) {
+            j += 1;
+        }
+        if j - i >= MIN_RUN {
+            put_literal(w, literal_from, i, &at);
+            put_chunk_header(w, j - i, true);
+            at(i).save(w);
+            literal_from = j;
+        }
+        i = j;
+    }
+    put_literal(w, literal_from, len, &at);
+}
+
+fn load_seq<T: Persist + Clone>(r: &mut Reader<'_>) -> Result<Vec<T>, DecodeError> {
+    let len = usize::load(r)?;
+    r.charge(len, std::mem::size_of::<T>().max(1))?;
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let head = u32::load(r)?;
+        let count = (head >> 1) as usize;
+        let left = len - out.len();
+        if count == 0 || count > left {
+            return Err(r.err(format_args!(
+                "chunk of {count} elements where {left} remain of {len}"
+            )));
+        }
+        if head & 1 == 1 {
+            // The repeated element's own heap storage is cloned
+            // `count - 1` more times; charge for it before `resize`.
+            let spent = r.spent;
+            let v = T::load(r)?;
+            let inner = r.spent - spent;
+            r.charge(count - 1, inner)?;
+            out.resize(out.len() + count, v);
+        } else {
+            // Every element costs at least one byte.
+            if count > r.remaining() {
+                return Err(r.err(format_args!(
+                    "literal stretch of {count} exceeds {} remaining bytes",
+                    r.remaining()
+                )));
+            }
+            for _ in 0..count {
+                out.push(T::load(r)?);
+            }
         }
     }
+    Ok(out)
+}
+
+impl<T: Persist + PartialEq + Clone> Persist for Vec<T> {
+    fn save(&self, w: &mut Writer) {
+        save_seq(w, self.len(), |i| &self[i]);
+    }
     fn load(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Vec::<T>::load(r)?.into())
+        load_seq(r)
+    }
+}
+
+impl<T: Persist + PartialEq + Clone> Persist for VecDeque<T> {
+    fn save(&self, w: &mut Writer) {
+        save_seq(w, self.len(), |i| &self[i]);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(load_seq(r)?.into())
     }
 }
 
@@ -668,6 +778,79 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(Vec::<u8>::load(&mut r).is_err());
+    }
+
+    fn encoded<T: Persist>(v: &T) -> Vec<u8> {
+        let mut w = Writer::new();
+        v.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn runs_roundtrip_and_shrink_untouched_tables() {
+        let mut table = vec![0u32; 4096];
+        table[7] = 9;
+        table[8] = 3;
+        table[4000] = 1;
+        roundtrip(table.clone());
+        // Length, then runs and literal stretches of a few elements each.
+        assert!(
+            encoded(&table).len() < 96,
+            "{} bytes",
+            encoded(&table).len()
+        );
+        roundtrip(vec![5u8; MIN_RUN - 1]);
+        roundtrip(vec![5u8; MIN_RUN]);
+        roundtrip((0..100u16).map(|i| i / 10).collect::<Vec<_>>());
+        roundtrip(vec![vec![1u8, 2], vec![1, 2], vec![], vec![3; 40]]);
+        roundtrip(vec![vec![0u64; 50]; 30]);
+        roundtrip(VecDeque::from(vec![7u64; 100]));
+        roundtrip(Vec::<u8>::new());
+    }
+
+    /// Length `len`, then one chunk header, then `tail`.
+    fn seq_bytes(len: u64, count: u32, repeat: bool, tail: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        len.save(&mut w);
+        (count << 1 | u32::from(repeat)).save(&mut w);
+        w.put_bytes(tail);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn repeat_run_past_the_declared_length_is_an_error() {
+        // Four elements declared, a run of 2^30 claimed: `resize` would
+        // ask for 8 GiB if the count were trusted.
+        let bytes = seq_bytes(4, 1 << 30, true, &7u64.to_le_bytes());
+        let err = Vec::<u64>::load(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(err.reason.contains("chunk of 1073741824"), "{err}");
+        // An empty chunk would never advance.
+        let bytes = seq_bytes(4, 0, false, &[]);
+        assert!(Vec::<u64>::load(&mut Reader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn literal_stretch_longer_than_the_input_is_an_error() {
+        let bytes = seq_bytes(100, 100, false, &[1, 2, 3]);
+        let err = Vec::<u8>::load(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(err.reason.contains("literal stretch of 100"), "{err}");
+    }
+
+    #[test]
+    fn length_past_the_decode_budget_is_an_error() {
+        let over = (DECODE_BUDGET / 8 + 1) as u64;
+        let bytes = seq_bytes(over, over as u32, true, &7u64.to_le_bytes());
+        let err = Vec::<u64>::load(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(err.reason.contains("decode budget"), "{err}");
+        // Nested runs: 2^20 copies of a 1 KiB-element table are 8 GiB
+        // that no single length declares; the clones are charged too.
+        let mut w = Writer::new();
+        (1u64 << 20).save(&mut w);
+        ((1u32 << 20) << 1 | 1).save(&mut w);
+        vec![0u64; 1024].save(&mut w);
+        let bytes = w.into_bytes();
+        let err = Vec::<Vec<u64>>::load(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(err.reason.contains("decode budget"), "{err}");
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl AddrPattern {
 }
 
 /// Runtime state for one pattern instance: its base region and cursor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternState {
     pattern: AddrPattern,
     base: Addr,

@@ -10,14 +10,16 @@
 //!   `SnapshotVersionMismatch`; seeded corruption is always a typed
 //!   error, never a panic, never a silent wrong result.
 
+use speculative_scheduling::core::pipeline::sections;
 use speculative_scheduling::core::{load_snapshot, FaultPlan, RunLength, RunRequest, Simulator};
+use speculative_scheduling::frontend::{programs, ProgramSpec};
 use speculative_scheduling::harness::configs::{self, NamedConfig};
 use speculative_scheduling::harness::snapfuzz;
 use speculative_scheduling::snapshot::{
     write_atomic, Snapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC,
 };
 use speculative_scheduling::types::{SimError, SimStats};
-use speculative_scheduling::workloads::{kernels, KernelSpec, KernelTrace};
+use speculative_scheduling::workloads::{kernels, KernelSpec, KernelTrace, BENCHMARKS};
 
 const WARMUP: u64 = 1_500;
 const MEASURE: u64 = 6_000;
@@ -221,4 +223,45 @@ fn seeded_corruption_campaign_yields_only_typed_errors() {
         "corruption escaped typed handling: {stats:?}"
     );
     assert!(stats.container_rejected > 40, "{stats:?}");
+}
+
+/// A warm snapshot writes what the run touched, not whole tables: every
+/// registry kernel and every `rv:` program, 1K µ-ops into `SpecSched_4`.
+/// Largest measured (format 3): BPRED 3,478 B (`branchy_int`), MEM
+/// 40,168 B (`rand_medium`); the bounds are about twice that. Format 2
+/// wrote 288 KB and 329 KB on every cell.
+#[test]
+fn warm_sections_stay_small_on_every_kernel_and_program() {
+    const BPRED_BOUND: usize = 7 << 10;
+    const MEM_BOUND: usize = 80 << 10;
+    let cfg = configs::spec_sched(4, true);
+    let len = RunLength {
+        warmup: 1_000,
+        measure: 0,
+    };
+    let mut reqs: Vec<(String, RunRequest)> = BENCHMARKS
+        .iter()
+        .map(|b| (b.name.to_string(), RunRequest::kernel((b.build)(0xb5))))
+        .collect();
+    for p in programs::names() {
+        reqs.push((
+            format!("rv:{p}"),
+            RunRequest::program(ProgramSpec::suite(p, 0xb5)),
+        ));
+    }
+    for (name, req) in reqs {
+        let snap = req
+            .custom_config(cfg.config.clone())
+            .length(len)
+            .capture_warm()
+            .execute()
+            .expect("warms")
+            .snapshot
+            .expect("capture produces a snapshot");
+        let size = |tag| snap.section(tag).expect("section present").len();
+        let (bpred, mem) = (size(sections::BPRED), size(sections::MEM));
+        eprintln!("{name}: bpred {bpred} B, mem {mem} B");
+        assert!(bpred < BPRED_BOUND, "{name}: BPRED section {bpred} B");
+        assert!(mem < MEM_BOUND, "{name}: MEM section {mem} B");
+    }
 }
