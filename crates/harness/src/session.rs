@@ -30,7 +30,6 @@ use crate::configs::NamedConfig;
 use crate::journal::SweepJournal;
 use crate::store::{Rejected, Store};
 use ss_core::{RunLength, RunRequest};
-use ss_snapshot::Snapshot;
 use ss_types::{SimError, SimStats};
 use ss_workloads::{Benchmark, BENCHMARKS};
 use std::collections::HashMap;
@@ -215,7 +214,7 @@ impl Session {
                     .config(cfg.spec)
                     .length(len)
             };
-            run_cell(req, len, warm_path.as_deref())
+            run_cell(req, warm_path.as_deref())
         }));
         let outcome = match outcome {
             Ok(Ok((s, forked))) => {
@@ -399,37 +398,26 @@ impl Session {
 /// Returns the warmup-corrected statistics and whether the warmup
 /// simulation was skipped via an on-disk snapshot.
 ///
-/// The fresh path warms up, captures + persists the warm state, then
-/// measures *from the captured snapshot* — the same code path a later
-/// fork takes, so both produce identical statistics by construction (and
-/// identical to a plain uninterrupted run, by the snapshot identity
-/// guarantee tested in `ss-core`). A snapshot that fails verification is
-/// quarantined by [`ss_snapshot::read_verified`] and the cell falls back
-/// to a fresh warmup.
+/// A fork restores the snapshot and runs only the measure phase. The
+/// cold path runs the whole length in one simulator, which captures and
+/// persists its warm state at the warmup boundary and measures on; the
+/// snapshot identity guarantee (tested in `ss-core` and by the golden
+/// snapshot digests) makes both produce identical statistics. A snapshot
+/// that fails verification is quarantined by
+/// [`ss_snapshot::read_verified`] and the cell falls back to a cold run.
 fn run_cell(
     req: impl Fn() -> RunRequest,
-    len: RunLength,
     warm_path: Option<&Path>,
 ) -> Result<(SimStats, bool), SimError> {
     let Some(path) = warm_path else {
         return Ok((req().execute()?.stats, false));
     };
     let note = path.display().to_string();
-    // A fork runs only the measure phase of the request's length.
-    let measure_from = |snap: Snapshot| {
-        req()
-            .from_snapshot(snap)
-            .checkpoint_note(&note)
-            .execute()
-            .map(|o| o.stats)
-    };
     match ss_snapshot::read_verified(path) {
         Ok(snap) => {
-            match measure_from(snap) {
-                Ok(s) => return Ok((s, true)),
-                // A config that drifted under an unchanged name (or a
-                // damaged section the container checksum cannot see,
-                // which it can't — but be safe): re-warm from scratch.
+            match req().from_snapshot(snap).checkpoint_note(&note).execute() {
+                Ok(o) => return Ok((o.stats, true)),
+                // A config that drifted under an unchanged name: re-warm.
                 Err(
                     SimError::SnapshotCorrupt { .. } | SimError::SnapshotVersionMismatch { .. },
                 ) => {}
@@ -439,21 +427,14 @@ fn run_cell(
         Err(ss_snapshot::SnapshotError::Io(_)) => {} // absent: first visit
         Err(e) => eprintln!("warning: warm snapshot {note}: {e}; re-warming"),
     }
-    let warm = req()
-        .length(RunLength {
-            warmup: len.warmup,
-            measure: 0,
-        })
-        .capture_warm()
-        .execute()?;
-    let snap = warm
+    let cold = req().capture_warm().execute()?;
+    let snap = cold
         .snapshot
         .ok_or_else(|| SimError::ConfigInvalid("capture run produced no snapshot".into()))?;
     if let Err(e) = ss_snapshot::write_atomic(path, &snap) {
         eprintln!("warning: could not persist warm snapshot {note}: {e}");
     }
-    let s = measure_from(snap)?;
-    Ok((s, false))
+    Ok((cold.stats, false))
 }
 
 #[cfg(test)]
