@@ -50,11 +50,12 @@ impl Folded {
 
 /// Snapshot of the history state taken at prediction time; restoring it
 /// rewinds all speculative updates made since. `Copy`, so it can live in
-/// per-branch pipeline state without allocation.
+/// per-branch pipeline state without allocation. It keeps only the fold
+/// values: widths and rotations are fixed by the configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryCheckpoint {
     pos: u64,
-    folded: [Folded; MAX_FOLDS],
+    folded: [u32; MAX_FOLDS],
     path: u32,
 }
 
@@ -135,7 +136,7 @@ impl GlobalHistory {
     pub fn checkpoint(&self) -> HistoryCheckpoint {
         HistoryCheckpoint {
             pos: self.pos,
-            folded: self.folded,
+            folded: self.folded.map(|f| f.value),
             path: self.path,
         }
     }
@@ -154,7 +155,9 @@ impl GlobalHistory {
             "speculative window exceeded the history ring"
         );
         self.pos = cp.pos;
-        self.folded = cp.folded;
+        for (f, &value) in self.folded.iter_mut().zip(&cp.folded) {
+            f.value = value;
+        }
         self.path = cp.path;
     }
 }

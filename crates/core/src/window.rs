@@ -416,3 +416,5 @@ window_entry!(FetchedUop {
 // The window's working set: a 192-entry ROB is ~26 KB, not ~266 KB.
 const _: () = assert!(std::mem::size_of::<RobEntry>() <= 160);
 const _: () = assert!(std::mem::size_of::<FetchedUop>() <= 96);
+// A slab slot: the history checkpoint keeps fold values only.
+const _: () = assert!(std::mem::size_of::<BranchPrediction>() <= 872);
