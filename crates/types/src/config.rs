@@ -409,9 +409,6 @@ pub struct SimConfig {
     // ---- predictors ----
     /// Branch predictor sizing.
     pub predictor: PredictorConfig,
-    /// Minimum branch misprediction penalty in cycles (20), held constant
-    /// across issue-to-execute sweeps.
-    pub branch_penalty: u64,
 
     // ---- scheduling (the paper's contribution) ----
     /// Wakeup policy for load dependents.
@@ -664,7 +661,6 @@ impl Default for SimConfig {
             prefetch_degree: 8,
             dram: DramConfig::default(),
             predictor: PredictorConfig::default(),
-            branch_penalty: 20,
             sched_policy: SchedPolicyKind::AlwaysHit,
             shift_policy: ShiftPolicy::Off,
             replay_scheme: ReplayScheme::Squash,
