@@ -16,8 +16,8 @@
 //!
 //! Real RV32IM programs run through the same front door: `src=rv:…`
 //! resolves a [`ProgramSpec`] (suite program, ELF, or raw binary) into
-//! the functional-frontend trace source, with the [`FrontendOracle`]
-//! standing in for the in-order golden model when `check=1`.
+//! the functional-frontend trace source; with `check=1` the in-order
+//! golden model walks a second copy of the same program.
 //!
 //! Library-only capabilities (custom [`SimConfig`]s, in-memory
 //! [`KernelSpec`]s / [`Snapshot`]s, arbitrary [`TraceSource`]s) render
@@ -34,7 +34,7 @@
 use crate::diff::DiffChecker;
 use crate::fault::FaultPlan;
 use crate::pipeline::{load_snapshot, Simulator, WorkCounts};
-use ss_frontend::{FrontendOracle, ProgramSpec, RvTraceSource};
+use ss_frontend::{ProgramSpec, RvTraceSource};
 use ss_oracle::InOrderModel;
 use ss_snapshot::Snapshot;
 use ss_types::persist::PersistState;
@@ -108,11 +108,9 @@ enum Source {
     Rv(ProgramSpec),
     /// An in-memory kernel spec (library-only).
     Spec(KernelSpec),
-    /// An arbitrary caller trace (library-only; no snapshot forking).
-    Trace(Box<dyn TraceSource + Send>),
     /// An arbitrary caller trace that persists into snapshots
     /// (library-only).
-    Persist(Box<dyn RunSource>),
+    Trace(Box<dyn RunSource>),
 }
 
 impl fmt::Debug for Source {
@@ -123,7 +121,6 @@ impl fmt::Debug for Source {
             Source::Rv(spec) => write!(f, "Rv({spec})"),
             Source::Spec(spec) => write!(f, "Spec({})", spec.name),
             Source::Trace(t) => write!(f, "Trace({})", t.name()),
-            Source::Persist(t) => write!(f, "Persist({})", t.name()),
         }
     }
 }
@@ -222,8 +219,8 @@ impl From<ParseRequestError> for SimError {
 
 /// The unified run description: build with the source constructors
 /// ([`bench`](RunRequest::bench), [`generated`](RunRequest::generated),
-/// [`kernel`](RunRequest::kernel), [`trace_source`](RunRequest::trace_source),
-/// [`persistent_source`](RunRequest::persistent_source)), refine with the
+/// [`kernel`](RunRequest::kernel), [`trace_source`](RunRequest::trace_source)),
+/// refine with the
 /// chainable setters, run with [`execute`](RunRequest::execute).
 #[derive(Debug, PartialEq)]
 pub struct RunRequest {
@@ -290,19 +287,11 @@ impl RunRequest {
         Self::with_source(Source::Spec(spec))
     }
 
-    /// An arbitrary trace source (library-only). Snapshot forking and
-    /// oracle checking are unavailable through this constructor — use
-    /// [`persistent_source`](RunRequest::persistent_source) or
-    /// [`kernel`](RunRequest::kernel) for those.
-    pub fn trace_source(src: impl TraceSource + Send + 'static) -> Self {
-        Self::with_source(Source::Trace(Box::new(src)))
-    }
-
     /// An arbitrary trace source whose state persists into snapshots
     /// (library-only). Supports warm-state capture and restore; oracle
-    /// checking still requires a kernel-backed source.
-    pub fn persistent_source(src: impl TraceSource + PersistState + Send + 'static) -> Self {
-        Self::with_source(Source::Persist(Box::new(src)))
+    /// checking requires a kernel-backed source.
+    pub fn trace_source(src: impl TraceSource + PersistState + Send + 'static) -> Self {
+        Self::with_source(Source::Trace(Box::new(src)))
     }
 
     /// Runs on the named paper configuration (encodable).
@@ -423,7 +412,6 @@ impl RunRequest {
             Source::Rv(spec) => spec.to_string(),
             Source::Spec(spec) => format!("<spec:{}>", spec.name),
             Source::Trace(t) => format!("<trace:{}>", t.name()),
-            Source::Persist(t) => format!("<trace:{}>", t.name()),
         }
     }
 
@@ -524,17 +512,11 @@ impl RunRequest {
             Source::Spec(spec) => drive.kernel(cfg, spec, check, trace),
             Source::Rv(spec) => {
                 let prog = spec.resolve().map_err(SimError::ConfigInvalid)?;
-                let checker =
-                    check.then(|| DiffChecker::new(Box::new(FrontendOracle::new(prog.clone()))));
+                let checker = check.then(|| {
+                    let oracle = InOrderModel::new(RvTraceSource::new(prog.clone()));
+                    DiffChecker::new(Box::new(oracle))
+                });
                 drive.sink_dispatch(cfg, RvTraceSource::new(prog), checker, trace)
-            }
-            Source::Persist(src) => {
-                if check {
-                    return Err(SimError::ConfigInvalid(
-                        "oracle checking requires a kernel-backed source".into(),
-                    ));
-                }
-                drive.sink_dispatch(cfg, src, None, trace)
             }
             Source::Trace(src) => {
                 if check {
@@ -542,14 +524,7 @@ impl RunRequest {
                         "oracle checking requires a kernel-backed source".into(),
                     ));
                 }
-                if !matches!(drive.fork, Fork::Fresh) {
-                    return Err(SimError::ConfigInvalid(
-                        "snapshot forking requires a persistent source (use \
-                         persistent_source or a kernel-backed source)"
-                            .into(),
-                    ));
-                }
-                drive.plain_sink_dispatch(cfg, src, trace)
+                drive.sink_dispatch(cfg, src, None, trace)
             }
         }
     }
@@ -606,20 +581,6 @@ impl Drive<'_> {
         }
     }
 
-    /// Same dispatch for non-persistent sources (fresh forks only,
-    /// enforced by the caller).
-    fn plain_sink_dispatch<T: TraceSource>(
-        self,
-        cfg: SimConfig,
-        src: T,
-        trace: Option<CaptureSink>,
-    ) -> Result<RunOutcome, SimError> {
-        match trace {
-            None => self.run_fresh(Simulator::new(cfg, src), None),
-            Some(sink) => self.run_fresh(Simulator::with_sink(cfg, src, sink), None),
-        }
-    }
-
     fn prepare<T: TraceSource, S: TraceSink>(
         &self,
         sim: &mut Simulator<T, S>,
@@ -637,14 +598,26 @@ impl Drive<'_> {
         Ok(())
     }
 
-    /// Fork-capable driver (persistent sources).
+    /// Runs `sim` cold, capturing its warm state, or forked from a
+    /// snapshot.
     fn run<T: TraceSource + PersistState, S: TraceSink>(
         mut self,
         mut sim: Simulator<T, S>,
         checker: Option<DiffChecker>,
     ) -> Result<RunOutcome, SimError> {
         match std::mem::replace(&mut self.fork, Fork::Fresh) {
-            Fork::Fresh => self.run_fresh(sim, checker),
+            Fork::Fresh => {
+                self.prepare(&mut sim, checker)?;
+                let total = self.len.warmup + self.len.measure;
+                let warm = self.run_chunked(&mut sim, self.len.warmup, 0, total)?;
+                let end = self.run_chunked(&mut sim, self.len.measure, self.len.warmup, total)?;
+                Ok(RunOutcome {
+                    stats: end.delta(&warm),
+                    snapshot: None,
+                    work: sim.work(),
+                    trace: sim.sink().recent(),
+                })
+            }
             Fork::Capture => {
                 self.prepare(&mut sim, checker)?;
                 let total = self.len.warmup + self.len.measure;
@@ -675,24 +648,6 @@ impl Drive<'_> {
             }
             Fork::Path(_) => unreachable!("paths resolve to snapshots in execute_observed"),
         }
-    }
-
-    /// Cold-start driver (any source).
-    fn run_fresh<T: TraceSource, S: TraceSink>(
-        mut self,
-        mut sim: Simulator<T, S>,
-        checker: Option<DiffChecker>,
-    ) -> Result<RunOutcome, SimError> {
-        self.prepare(&mut sim, checker)?;
-        let total = self.len.warmup + self.len.measure;
-        let warm = self.run_chunked(&mut sim, self.len.warmup, 0, total)?;
-        let end = self.run_chunked(&mut sim, self.len.measure, self.len.warmup, total)?;
-        Ok(RunOutcome {
-            stats: end.delta(&warm),
-            snapshot: None,
-            work: sim.work(),
-            trace: sim.sink().recent(),
-        })
     }
 
     /// Runs `n` more committed µ-ops in cancellable slices. Targets are

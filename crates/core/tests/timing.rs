@@ -5,6 +5,7 @@
 
 use ss_core::{RunLength, RunRequest, Simulator};
 use ss_isa::{MicroOp, RegRef, INST_BYTES};
+use ss_types::persist::{DecodeError, Persist, PersistState, Reader, Writer};
 use ss_types::{Addr, ArchReg, OpClass, Pc, SchedPolicyKind, SimConfig, SimStats};
 use ss_workloads::TraceSource;
 
@@ -52,6 +53,17 @@ impl TraceSource for LoopTrace {
     }
     fn name(&self) -> &str {
         "loop-trace"
+    }
+}
+
+/// The loop body is rebuilt by the caller; only the cursor is state.
+impl PersistState for LoopTrace {
+    fn save_state(&self, w: &mut Writer) {
+        self.i.save(w);
+    }
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.i = usize::load(r)?;
+        Ok(())
     }
 }
 

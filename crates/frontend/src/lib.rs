@@ -24,9 +24,9 @@
 //! - [`RvTraceSource`] — the [`TraceSource`] adapter (infinite: the
 //!   program restarts on exit, joined by a synthetic jump µ-op), with
 //!   [`PersistState`](ss_types::persist::PersistState) so snapshots and
-//!   chunked execution keep working;
-//! - [`FrontendOracle`] — a [`CommitOracle`] that re-walks the same
-//!   program so differential checking covers real code.
+//!   chunked execution keep working. A checked run's commit oracle is a
+//!   second `RvTraceSource` over the same program, wrapped in
+//!   `ss_oracle::InOrderModel`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +37,7 @@ use std::str::FromStr;
 
 use ss_isa::{MemAccess, MicroOp, RegRef};
 use ss_types::persist::{fnv1a64, DecodeError, Persist, PersistState, Reader, Writer};
-use ss_types::{Addr, ArchReg, BranchKind, CommitOracle, CommitRecord, OpClass, Pc};
+use ss_types::{Addr, ArchReg, BranchKind, OpClass, Pc};
 use ss_workloads::TraceSource;
 
 pub mod asm;
@@ -503,38 +503,6 @@ impl PersistState for RvTraceSource {
     }
 }
 
-/// A [`CommitOracle`] that independently re-executes the same program,
-/// so the pipeline's commit stream is checked against a second walk of
-/// the real code (not against the trace that fed it).
-pub struct FrontendOracle {
-    src: RvTraceSource,
-    seq: u64,
-}
-
-impl FrontendOracle {
-    /// An oracle over a fresh execution of `prog`.
-    pub fn new(prog: RvProgram) -> Self {
-        FrontendOracle {
-            src: RvTraceSource::new(prog),
-            seq: 0,
-        }
-    }
-}
-
-impl CommitOracle for FrontendOracle {
-    fn next_commit(&mut self) -> CommitRecord {
-        let u = self.src.next_uop();
-        let rec = CommitRecord {
-            seq: self.seq,
-            pc: u.pc,
-            kind: u.class,
-            dst: u.dst.map(|d| (d.class, d.reg)),
-        };
-        self.seq += 1;
-        rec
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,20 +620,5 @@ mod tests {
         let mut r = Reader::new(&bytes);
         let err = other.restore_state(&mut r).unwrap_err();
         assert!(err.to_string().contains("fingerprint"), "{err}");
-    }
-
-    #[test]
-    fn oracle_mirrors_the_trace_stream() {
-        let prog = programs::build("alloc", 9).unwrap();
-        let mut src = RvTraceSource::new(prog.clone());
-        let mut oracle = FrontendOracle::new(prog);
-        for seq in 0..10_000u64 {
-            let u = src.next_uop();
-            let c = oracle.next_commit();
-            assert_eq!(c.seq, seq);
-            assert_eq!(c.pc, u.pc);
-            assert_eq!(c.kind, u.class);
-            assert_eq!(c.dst, u.dst.map(|d| (d.class, d.reg)));
-        }
     }
 }

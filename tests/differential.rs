@@ -176,6 +176,26 @@ fn every_frontend_uop_validates_and_chains_across_the_suite() {
     }
 }
 
+/// The commit oracle of a checked `rv:` run is the in-order model over a
+/// second `RvTraceSource`: it yields one record per µ-op of the trace
+/// stream, numbered densely from zero.
+#[test]
+fn oracle_mirrors_the_trace_stream() {
+    use speculative_scheduling::types::CommitOracle as _;
+    use speculative_scheduling::workloads::TraceSource as _;
+    let prog = programs::build("alloc", 9).unwrap();
+    let mut src = RvTraceSource::new(prog.clone());
+    let mut oracle = InOrderModel::new(RvTraceSource::new(prog));
+    for seq in 0..10_000u64 {
+        let u = src.next_uop();
+        let c = oracle.next_commit();
+        assert_eq!(c.seq, seq);
+        assert_eq!(c.pc, u.pc);
+        assert_eq!(c.kind, u.class);
+        assert_eq!(c.dst, u.dst.map(|d| (d.class, d.reg)));
+    }
+}
+
 /// Every named configuration at the paper's headline delay commits the
 /// exact architectural instruction stream of the functional interpreter:
 /// the frontend oracle re-executes the program and the DiffChecker
