@@ -29,7 +29,7 @@
 //! The event schedule and a full transcript are written to the working
 //! directory (CI uploads them as artifacts on failure).
 
-use crate::cli::{usage_error, wants_help, Args};
+use crate::cli::{self, Args};
 use crate::serve::{stats_to_wire, ServeOptions, Server};
 use crate::store::Store;
 use ss_core::RunRequest;
@@ -474,22 +474,18 @@ impl Chaos {
 /// full chaos schedule against a live server; exits 0 only if every
 /// availability and byte-identity assertion holds.
 pub fn run_chaos_cli(args: &[String]) -> i32 {
-    if wants_help(args) {
-        eprintln!(
-            "usage: experiments chaos [--seed N] [--events N] [--dir DIR]\n\
-             \n\
-             flags (with defaults):\n\
-             \x20 --seed N     fault-schedule seed (0xc4a05)\n\
-             \x20 --events N   scheduled events before the fixed phases (12)\n\
-             \x20 --dir DIR    working directory for the socket, schedule,\n\
-             \x20              and transcript (temp dir)"
-        );
-        return 0;
-    }
-    let (seed, events, dir) = match parse_args(args) {
-        Ok(parsed) => parsed,
-        Err(msg) => return usage_error(&msg),
-    };
+    cli::command(args, USAGE, parse_args, chaos)
+}
+
+const USAGE: &str = "usage: experiments chaos [--seed N] [--events N] [--dir DIR]\n\
+     \n\
+     flags (with defaults):\n\
+     \x20 --seed N     fault-schedule seed (0xc4a05)\n\
+     \x20 --events N   scheduled events before the fixed phases (12)\n\
+     \x20 --dir DIR    working directory for the socket, schedule,\n\
+     \x20              and transcript (temp dir)";
+
+fn chaos((seed, events, dir): (u64, usize, Option<PathBuf>)) -> i32 {
     let dir = dir.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("ss-chaos-{}-{seed:x}", std::process::id()))
     });
@@ -523,7 +519,7 @@ fn parse_args(args: &[String]) -> Result<(u64, usize, Option<PathBuf>), String> 
         match flag {
             "--seed" => seed = args.seed("--seed needs a number")?,
             "--events" => events = args.parse("--events needs a count")?,
-            "--dir" => dir = Some(PathBuf::from(args.value("--dir needs a directory")?)),
+            "--dir" => dir = Some(args.parse("--dir needs a directory")?),
             other => return Err(format!("unknown chaos flag `{other}`")),
         }
     }

@@ -1,9 +1,12 @@
-//! Flag parsing shared by the `serve`, `client`, `run`, `chaos` and
-//! `snapfuzz` subcommands. A missing or malformed value is a usage
-//! error: the parser returns its message and the subcommand reports it
-//! with [`usage_error`] (`error: … (see --help)`, exit 2), never a panic.
+//! Flag parsing shared by every `experiments` subcommand. Each one runs
+//! through [`command`]: `--help` or `-h` prints its usage on stderr and
+//! exits 0; a missing or malformed value, or an unknown flag, is a usage
+//! error (`error: … (see --help)`, exit 2), never a panic.
 
 use std::str::FromStr;
+
+/// The most worker threads any subcommand's `--jobs` may ask for.
+pub(crate) const MAX_JOBS: usize = 1024;
 
 /// The flags and values of one subcommand's command line, in order.
 pub(crate) struct Args<'a>(std::slice::Iter<'a, String>);
@@ -35,6 +38,16 @@ impl<'a> Args<'a> {
         let v = self.value(need)?;
         parse_seed(v).ok_or_else(|| format!("{need}, got `{v}`"))
     }
+
+    /// The value after `--jobs`: a worker count from 1 to [`MAX_JOBS`].
+    pub(crate) fn jobs(&mut self) -> Result<usize, String> {
+        let need = format!("--jobs needs a worker count from 1 to {MAX_JOBS}");
+        let v = self.value(&need)?;
+        match v.parse() {
+            Ok(n) if (1..=MAX_JOBS).contains(&n) => Ok(n),
+            _ => Err(format!("{need}, got `{v}`")),
+        }
+    }
 }
 
 /// Reads a seed: hexadecimal with a `0x` prefix, decimal without one.
@@ -46,20 +59,36 @@ pub(crate) fn parse_seed(v: &str) -> Option<u64> {
     }
 }
 
-/// Whether a command line asks for its usage text.
-pub(crate) fn wants_help(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--help" || a == "-h")
-}
-
-/// Reports a bad command line; returns the exit code 2.
-pub(crate) fn usage_error(msg: &str) -> i32 {
-    eprintln!("error: {msg} (see --help)");
-    2
+/// Runs one subcommand. `--help` or `-h` anywhere on the line prints
+/// `usage` on stderr and returns 0; a line `parse` rejects is reported
+/// as a usage error and returns 2; otherwise `run` gets the parsed line
+/// and returns the exit code.
+pub(crate) fn command<T>(
+    args: &[String],
+    usage: &str,
+    parse: impl FnOnce(&[String]) -> Result<T, String>,
+    run: impl FnOnce(T) -> i32,
+) -> i32 {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("{usage}");
+        return 0;
+    }
+    match parse(args) {
+        Ok(parsed) => run(parsed),
+        Err(msg) => {
+            eprintln!("error: {msg} (see --help)");
+            2
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn line(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
 
     #[test]
     fn seeds_are_hex_with_a_prefix_and_decimal_without() {
@@ -73,15 +102,12 @@ mod tests {
 
     #[test]
     fn missing_and_malformed_values_are_messages() {
-        let line: Vec<String> = ["--jobs", "x", "--seed"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let line = line(&["--jobs", "x", "--seed"]);
         let mut args = Args::new(&line);
         assert_eq!(args.flag(), Some("--jobs"));
         assert_eq!(
-            args.parse::<usize>("--jobs needs a worker count"),
-            Err("--jobs needs a worker count, got `x`".to_string())
+            args.jobs(),
+            Err("--jobs needs a worker count from 1 to 1024, got `x`".to_string())
         );
         assert_eq!(args.flag(), Some("--seed"));
         assert_eq!(
@@ -89,5 +115,33 @@ mod tests {
             Err("--seed needs a number".to_string())
         );
         assert_eq!(args.flag(), None);
+    }
+
+    #[test]
+    fn jobs_are_bounded_from_1_to_max_jobs() {
+        for (v, want) in [
+            ("0", None),
+            ("1", Some(1)),
+            ("1024", Some(MAX_JOBS)),
+            ("1025", None),
+            ("50000", None),
+            ("-1", None),
+        ] {
+            let line = line(&[v]);
+            assert_eq!(Args::new(&line).jobs().ok(), want, "--jobs {v}");
+        }
+        assert!(Args::new(&[]).jobs().is_err(), "missing count");
+    }
+
+    #[test]
+    fn help_wins_over_a_bad_line_and_errors_exit_2() {
+        let parse = |_: &[String]| -> Result<(), String> { Err("bad".into()) };
+        let ran = |()| 7;
+        assert_eq!(
+            command(&line(&["--jobs", "x", "-h"]), "usage", parse, ran),
+            0
+        );
+        assert_eq!(command(&line(&["--jobs", "x"]), "usage", parse, ran), 2);
+        assert_eq!(command(&line(&[]), "usage", |_| Ok(()), ran), 7);
     }
 }

@@ -20,13 +20,22 @@
 //! runs under [`Session::try_run`]'s `catch_unwind`, so a panicking cell
 //! becomes a [`crate::session::CellFailure`] in the merged session
 //! without poisoning sibling cells or killing its worker.
+//!
+//! [`run_cli`] is the sweep behind the `experiments` binary: it
+//! prewarms the selected experiments' cells, then prints their reports
+//! and writes their CSVs.
 
+use crate::cli::{self, Args};
 use crate::configs::NamedConfig;
+use crate::experiments::{self, Experiment};
+use crate::report::Report;
 use crate::session::Session;
+use ss_core::RunLength;
 use ss_types::exec::{scoped_workers, CancelFlag, WorkQueue};
 use ss_workloads::{Benchmark, BENCHMARKS};
 use std::collections::HashSet;
 use std::io::Write as _;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -119,13 +128,12 @@ pub struct PrewarmStats {
 }
 
 /// Runs every (configuration × benchmark) cell of `cfgs` that the
-/// session has not already cached, sharded across `jobs` workers, and
-/// merges the results into `sess`. Each cell runs through
-/// [`Session::try_run`], so its result is the one a sequential sweep
-/// would produce.
+/// session has not already cached, sharded across at most `jobs`
+/// workers (never more workers than cells), and merges the results into
+/// `sess`. Each cell runs through [`Session::try_run`], so its result is
+/// the one a sequential sweep would produce.
 ///
-/// With `jobs <= 1` the single worker runs on the calling thread — the
-/// sequential code path, byte for byte. `cancel` stops the sweep at the
+/// With one worker it runs on the calling thread. `cancel` stops the sweep at the
 /// next cell boundary (completed cells stay cached). `live_progress`
 /// draws a `\r`-refreshed progress line on stderr; pass `false` when
 /// stderr is being captured.
@@ -144,7 +152,7 @@ pub fn prewarm(
     let progress = Progress::new(total, live_progress);
     let queue = WorkQueue::with_cancel(cells.len(), cancel.clone());
     let started = Instant::now();
-    let workers = scoped_workers(jobs, |_worker| {
+    let workers = scoped_workers(jobs.min(cells.len()), |_worker| {
         let mut local = sess.fork_worker();
         while let Some(i) = queue.take() {
             let (cfg, bench) = &cells[i];
@@ -174,4 +182,172 @@ pub fn prewarm(
         seconds: started.elapsed().as_secs_f64(),
         sim_cycles: progress.sim_cycles.load(Ordering::Relaxed),
     }
+}
+
+/// A parsed sweep command line.
+struct SweepArgs {
+    selected: Vec<&'static Experiment>,
+    len: RunLength,
+    cache: bool,
+    progress: bool,
+    jobs: usize,
+    out: PathBuf,
+    checkpoint_dir: Option<PathBuf>,
+    resume: bool,
+}
+
+fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
+    let mut which: Vec<&str> = Vec::new();
+    let (mut quick, mut smoke, mut resume) = (false, false, false);
+    let mut sweep = SweepArgs {
+        selected: Vec::new(),
+        len: RunLength {
+            warmup: 50_000,
+            measure: 500_000,
+        },
+        cache: true,
+        progress: true,
+        jobs: ss_types::exec::default_jobs().min(cli::MAX_JOBS),
+        out: PathBuf::from("results"),
+        checkpoint_dir: None,
+        resume: false,
+    };
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--quick" => quick = true,
+            "--smoke" => smoke = true,
+            "--no-cache" => sweep.cache = false,
+            "--no-progress" => sweep.progress = false,
+            "--jobs" | "-j" => sweep.jobs = args.jobs()?,
+            "--out" => sweep.out = args.parse("--out needs a directory")?,
+            "--checkpoint-dir" => {
+                sweep.checkpoint_dir = Some(args.parse("--checkpoint-dir needs a directory")?)
+            }
+            "--resume" => resume = true,
+            experiment => which.push(experiment),
+        }
+    }
+    if smoke {
+        // CI-sized: exercises the full pipeline, not the statistics.
+        sweep.len = RunLength {
+            warmup: 1_000,
+            measure: 10_000,
+        };
+    } else if quick {
+        sweep.len = RunLength {
+            warmup: 20_000,
+            measure: 150_000,
+        };
+    }
+    if resume && sweep.checkpoint_dir.is_none() {
+        return Err(
+            "--resume requires --checkpoint-dir (the directory of the interrupted sweep)".into(),
+        );
+    }
+    sweep.resume = resume;
+    if which.is_empty() {
+        which.push("all");
+    }
+    for w in which {
+        if w == "all" {
+            sweep.selected.extend(experiments::EXPERIMENTS.iter());
+        } else {
+            sweep
+                .selected
+                .push(experiments::find(w).ok_or(format!("unknown experiment `{w}`"))?);
+        }
+    }
+    Ok(sweep)
+}
+
+/// Entry point for the sweep, `experiments [EXPERIMENT|all]... [flags]`;
+/// returns the process exit code: 0 when every cell and report
+/// succeeded, 1 otherwise, 2 on a bad command line.
+pub fn run_cli(args: &[String]) -> i32 {
+    let ids: Vec<_> = experiments::EXPERIMENTS.iter().map(|e| e.id).collect();
+    let usage = format!(
+        "usage: experiments [{}|all]... [--jobs N] [--quick] [--smoke] [--out DIR] [--no-cache] \
+         [--no-progress] [--checkpoint-dir DIR] [--resume]",
+        ids.join("|")
+    );
+    cli::command(args, &usage, parse_sweep, run_sweep)
+}
+
+fn run_sweep(args: SweepArgs) -> i32 {
+    let cache_dir = match &args.checkpoint_dir {
+        Some(d) => Some(d.join("cache")),
+        None => args.cache.then(|| args.out.join("cache")),
+    };
+    let mut sess = Session::new(args.len, cache_dir);
+    if let Some(d) = &args.checkpoint_dir {
+        sess.enable_warm_fork(d.join("warm"));
+        match sess.attach_journal(&d.join("journal.log")) {
+            Ok(done) => {
+                if args.resume {
+                    eprintln!("[resume: {done} cells already complete on the journal]");
+                }
+            }
+            Err(e) => eprintln!("warning: sweep journal unavailable ({e}); continuing without"),
+        }
+    }
+
+    // Warm exactly the (configuration × benchmark) matrix the
+    // regenerators will ask for; they then read every cell from `sess`.
+    let t0 = Instant::now();
+    let cfgs: Vec<_> = args.selected.iter().flat_map(|e| (e.plan)()).collect();
+    let stats = prewarm(
+        &mut sess,
+        &cfgs,
+        args.jobs,
+        &CancelFlag::new(),
+        args.progress,
+    );
+    eprintln!(
+        "[prewarm: {} cells across {} workers, {:.1}s, {:.1}M sim-cycles/s{}]",
+        stats.cells,
+        args.jobs,
+        stats.seconds,
+        stats.sim_cycles as f64 / stats.seconds.max(1e-9) / 1e6,
+        if stats.failures > 0 {
+            format!(", {} FAILED", stats.failures)
+        } else {
+            String::new()
+        }
+    );
+
+    let mut reports: Vec<Report> = Vec::new();
+    let mut broken = 0u32;
+    for e in &args.selected {
+        match (e.run)(&mut sess) {
+            Ok(r) => reports.push(r),
+            Err(err) => {
+                broken += 1;
+                eprintln!("experiment {} failed: {err}", e.id);
+            }
+        }
+    }
+    for r in &reports {
+        println!("{}", r.to_text());
+        if let Err(e) = r.write_csvs(&args.out) {
+            eprintln!("warning: could not write CSVs for {}: {e}", r.id);
+        }
+    }
+    sess.sort_failures();
+    for note in sess.failure_notes() {
+        eprintln!("{note}");
+    }
+    eprintln!(
+        "[{} simulations run, {} cache entries rejected, {} quarantined, {} warm forks, {} cell failures, {:.1}s, run length {}+{} µ-ops, CSVs in {}]",
+        sess.simulated,
+        sess.cache_rejected,
+        sess.cache_quarantined,
+        sess.warm_forked,
+        sess.failures.len(),
+        t0.elapsed().as_secs_f64(),
+        sess.run_length().warmup,
+        sess.run_length().measure,
+        args.out.display()
+    );
+    i32::from(!sess.failures.is_empty() || broken > 0)
 }

@@ -23,6 +23,7 @@
 //! sequentially afterwards (failures are rare and shrink runs are
 //! cheap).
 
+use crate::cli::{self, Args};
 use crate::session::CellFailure;
 use ss_core::{FaultPlan, RunLength, RunRequest};
 use ss_trace::{pipeview, CaptureSink, TraceEvent};
@@ -434,7 +435,7 @@ pub fn parse_repro(text: &str) -> Result<(FuzzCell, Option<u64>), String> {
     };
     let mut recorded_seq = None;
     let parse_u64 =
-        |v: &str| crate::cli::parse_seed(v).ok_or_else(|| format!("bad number `{}`", v.trim()));
+        |v: &str| cli::parse_seed(v).ok_or_else(|| format!("bad number `{}`", v.trim()));
     for line in lines {
         let Some((key, val)) = line.split_once(' ') else {
             continue;
@@ -619,7 +620,8 @@ impl FuzzReport {
 }
 
 /// Runs a deterministic fuzz campaign: `opts.cells` cells derived from
-/// `opts.campaign_seed`, sharded over `opts.jobs` workers, each checked
+/// `opts.campaign_seed`, sharded over at most `opts.jobs` workers (never
+/// more than cells), each checked
 /// against the golden model. Failing cells are shrunk and (when
 /// `opts.out_dir` is set) written as repro files
 /// `fuzz/repro-<cell_seed>.txt` under the output directory.
@@ -633,7 +635,7 @@ pub fn run_campaign(opts: &FuzzOptions) -> FuzzReport {
 
     let queue = WorkQueue::new(cells.len());
     let results: Mutex<Vec<Option<SimError>>> = Mutex::new(vec![None; cells.len()]);
-    scoped_workers(opts.jobs, |_w| {
+    scoped_workers(opts.jobs.min(cells.len()), |_w| {
         while let Some(i) = queue.take() {
             if let Err(e) = run_cell(&cells[i]) {
                 if let Ok(mut slots) = results.lock() {
@@ -701,61 +703,51 @@ pub fn run_campaign(opts: &FuzzOptions) -> FuzzReport {
 // CLI
 // ---------------------------------------------------------------------
 
+const USAGE: &str = "usage: experiments fuzz [--seeds N] [--smoke] [--jobs N] [--out DIR] \
+                     [--campaign-seed S] [--repro FILE]";
+
 /// Entry point for the `experiments fuzz` subcommand. Returns the
 /// process exit code: 0 on a clean campaign (or a reproduced repro),
 /// 1 on failures (or a repro that no longer reproduces), 2 on usage or
 /// parse errors.
 pub fn run_cli(args: &[String]) -> i32 {
+    cli::command(args, USAGE, parse_args, |(opts, repro)| match repro {
+        Some(path) => run_repro_cli(&path),
+        None => run_campaign_cli(&opts),
+    })
+}
+
+/// The campaign options and the `--repro` file, if one was given.
+fn parse_args(args: &[String]) -> Result<(FuzzOptions, Option<PathBuf>), String> {
     let mut opts = FuzzOptions {
-        jobs: ss_types::exec::default_jobs(),
+        jobs: ss_types::exec::default_jobs().min(cli::MAX_JOBS),
         out_dir: Some(PathBuf::from("results")),
         ..FuzzOptions::default()
     };
-    let mut repro: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut grab = |what: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{what} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match a.as_str() {
-                "--seeds" => opts.cells = grab("--seeds")?.parse().map_err(|e| format!("{e}"))?,
-                "--smoke" => opts.run = 2_000,
-                "--jobs" | "-j" => {
-                    opts.jobs = grab("--jobs")?.parse().map_err(|e| format!("{e}"))?
-                }
-                "--out" => opts.out_dir = Some(PathBuf::from(grab("--out")?)),
-                "--campaign-seed" => {
-                    let v = grab("--campaign-seed")?;
-                    opts.campaign_seed = crate::cli::parse_seed(&v)
-                        .ok_or(format!("--campaign-seed needs a number, got `{v}`"))?;
-                }
-                "--seed-bug" => opts.seed_bug = true,
-                "--repro" => repro = Some(PathBuf::from(grab("--repro")?)),
-                "--no-progress" => {} // accepted for CLI symmetry; fuzz has no live line
-                other => return Err(format!("unknown fuzz option `{other}`")),
+    let mut repro = None;
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--seeds" => opts.cells = args.parse("--seeds needs a cell count")?,
+            "--smoke" => opts.run = 2_000,
+            "--jobs" | "-j" => opts.jobs = args.jobs()?,
+            "--out" => opts.out_dir = Some(args.parse("--out needs a directory")?),
+            "--campaign-seed" => {
+                opts.campaign_seed = args.seed("--campaign-seed needs a number")?
             }
-            Ok(())
-        })();
-        if let Err(msg) = parsed {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: experiments fuzz [--seeds N] [--smoke] [--jobs N] [--out DIR] \
-                 [--campaign-seed S] [--repro FILE]"
-            );
-            return 2;
+            "--repro" => repro = Some(args.parse("--repro needs a file")?),
+            other => return Err(format!("unknown fuzz flag `{other}`")),
         }
     }
+    Ok((opts, repro))
+}
 
-    if let Some(path) = repro {
-        return run_repro_cli(&path);
-    }
-
+fn run_campaign_cli(opts: &FuzzOptions) -> i32 {
     println!(
         "fuzz: {} cells × {} committed µ-ops, campaign seed {:#x}, {} jobs",
         opts.cells, opts.run, opts.campaign_seed, opts.jobs
     );
-    let report = run_campaign(&opts);
+    let report = run_campaign(opts);
     if report.outcomes.is_empty() {
         println!("fuzz: {} cells clean (zero divergences)", report.cells);
         return 0;

@@ -22,6 +22,7 @@
 //! Output is deterministic and byte-identical for any `--jobs` value:
 //! cells execute in parallel but results print in configuration order.
 
+use crate::cli::{self, Args};
 use crate::configs::ConfigSpec;
 use ss_core::{RunLength, RunOutcome, RunRequest};
 use ss_frontend::ProgramSpec;
@@ -69,30 +70,18 @@ fn parse_args(args: &[String]) -> Result<RvArgs, String> {
         measure: 100_000,
     };
     let mut check = true;
-    let mut jobs = 0usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
-        };
-        match a.as_str() {
-            "--prog" => prog = Some(value("--prog")?.parse::<ProgramSpec>()?),
+    let mut jobs = default_jobs().min(cli::MAX_JOBS);
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--prog" => prog = Some(args.value("--prog needs a program")?.parse()?),
             "--config" => {
-                configs.push(
-                    value("--config")?
-                        .parse::<ConfigSpec>()
-                        .map_err(|e| e.to_string())?,
-                );
+                let spec = args.value("--config needs a configuration")?;
+                configs.push(spec.parse::<ConfigSpec>().map_err(|e| e.to_string())?);
             }
             "--all" => all = true,
-            "--delay" => {
-                delay = value("--delay")?
-                    .parse()
-                    .map_err(|_| "--delay wants an integer cycle count".to_string())?;
-            }
-            "--len" => len = value("--len")?.parse::<RunLength>()?,
+            "--delay" => delay = args.parse("--delay needs a cycle count")?,
+            "--len" => len = args.value("--len needs wNmN")?.parse()?,
             "--smoke" => {
                 len = RunLength {
                     warmup: 1_000,
@@ -100,16 +89,8 @@ fn parse_args(args: &[String]) -> Result<RvArgs, String> {
                 }
             }
             "--no-check" => check = false,
-            "--jobs" => {
-                jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs wants a worker count".to_string())?;
-                if jobs == 0 {
-                    return Err("--jobs wants at least 1".to_string());
-                }
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            "--jobs" => jobs = args.jobs()?,
+            other => return Err(format!("unknown rvrun flag `{other}`")),
         }
     }
     if all && !configs.is_empty() {
@@ -127,7 +108,7 @@ fn parse_args(args: &[String]) -> Result<RvArgs, String> {
         configs,
         len,
         check,
-        jobs: if jobs == 0 { default_jobs() } else { jobs },
+        jobs,
     })
 }
 
@@ -171,17 +152,10 @@ fn row(spec: &ConfigSpec, s: &SimStats) -> String {
 /// code (0 on success, 1 on any run error or oracle divergence, 2 on a
 /// bad command line).
 pub fn run_cli(args: &[String]) -> i32 {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{USAGE}");
-        return 0;
-    }
-    let parsed = match parse_args(args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return 2;
-        }
-    };
+    cli::command(args, USAGE, parse_args, rvrun)
+}
+
+fn rvrun(parsed: RvArgs) -> i32 {
     println!(
         "rvrun: {} len={} check={} configs={}",
         parsed.prog,
@@ -189,11 +163,10 @@ pub fn run_cli(args: &[String]) -> i32 {
         if parsed.check { "on" } else { "off" },
         parsed.configs.len()
     );
-    let jobs = parsed.jobs.min(parsed.configs.len()).max(1);
     let queue = WorkQueue::new(parsed.configs.len());
     let slots: Vec<Mutex<Option<Result<RunOutcome, String>>>> =
         parsed.configs.iter().map(|_| Mutex::new(None)).collect();
-    scoped_workers(jobs, |_worker| {
+    scoped_workers(parsed.jobs.min(parsed.configs.len()), |_worker| {
         while let Some(i) = queue.take() {
             let r = run_cell(&parsed.prog, parsed.configs[i], parsed.len, parsed.check);
             if let Ok(mut slot) = slots[i].lock() {
@@ -264,6 +237,7 @@ mod tests {
             "missing rv: prefix"
         );
         assert!(parse_args(&s(&["--jobs", "0"])).is_err());
+        assert!(parse_args(&s(&["--jobs", "1025"])).is_err());
         assert!(parse_args(&s(&["--len", "bogus"])).is_err());
         assert!(parse_args(&s(&["--frobnicate"])).is_err());
     }

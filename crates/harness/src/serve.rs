@@ -47,8 +47,9 @@
 //! interactive > normal > bulk — selected by an explicit `prio=`
 //! override or, absent one, by the exponential moving average of past
 //! wall-clock cost for the request's `(config, kernel)` cell
-//! ([`RunRequest::cost_key`], [`CostEma`], α = 1/4; unknown cells run
-//! normal). Admission is bounded: when the queue holds `queue_depth`
+//! ([`RunRequest::cost_key`], [`CostEma`], α = 1/4): at most 200 ms
+//! predicted runs interactive, at least 2 s bulk, and unknown cells run
+//! normal. Admission is bounded: when the queue holds `queue_depth`
 //! requests the server answers `overloaded` immediately
 //! ([`SimError::Overloaded`]) instead of queueing or blocking. Each
 //! running request polls its [`CancelFlag`] between bounded chunks, so
@@ -66,8 +67,9 @@
 //!   that kills a worker thread anyway (the `poison` chaos hook does
 //!   this deliberately) is detected by a supervisor thread that joins
 //!   the corpse and respawns a replacement, counting `workers_restarted`.
-//! * **Slow or vanished clients** cannot wedge the server: connections
-//!   carry read/write timeouts, a blocked or failed reply write marks
+//! * **Slow or vanished clients** cannot wedge the server: readers wake
+//!   every second to check for shutdown, and a reply write blocked for
+//!   5 s, or one that fails, marks
 //!   the client vanished (`clients_vanished`), cancels its in-flight
 //!   runs, and frees the reader thread. A client disconnect mid-run
 //!   cancels that connection's orphaned runs the same way.
@@ -82,7 +84,7 @@
 //! `experiments chaos` harness drives every one of these paths against
 //! a real server under a seeded fault schedule.
 
-use crate::cli::{usage_error, wants_help, Args};
+use crate::cli::{self, Args};
 use crate::store::Store;
 use ss_core::RunRequest;
 use ss_types::{
@@ -113,6 +115,22 @@ pub const RESULTS_FRONT_CAPACITY: usize = 4096;
 /// Executed jobs kept in the [`Server::exec_log`] evidence ring.
 pub const EXEC_LOG_CAPACITY: usize = 1024;
 
+/// EMA-predicted cost (wall ms) at or below which a cell classifies as
+/// interactive.
+const INTERACTIVE_MAX_MS: u64 = 200;
+
+/// EMA-predicted cost (wall ms) at or above which a cell classifies as
+/// bulk.
+const BULK_MIN_MS: u64 = 2_000;
+
+/// Socket read timeout: how often an idle reader thread wakes to check
+/// shutdown and liveness (it does NOT disconnect idle clients).
+const READ_TIMEOUT: Duration = Duration::from_millis(1_000);
+
+/// Socket write timeout: a reply blocked longer than this marks the
+/// client vanished and cancels its in-flight runs.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(5_000);
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -126,19 +144,6 @@ pub struct ServeOptions {
     /// store, `DIR/cache`, answers requests for its cells. Read-only:
     /// the server never writes, deletes or renames a file there.
     pub checkpoint_dir: Option<PathBuf>,
-    /// EMA-predicted cost (wall ms) at or below which a cell classifies
-    /// as interactive.
-    pub interactive_max_ms: u64,
-    /// EMA-predicted cost (wall ms) at or above which a cell classifies
-    /// as bulk.
-    pub bulk_min_ms: u64,
-    /// Socket read timeout: how often an idle reader thread wakes to
-    /// check shutdown and liveness (it does NOT disconnect idle
-    /// clients).
-    pub read_timeout_ms: u64,
-    /// Socket write timeout: a reply blocked longer than this marks the
-    /// client vanished and cancels its in-flight runs.
-    pub write_timeout_ms: u64,
     /// Graceful-shutdown budget: queued and running requests get this
     /// long to finish before being cancelled with typed errors.
     pub drain_grace_ms: u64,
@@ -154,10 +159,6 @@ impl Default for ServeOptions {
             jobs: 2,
             queue_depth: 64,
             checkpoint_dir: None,
-            interactive_max_ms: 200,
-            bulk_min_ms: 2_000,
-            read_timeout_ms: 1_000,
-            write_timeout_ms: 5_000,
             drain_grace_ms: 5_000,
             allow_poison: false,
         }
@@ -165,10 +166,10 @@ impl Default for ServeOptions {
 }
 
 impl ServeOptions {
-    /// Rejects configurations that cannot run sanely — zero workers,
-    /// absurd queue bounds, inverted cost thresholds, zero I/O timeouts
-    /// — with a typed [`SimError::ConfigInvalid`] instead of silently
-    /// clamping or wedging later.
+    /// Rejects configurations that cannot run sanely — zero or absurd
+    /// worker counts and queue bounds — with a typed
+    /// [`SimError::ConfigInvalid`] instead of silently clamping or
+    /// wedging later.
     pub fn validate(&self) -> Result<(), SimError> {
         let bad = |m: String| Err(SimError::ConfigInvalid(m));
         if self.jobs == 0 {
@@ -176,8 +177,12 @@ impl ServeOptions {
                 "serve: --jobs must be ≥ 1 (a server with no workers hangs every request)".into(),
             );
         }
-        if self.jobs > 1024 {
-            return bad(format!("serve: --jobs {} is absurd (max 1024)", self.jobs));
+        if self.jobs > cli::MAX_JOBS {
+            return bad(format!(
+                "serve: --jobs {} is absurd (max {})",
+                self.jobs,
+                cli::MAX_JOBS
+            ));
         }
         if self.queue_depth == 0 {
             return bad("serve: --queue-depth must be ≥ 1 (0 rejects every request)".into());
@@ -187,17 +192,6 @@ impl ServeOptions {
                 "serve: --queue-depth {} is absurd (max 65536)",
                 self.queue_depth
             ));
-        }
-        if self.interactive_max_ms >= self.bulk_min_ms {
-            return bad(format!(
-                "serve: --interactive-max-ms {} must be below --bulk-min-ms {}",
-                self.interactive_max_ms, self.bulk_min_ms
-            ));
-        }
-        if self.read_timeout_ms == 0 || self.write_timeout_ms == 0 {
-            return bad(
-                "serve: read/write timeouts must be ≥ 1 ms (0 busy-spins or blocks forever)".into(),
-            );
         }
         Ok(())
     }
@@ -782,8 +776,8 @@ impl LineReader {
 }
 
 fn handle_connection(state: &Arc<ServerState>, stream: UnixStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(state.opts.read_timeout_ms)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(state.opts.write_timeout_ms)));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let Ok(reader_half) = stream.try_clone() else {
         return;
     };
@@ -1036,11 +1030,11 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
     }
     let cost_key = req.cost_key();
     let prio = explicit_prio.unwrap_or_else(|| {
-        state.ema.lock().expect("ema lock").classify(
-            &cost_key,
-            state.opts.interactive_max_ms,
-            state.opts.bulk_min_ms,
-        )
+        state
+            .ema
+            .lock()
+            .expect("ema lock")
+            .classify(&cost_key, INTERACTIVE_MAX_MS, BULK_MIN_MS)
     });
     let cancel = Arc::new(CancelFlag::new());
     // Take the writer lock before the push: the instant the job is
@@ -1236,14 +1230,9 @@ const SERVE_USAGE: &str = "usage: experiments serve --socket PATH [flags]\n\
      \n\
      flags (with defaults):\n\
      \x20 --socket PATH            socket path (experiments.sock)\n\
-     \x20 --jobs N                 worker threads (cores - 1)\n\
+     \x20 --jobs N                 worker threads, 1 to 1024 (cores)\n\
      \x20 --queue-depth D          admission bound (64)\n\
      \x20 --checkpoint-dir DIR     answer from a sweep's results in DIR/cache\n\
-     \x20 --interactive-max-ms MS  interactive cost ceiling (200)\n\
-     \x20 --bulk-min-ms MS         bulk cost floor (2000)\n\
-     \x20 --read-timeout-ms MS     reader liveness poll (1000)\n\
-     \x20 --write-timeout-ms MS    reply-write bound before a client\n\
-     \x20                          counts as vanished (5000)\n\
      \x20 --drain-grace-ms MS      graceful-shutdown budget (5000)\n\
      \x20 --allow-poison           enable the `poison` chaos verb (off)";
 
@@ -1253,28 +1242,22 @@ const CLIENT_USAGE: &str = "usage: experiments client --socket PATH [flags]\n\
      \x20 --req 'src=... cfg=... len=...'  request to run\n\
      \x20 --id ID                  request id token (r1)\n\
      \x20 --prio P                 interactive|normal|bulk (server EMA)\n\
-     \x20 --deadline-ms MS         arm a wall-clock deadline on the request\n\
      \x20 --cancel-after N         cancel after N progress lines\n\
-     \x20 --retries N              retry budget for connect/overloaded (3)\n\
-     \x20 --retry-base-ms MS       backoff base delay (100)\n\
-     \x20 --retry-cap-ms MS        backoff delay cap (5000)\n\
-     \x20 --retry-seed N           backoff jitter seed (0x5EED)\n\
-     \x20 --timeout-ms MS          overall wall budget, 0 = unlimited (0)\n\
-     \x20 --metrics | --shutdown   send a control verb instead of --req";
+     \x20 --metrics | --shutdown   send a control verb instead of --req\n\
+     \n\
+     A connect failure or `overloaded` reply is retried 3 times with\n\
+     seeded, jittered backoff from 100 ms up to 5 s. A wall-clock\n\
+     deadline rides the request text: `deadline=MS`.";
 
 const RUN_USAGE: &str = "usage: experiments run --req 'src=... cfg=... len=...'";
 
 /// `experiments serve --socket PATH [flags]`: runs the server until a
 /// client sends `shutdown` (or the process is killed).
 pub fn run_serve_cli(args: &[String]) -> i32 {
-    if wants_help(args) {
-        eprintln!("{SERVE_USAGE}");
-        return 0;
-    }
-    let opts = match parse_serve_args(args) {
-        Ok(o) => o,
-        Err(msg) => return usage_error(&msg),
-    };
+    cli::command(args, SERVE_USAGE, parse_serve_args, serve)
+}
+
+fn serve(opts: ServeOptions) -> i32 {
     let server = match Server::start(opts) {
         Ok(s) => s,
         Err(e) => {
@@ -1295,33 +1278,17 @@ pub fn run_serve_cli(args: &[String]) -> i32 {
 
 fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
     let mut opts = ServeOptions {
-        jobs: ss_types::exec::default_jobs(),
+        jobs: ss_types::exec::default_jobs().min(cli::MAX_JOBS),
         ..ServeOptions::default()
     };
     let mut args = Args::new(args);
     while let Some(flag) = args.flag() {
         match flag {
-            "--socket" => opts.socket = PathBuf::from(args.value("--socket needs a path")?),
-            "--jobs" | "-j" => opts.jobs = args.parse("--jobs needs a worker count")?,
+            "--socket" => opts.socket = args.parse("--socket needs a path")?,
+            "--jobs" | "-j" => opts.jobs = args.jobs()?,
             "--queue-depth" => opts.queue_depth = args.parse("--queue-depth needs a count")?,
             "--checkpoint-dir" => {
-                opts.checkpoint_dir = Some(PathBuf::from(
-                    args.value("--checkpoint-dir needs a directory")?,
-                ))
-            }
-            "--interactive-max-ms" => {
-                opts.interactive_max_ms =
-                    args.parse("--interactive-max-ms needs a millisecond count")?
-            }
-            "--bulk-min-ms" => {
-                opts.bulk_min_ms = args.parse("--bulk-min-ms needs a millisecond count")?
-            }
-            "--read-timeout-ms" => {
-                opts.read_timeout_ms = args.parse("--read-timeout-ms needs a millisecond count")?
-            }
-            "--write-timeout-ms" => {
-                opts.write_timeout_ms =
-                    args.parse("--write-timeout-ms needs a millisecond count")?
+                opts.checkpoint_dir = Some(args.parse("--checkpoint-dir needs a directory")?)
             }
             "--drain-grace-ms" => {
                 opts.drain_grace_ms = args.parse("--drain-grace-ms needs a millisecond count")?
@@ -1343,9 +1310,17 @@ enum Attempt {
     Fail(String),
 }
 
+/// Connect or `overloaded` retries before the client gives up.
+const CLIENT_RETRIES: u32 = 3;
+
+/// Backoff of those retries: base delay, cap (ms) and jitter seed.
+const RETRY_BASE_MS: u64 = 100;
+const RETRY_CAP_MS: u64 = 5_000;
+const RETRY_SEED: u64 = 0x5EED;
+
 /// What a client asks the server.
 enum Ask {
-    /// `run` this request text (with `--deadline-ms` already armed).
+    /// `run` this request text.
     Run(String),
     /// A control verb: `metrics` or `shutdown`.
     Verb(&'static str),
@@ -1358,11 +1333,6 @@ struct ClientArgs {
     prio: Option<String>,
     ask: Ask,
     cancel_after: Option<u32>,
-    retries: u32,
-    retry_base_ms: u64,
-    retry_cap_ms: u64,
-    retry_seed: u64,
-    timeout_ms: u64,
 }
 
 /// `experiments client --socket PATH [flags]`: one-shot client with
@@ -1372,39 +1342,27 @@ struct ClientArgs {
 /// backoff — safe because completed runs are memoized server-side and
 /// answered `ack cached`, so a retried request never re-executes.
 pub fn run_client_cli(args: &[String]) -> i32 {
-    if wants_help(args) {
-        eprintln!("{CLIENT_USAGE}");
-        return 0;
-    }
-    let args = match parse_client_args(args) {
-        Ok(a) => a,
-        Err(msg) => return usage_error(&msg),
-    };
-    let overall = Instant::now();
-    let mut backoff = Backoff::new(args.retry_base_ms, args.retry_cap_ms, args.retry_seed);
+    cli::command(args, CLIENT_USAGE, parse_client_args, client)
+}
+
+fn client(args: ClientArgs) -> i32 {
+    let mut backoff = Backoff::new(RETRY_BASE_MS, RETRY_CAP_MS, RETRY_SEED);
     let mut attempt = 0u32;
     loop {
-        match client_attempt(&args, &overall) {
+        match client_attempt(&args) {
             Attempt::Exit(code) => return code,
             Attempt::Fail(reason) => {
                 eprintln!("client: {reason}");
                 return 1;
             }
             Attempt::Retry(reason) => {
-                if attempt >= args.retries {
+                if attempt >= CLIENT_RETRIES {
                     eprintln!("client: giving up after {attempt} retries ({reason})");
                     return 1;
                 }
                 attempt += 1;
                 let delay = backoff.next_delay_ms();
-                if out_of_budget(args.timeout_ms, &overall) {
-                    eprintln!("client: --timeout-ms budget exhausted ({reason})");
-                    return 1;
-                }
-                eprintln!(
-                    "client: {reason}; retry {attempt}/{} in {delay} ms",
-                    args.retries
-                );
+                eprintln!("client: {reason}; retry {attempt}/{CLIENT_RETRIES} in {delay} ms");
                 std::thread::sleep(Duration::from_millis(delay));
             }
         }
@@ -1418,50 +1376,25 @@ fn parse_client_args(args: &[String]) -> Result<ClientArgs, String> {
     let mut req: Option<&str> = None;
     let mut verb = None;
     let mut cancel_after = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut retries = 3;
-    let mut retry_base_ms = 100;
-    let mut retry_cap_ms = 5_000;
-    let mut retry_seed = 0x5EED;
-    let mut timeout_ms = 0;
     let mut args = Args::new(args);
     while let Some(flag) = args.flag() {
         match flag {
-            "--socket" => socket = PathBuf::from(args.value("--socket needs a path")?),
+            "--socket" => socket = args.parse("--socket needs a path")?,
             "--id" => id = args.value("--id needs a token")?.to_string(),
             "--prio" => prio = Some(args.value("--prio needs a class")?.to_string()),
             "--req" => req = Some(args.value("--req needs request text")?),
             "--cancel-after" => {
                 cancel_after = Some(args.parse("--cancel-after needs a progress-line count")?)
             }
-            "--deadline-ms" => {
-                deadline_ms = Some(args.parse("--deadline-ms needs a millisecond count")?)
-            }
-            "--retries" => retries = args.parse("--retries needs a count")?,
-            "--retry-base-ms" => {
-                retry_base_ms = args.parse("--retry-base-ms needs a millisecond count")?
-            }
-            "--retry-cap-ms" => {
-                retry_cap_ms = args.parse("--retry-cap-ms needs a millisecond count")?
-            }
-            "--retry-seed" => retry_seed = args.seed("--retry-seed needs a number")?,
-            "--timeout-ms" => timeout_ms = args.parse("--timeout-ms needs a millisecond count")?,
             "--metrics" => verb = Some("metrics"),
             "--shutdown" => verb = Some("shutdown"),
             other => return Err(format!("unknown client flag `{other}`")),
         }
     }
-    let ask = match (verb, req, deadline_ms) {
-        (_, None, Some(_)) => return Err("--deadline-ms needs --req".into()),
-        (Some(verb), _, _) => Ask::Verb(verb),
-        (None, Some(text), None) => Ask::Run(text.to_string()),
-        // Arm the deadline by round-tripping through the typed request,
-        // so a malformed request fails here, not at the server.
-        (None, Some(text), Some(ms)) => {
-            let parsed = text.parse::<RunRequest>().map_err(|e| e.to_string())?;
-            Ask::Run(parsed.deadline_ms(ms).to_string())
-        }
-        (None, None, None) => return Err("client needs --req, --metrics or --shutdown".into()),
+    let ask = match (verb, req) {
+        (Some(verb), _) => Ask::Verb(verb),
+        (None, Some(text)) => Ask::Run(text.to_string()),
+        (None, None) => return Err("client needs --req, --metrics or --shutdown".into()),
     };
     Ok(ClientArgs {
         socket,
@@ -1469,22 +1402,11 @@ fn parse_client_args(args: &[String]) -> Result<ClientArgs, String> {
         prio,
         ask,
         cancel_after,
-        retries,
-        retry_base_ms,
-        retry_cap_ms,
-        retry_seed,
-        timeout_ms,
     })
 }
 
-/// Whether the client's overall `--timeout-ms` budget (0 = none) is
-/// spent.
-fn out_of_budget(timeout_ms: u64, overall: &Instant) -> bool {
-    timeout_ms > 0 && overall.elapsed().as_millis() as u64 >= timeout_ms
-}
-
 /// One connect-send-read transaction against the server.
-fn client_attempt(args: &ClientArgs, overall: &Instant) -> Attempt {
+fn client_attempt(args: &ClientArgs) -> Attempt {
     let socket = &args.socket;
     let id = &args.id;
     let mut stream = match UnixStream::connect(socket) {
@@ -1493,11 +1415,6 @@ fn client_attempt(args: &ClientArgs, overall: &Instant) -> Attempt {
             return Attempt::Retry(format!("cannot connect to {}: {e}", socket.display()));
         }
     };
-    if args.timeout_ms > 0 {
-        // Poll in slices so the overall budget is enforced even when
-        // the server stops talking mid-conversation.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    }
     let mut reader = match stream.try_clone() {
         Ok(r) => BufReader::new(r),
         Err(e) => return Attempt::Fail(e.to_string()),
@@ -1507,21 +1424,10 @@ fn client_attempt(args: &ClientArgs, overall: &Instant) -> Attempt {
     };
     let read_line = |reader: &mut BufReader<UnixStream>| -> Result<Option<String>, Attempt> {
         let mut line = String::new();
-        loop {
-            if out_of_budget(args.timeout_ms, overall) {
-                return Err(Attempt::Fail("--timeout-ms budget exhausted".into()));
-            }
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => return Ok(None),
-                Ok(_) => return Ok(Some(line.trim_end().to_string())),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) => return Err(Attempt::Retry(format!("read failed: {e}"))),
-            }
+        match reader.read_line(&mut line) {
+            Ok(0) => Ok(None),
+            Ok(_) => Ok(Some(line.trim_end().to_string())),
+            Err(e) => Err(Attempt::Retry(format!("read failed: {e}"))),
         }
     };
     let line = match &args.ask {
@@ -1580,14 +1486,10 @@ fn client_attempt(args: &ClientArgs, overall: &Instant) -> Attempt {
 /// offline (no server) and prints the identical `done <k=v ...>` line —
 /// the reference output the CI smoke test diffs server replies against.
 pub fn run_offline_cli(args: &[String]) -> i32 {
-    if wants_help(args) {
-        eprintln!("{RUN_USAGE}");
-        return 0;
-    }
-    let parsed = match parse_run_args(args) {
-        Ok(r) => r,
-        Err(msg) => return usage_error(&msg),
-    };
+    cli::command(args, RUN_USAGE, parse_run_args, run_offline)
+}
+
+fn run_offline(parsed: RunRequest) -> i32 {
     let id = "offline";
     match parsed.execute() {
         Ok(outcome) => {
@@ -1989,15 +1891,6 @@ mod tests {
             },
             ServeOptions {
                 queue_depth: 1 << 20,
-                ..ServeOptions::default()
-            },
-            ServeOptions {
-                interactive_max_ms: 5_000,
-                bulk_min_ms: 100,
-                ..ServeOptions::default()
-            },
-            ServeOptions {
-                write_timeout_ms: 0,
                 ..ServeOptions::default()
             },
         ];

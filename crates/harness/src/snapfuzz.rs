@@ -18,7 +18,7 @@
 //!
 //! [`Simulator::restore`]: ss_core::Simulator::restore
 
-use crate::cli::{usage_error, wants_help, Args};
+use crate::cli::{self, Args};
 use ss_core::{RunLength, Simulator};
 use ss_snapshot::{Mutation, Snapshot};
 use ss_types::rng::Xoshiro256;
@@ -122,14 +122,15 @@ pub fn run_campaign(seed: u64, count: u64) -> SnapFuzzStats {
 
 /// CLI entry point for `experiments snapfuzz`.
 pub fn run_cli(args: &[String]) -> i32 {
-    if wants_help(args) {
-        eprintln!("usage: experiments snapfuzz [--seeds N] [--seed S]");
-        return 0;
-    }
-    let (seed, count) = match parse_args(args) {
-        Ok(parsed) => parsed,
-        Err(msg) => return usage_error(&msg),
-    };
+    cli::command(
+        args,
+        "usage: experiments snapfuzz [--seeds N] [--seed S]",
+        parse_args,
+        snapfuzz,
+    )
+}
+
+fn snapfuzz((seed, count): (u64, u64)) -> i32 {
     let stats = run_campaign(seed, count);
     println!(
         "snapfuzz seed {seed:#x}: {} mutations — container {} rejected / {} accepted, \

@@ -30,6 +30,7 @@
 //! (`Baseline_2`, `SpecSched_4_Crit`, ...); benchmarks come from the
 //! registry in `ss-workloads` (`fp_compute`, `ptr_chase_big`, ...).
 
+use crate::cli::{self, Args};
 use crate::configs::ConfigSpec;
 use crate::session::WORKLOAD_SEED;
 use ss_core::{RunLength, RunRequest};
@@ -92,17 +93,12 @@ fn parse_args(args: &[String]) -> Result<TraceArgs, String> {
     let mut every = None;
     let mut out = None;
     let mut check = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
             "--bench" => {
-                let name = value("--bench")?;
-                bench = Some(benchmark(&name).ok_or_else(|| {
+                let name = args.value("--bench needs a benchmark name")?;
+                bench = Some(benchmark(name).ok_or_else(|| {
                     format!(
                         "unknown benchmark `{name}`; available: {}",
                         benchmark_names().join(", ")
@@ -110,12 +106,12 @@ fn parse_args(args: &[String]) -> Result<TraceArgs, String> {
                 })?);
             }
             "--config" => {
-                let spec = value("--config")?;
+                let spec = args.value("--config needs a configuration")?;
                 configs.push(spec.parse::<ConfigSpec>().map_err(|e| e.to_string())?);
             }
-            "--window" => window = parse_window(&value("--window")?)?,
+            "--window" => window = parse_window(args.value("--window needs LO..HI")?)?,
             "--format" => {
-                format = match value("--format")?.as_str() {
+                format = match args.value("--format needs perfetto|pipeview|occupancy")? {
                     "perfetto" => Format::Perfetto,
                     "pipeview" => Format::Pipeview,
                     "occupancy" => Format::Occupancy,
@@ -126,17 +122,13 @@ fn parse_args(args: &[String]) -> Result<TraceArgs, String> {
                     }
                 }
             }
-            "--every" => {
-                let n = value("--every")?;
-                every = match n.parse::<u64>() {
-                    Ok(0) => return Err("--every must be at least 1".to_string()),
-                    Ok(n) => Some(n),
-                    Err(_) => return Err(format!("--every expects a count, got `{n}`")),
-                }
-            }
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
+            "--every" => match args.parse("--every needs a row count")? {
+                0 => return Err("--every must be at least 1".to_string()),
+                n => every = Some(n),
+            },
+            "--out" => out = Some(args.parse("--out needs a file")?),
             "--check" => check = true,
-            other => return Err(format!("unknown argument `{other}`")),
+            other => return Err(format!("unknown trace flag `{other}`")),
         }
     }
     let bench = bench.ok_or("--bench is required")?;
@@ -323,17 +315,10 @@ fn render(args: &TraceArgs) -> Result<String, String> {
 /// Entry point for `experiments trace ...`; returns the process exit
 /// code.
 pub fn run_cli(args: &[String]) -> i32 {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{USAGE}");
-        return 0;
-    }
-    let parsed = match parse_args(args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("error: {msg} (see --help)");
-            return 2;
-        }
-    };
+    cli::command(args, USAGE, parse_args, trace)
+}
+
+fn trace(parsed: TraceArgs) -> i32 {
     let doc = match render(&parsed) {
         Ok(d) => d,
         Err(msg) => {

@@ -1,6 +1,7 @@
 //! A bad command line is a usage error: the `experiments` binary prints
-//! a message and exits 2, as every subcommand does, instead of
-//! panicking with a backtrace.
+//! `error: … (see --help)` and exits 2, as every subcommand does,
+//! instead of panicking with a backtrace. `--help` exits 0. A bad
+//! `--jobs` is rejected by the parser, before any worker starts.
 
 use std::process::Command;
 
@@ -17,13 +18,51 @@ fn assert_usage_error(exe: &str, args: &[&str]) {
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    assert!(
+        stderr.trim_end().ends_with("(see --help)"),
+        "{args:?}: {stderr}"
+    );
+}
+
+/// The usage errors of one subcommand, each case appended to `cmd`.
+fn assert_usage_errors(cmd: &[&str], cases: &[&[&str]]) {
+    for case in cases {
+        let mut args = cmd.to_vec();
+        args.extend_from_slice(case);
+        assert_usage_error(EXE, &args);
+    }
+}
+
+#[test]
+fn every_subcommand_answers_help_with_exit_0() {
+    for cmd in [
+        "", "fuzz", "trace", "snapfuzz", "serve", "client", "run", "chaos", "rvrun",
+    ] {
+        for help in ["--help", "-h"] {
+            let args: Vec<&str> = [cmd, help].into_iter().filter(|a| !a.is_empty()).collect();
+            let out = Command::new(EXE)
+                .args(&args)
+                .current_dir(std::env::temp_dir())
+                .output()
+                .expect("spawn binary");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+            assert!(
+                stderr.starts_with("usage: experiments"),
+                "{args:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        }
+    }
 }
 
 #[test]
 fn bad_sweep_arguments_exit_2_without_panicking() {
-    let cases: [&[&str]; 7] = [
+    let cases: [&[&str]; 9] = [
         &["fig5", "--jobs", "x"],
         &["fig5", "--jobs"],
+        &["fig5", "--jobs", "0"],
+        &["fig5", "--jobs", "1025"],
         &["fig5", "--out"],
         &["fig5", "--checkpoint-dir"],
         &["fig5", "--no-cache", "--resume"],
@@ -33,6 +72,42 @@ fn bad_sweep_arguments_exit_2_without_panicking() {
     for args in cases {
         assert_usage_error(EXE, args);
     }
+}
+
+#[test]
+fn bad_fuzz_arguments_exit_2_without_panicking() {
+    assert_usage_errors(
+        &["fuzz"],
+        &[
+            &["--seeds", "x"],
+            &["--seeds"],
+            &["--jobs", "0"],
+            &["--jobs", "1025"],
+            &["--jobs", "x"],
+            &["--out"],
+            &["--campaign-seed", "zz"],
+            &["--repro"],
+            &["--no-such-flag"],
+        ],
+    );
+}
+
+#[test]
+fn bad_rvrun_arguments_exit_2_without_panicking() {
+    assert_usage_errors(
+        &["rvrun"],
+        &[
+            &["--jobs", "0"],
+            &["--jobs", "1025"],
+            &["--jobs", "x"],
+            &["--prog", "sort@1"],
+            &["--len", "bogus"],
+            &["--delay", "x"],
+            &["--config", "NoSuchConfig_4"],
+            &["--all", "--config", "Baseline_4"],
+            &["--no-such-flag"],
+        ],
+    );
 }
 
 #[test]
@@ -103,14 +178,14 @@ fn bad_serve_arguments_exit_2_without_panicking() {
 #[test]
 fn bad_client_arguments_exit_2_without_panicking() {
     let cases: [&[&str]; 9] = [
-        &["--retries"],
-        &["--retries", "x", "--metrics"],
+        &["--cancel-after", "x", "--metrics"],
+        &["--cancel-after"],
         &["--socket"],
-        &["--retry-seed", "zz", "--metrics"],
+        &["--prio"],
         &["--stats"],
         &["--health"],
-        &["--deadline-ms", "5", "--metrics"],
-        &["--req", "src=nowhere", "--deadline-ms", "5"],
+        &["--req"],
+        &["--id"],
         &["--id", "r1"],
     ];
     for case in cases {
