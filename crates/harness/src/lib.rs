@@ -11,7 +11,8 @@
 //! * [`store`] — the on-disk results store: one checksummed file of
 //!   `SimStats` per cell, addressed by that request text.
 //! * [`exec`] — the parallel execution engine sharding the
-//!   (configuration × benchmark) matrix across worker threads.
+//!   (configuration × benchmark) matrix across worker threads, and the
+//!   sweep command line ([`exec::run_cli`]).
 //! * [`experiments`] — one regenerator per table/figure; each returns a
 //!   [`report::Report`] with the same rows/series the paper plots.
 //! * [`journal`] — the crash-safe sweep journal: an fsync'd record of
@@ -39,7 +40,8 @@
 //!   window with the `ss-trace` observability sinks and render it as
 //!   Perfetto JSON or an ASCII pipeview (including two-config diffs).
 //!
-//! The `experiments` binary drives everything:
+//! The `experiments` binary drives everything; each subcommand's
+//! `run_cli` parses its flags with the one shared parser:
 //!
 //! ```text
 //! cargo run -r -p ss-harness --bin experiments -- all
