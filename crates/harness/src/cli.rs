@@ -8,6 +8,12 @@ use std::str::FromStr;
 /// The most worker threads any subcommand's `--jobs` may ask for.
 pub(crate) const MAX_JOBS: usize = 1024;
 
+/// The default `--jobs`: the host's available parallelism, at most
+/// [`MAX_JOBS`].
+pub(crate) fn default_jobs() -> usize {
+    ss_types::exec::default_jobs().min(MAX_JOBS)
+}
+
 /// The flags and values of one subcommand's command line, in order.
 pub(crate) struct Args<'a>(std::slice::Iter<'a, String>);
 

@@ -133,10 +133,10 @@ pub struct PrewarmStats {
 /// `sess`. Each cell runs through [`Session::try_run`], so its result is
 /// the one a sequential sweep would produce.
 ///
-/// With one worker it runs on the calling thread. `cancel` stops the sweep at the
-/// next cell boundary (completed cells stay cached). `live_progress`
-/// draws a `\r`-refreshed progress line on stderr; pass `false` when
-/// stderr is being captured.
+/// With one worker it runs on the calling thread. `cancel` stops the
+/// sweep at the next cell boundary (completed cells stay cached).
+/// `live_progress` draws a `\r`-refreshed progress line on stderr; pass
+/// `false` when stderr is being captured.
 pub fn prewarm(
     sess: &mut Session,
     cfgs: &[NamedConfig],
@@ -198,7 +198,7 @@ struct SweepArgs {
 
 fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
     let mut which: Vec<&str> = Vec::new();
-    let (mut quick, mut smoke, mut resume) = (false, false, false);
+    let (mut quick, mut smoke) = (false, false);
     let mut sweep = SweepArgs {
         selected: Vec::new(),
         len: RunLength {
@@ -207,7 +207,7 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
         },
         cache: true,
         progress: true,
-        jobs: ss_types::exec::default_jobs().min(cli::MAX_JOBS),
+        jobs: cli::default_jobs(),
         out: PathBuf::from("results"),
         checkpoint_dir: None,
         resume: false,
@@ -224,7 +224,7 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
             "--checkpoint-dir" => {
                 sweep.checkpoint_dir = Some(args.parse("--checkpoint-dir needs a directory")?)
             }
-            "--resume" => resume = true,
+            "--resume" => sweep.resume = true,
             experiment => which.push(experiment),
         }
     }
@@ -240,12 +240,11 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
             measure: 150_000,
         };
     }
-    if resume && sweep.checkpoint_dir.is_none() {
+    if sweep.resume && sweep.checkpoint_dir.is_none() {
         return Err(
             "--resume requires --checkpoint-dir (the directory of the interrupted sweep)".into(),
         );
     }
-    sweep.resume = resume;
     if which.is_empty() {
         which.push("all");
     }

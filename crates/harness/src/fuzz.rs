@@ -720,7 +720,7 @@ pub fn run_cli(args: &[String]) -> i32 {
 /// The campaign options and the `--repro` file, if one was given.
 fn parse_args(args: &[String]) -> Result<(FuzzOptions, Option<PathBuf>), String> {
     let mut opts = FuzzOptions {
-        jobs: ss_types::exec::default_jobs().min(cli::MAX_JOBS),
+        jobs: cli::default_jobs(),
         out_dir: Some(PathBuf::from("results")),
         ..FuzzOptions::default()
     };

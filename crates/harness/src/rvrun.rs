@@ -26,7 +26,7 @@ use crate::cli::{self, Args};
 use crate::configs::ConfigSpec;
 use ss_core::{RunLength, RunOutcome, RunRequest};
 use ss_frontend::ProgramSpec;
-use ss_types::exec::{default_jobs, scoped_workers};
+use ss_types::exec::scoped_workers;
 use ss_types::{SimStats, WorkQueue};
 use std::sync::Mutex;
 
@@ -70,7 +70,7 @@ fn parse_args(args: &[String]) -> Result<RvArgs, String> {
         measure: 100_000,
     };
     let mut check = true;
-    let mut jobs = default_jobs().min(cli::MAX_JOBS);
+    let mut jobs = cli::default_jobs();
     let mut args = Args::new(args);
     while let Some(flag) = args.flag() {
         match flag {

@@ -68,11 +68,11 @@
 //!   this deliberately) is detected by a supervisor thread that joins
 //!   the corpse and respawns a replacement, counting `workers_restarted`.
 //! * **Slow or vanished clients** cannot wedge the server: readers wake
-//!   every second to check for shutdown, and a reply write blocked for
-//!   5 s, or one that fails, marks
-//!   the client vanished (`clients_vanished`), cancels its in-flight
-//!   runs, and frees the reader thread. A client disconnect mid-run
-//!   cancels that connection's orphaned runs the same way.
+//!   every second to check for shutdown, and a reply write that fails
+//!   or stays blocked for 5 s marks the client vanished
+//!   (`clients_vanished`), cancels its in-flight runs, and frees the
+//!   reader thread. A client disconnect mid-run cancels that
+//!   connection's orphaned runs the same way.
 //! * **Runaway simulations** are bounded by the request's own
 //!   `deadline=<ms>` budget, enforced between measurement chunks as
 //!   [`SimError::DeadlineExceeded`] with committed-µ-op evidence.
@@ -1278,7 +1278,7 @@ fn serve(opts: ServeOptions) -> i32 {
 
 fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
     let mut opts = ServeOptions {
-        jobs: ss_types::exec::default_jobs().min(cli::MAX_JOBS),
+        jobs: cli::default_jobs(),
         ..ServeOptions::default()
     };
     let mut args = Args::new(args);
