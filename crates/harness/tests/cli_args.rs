@@ -160,9 +160,11 @@ fn bad_trace_arguments_exit_2_without_panicking() {
 
 #[test]
 fn bad_serve_arguments_exit_2_without_panicking() {
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 8] = [
         &["--jobs", "x"],
         &["--jobs"],
+        &["--jobs", "0"],
+        &["--jobs", "1025"],
         &["--queue-depth", "-1"],
         &["--socket"],
         &["--drain-grace-ms", "soon"],
