@@ -87,9 +87,9 @@
 use crate::cli::{self, Args};
 use crate::store::Store;
 use ss_core::RunRequest;
+pub use ss_types::stats::{stats_from_wire, stats_to_wire};
 use ss_types::{
-    Backoff, BoundedMap, CacheStats, CancelFlag, CostEma, PrioQueue, Priority, PushError, SimError,
-    SimStats,
+    Backoff, BoundedMap, CancelFlag, CostEma, PrioQueue, Priority, PushError, SimError, SimStats,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -592,64 +592,6 @@ fn drain(state: &Arc<ServerState>) {
     for f in flags {
         f.cancel();
     }
-}
-
-/// Writes and reads the `k=v` wire encoding of [`SimStats`] (the `done`
-/// payload): the counters below in this order, then each cache counter
-/// as `l1d.{name}=… l2.{name}=…`. Both directions name every field — the
-/// writer destructures with no `..` and the reader builds struct
-/// literals — so a new field does not compile until it is on the wire.
-macro_rules! wire_codec {
-    (sim { $($f:ident),* $(,)? } cache { $($c:ident),* $(,)? }) => {
-        /// Serializes statistics as one `k=v ...` wire line.
-        pub fn stats_to_wire(s: &SimStats) -> String {
-            let SimStats { $($f,)* l1d, l2 } = s;
-            let cache = |c: &CacheStats| {
-                let CacheStats { $($c),* } = c;
-                [$(*$c),*]
-            };
-            let (l1d, l2) = (cache(l1d), cache(l2));
-            let mut out = String::with_capacity(1024);
-            $( let _ = write!(out, " {}={}", stringify!($f), $f); )*
-            for (i, name) in [$(stringify!($c)),*].iter().enumerate() {
-                let _ = write!(out, " l1d.{name}={} l2.{name}={}", l1d[i], l2[i]);
-            }
-            out.split_off(1)
-        }
-
-        /// Parses a wire line back into statistics. `None` unless the line
-        /// holds every field exactly once and nothing else.
-        pub fn stats_from_wire(line: &str) -> Option<SimStats> {
-            let mut fields = HashMap::new();
-            for token in line.split_whitespace() {
-                let (k, v) = token.split_once('=')?;
-                if fields.insert(k, v.parse::<u64>().ok()?).is_some() {
-                    return None;
-                }
-            }
-            let mut take = |k: &str| fields.remove(k);
-            let mut cache = |level: &str| -> Option<CacheStats> {
-                Some(CacheStats { $($c: take(&format!("{level}.{}", stringify!($c)))?,)* })
-            };
-            let (l1d, l2) = (cache("l1d")?, cache("l2")?);
-            let s = SimStats { $($f: take(stringify!($f))?,)* l1d, l2 };
-            fields.is_empty().then_some(s)
-        }
-    };
-}
-
-wire_codec! {
-    sim {
-        cycles, committed_uops, committed_loads, unique_issued, issued_total, replayed_miss,
-        replayed_bank, replayed_prf, replay_events_miss, replay_events_bank, replay_events_prf,
-        wrong_path_issued, cond_branches, cond_mispredicts, target_mispredicts,
-        bank_delayed_loads, bank_delay_cycles, loads_merged_into_mshr, dram_row_hits,
-        dram_row_misses, loads_spec_woken, loads_conservative, filter_sure_hit, filter_sure_miss,
-        filter_unstable, crit_predicted_critical, crit_predicted_noncritical, memdep_violations,
-        dispatch_stall_cycles, recovery_buffer_replays, degrade_entries, degrade_cycles,
-        faults_injected,
-    }
-    cache { accesses, hits, misses, mshr_merges, prefetches, prefetch_hits }
 }
 
 fn accept_loop(state: &Arc<ServerState>, listener: UnixListener) {
@@ -1571,122 +1513,6 @@ mod tests {
         }
         assert_eq!(small.p50(), Some(7));
         assert_eq!(small.p99(), Some(9));
-    }
-
-    #[test]
-    fn wire_stats_round_trip_preserves_all_fields() {
-        let mut s = SimStats {
-            cycles: 12_345,
-            committed_uops: 678,
-            ..Default::default()
-        };
-        s.l1d.misses = 9;
-        s.l2.accesses = 11;
-        let line = stats_to_wire(&s);
-        assert!(line.contains("cycles=12345"), "{line}");
-        let back = stats_from_wire(&line).expect("parses");
-        assert_eq!(back, s);
-    }
-
-    /// Every field set to a distinct value, and its wire line as the
-    /// codec has always written it.
-    fn distinct_stats() -> (SimStats, &'static str) {
-        let s = SimStats {
-            cycles: 1,
-            committed_uops: 2,
-            committed_loads: 3,
-            unique_issued: 4,
-            issued_total: 5,
-            replayed_miss: 6,
-            replayed_bank: 7,
-            replayed_prf: 8,
-            replay_events_miss: 9,
-            replay_events_bank: 10,
-            replay_events_prf: 11,
-            wrong_path_issued: 12,
-            cond_branches: 13,
-            cond_mispredicts: 14,
-            target_mispredicts: 15,
-            bank_delayed_loads: 16,
-            bank_delay_cycles: 17,
-            loads_merged_into_mshr: 18,
-            dram_row_hits: 19,
-            dram_row_misses: 20,
-            loads_spec_woken: 21,
-            loads_conservative: 22,
-            filter_sure_hit: 23,
-            filter_sure_miss: 24,
-            filter_unstable: 25,
-            crit_predicted_critical: 26,
-            crit_predicted_noncritical: 27,
-            memdep_violations: 28,
-            dispatch_stall_cycles: 29,
-            recovery_buffer_replays: 30,
-            degrade_entries: 31,
-            degrade_cycles: 32,
-            faults_injected: 33,
-            l1d: CacheStats {
-                accesses: 101,
-                hits: 102,
-                misses: 103,
-                mshr_merges: 104,
-                prefetches: 105,
-                prefetch_hits: 106,
-            },
-            l2: CacheStats {
-                accesses: 201,
-                hits: 202,
-                misses: 203,
-                mshr_merges: 204,
-                prefetches: 205,
-                prefetch_hits: 206,
-            },
-        };
-        let line = "cycles=1 committed_uops=2 committed_loads=3 unique_issued=4 \
-            issued_total=5 replayed_miss=6 replayed_bank=7 replayed_prf=8 \
-            replay_events_miss=9 replay_events_bank=10 replay_events_prf=11 \
-            wrong_path_issued=12 cond_branches=13 cond_mispredicts=14 \
-            target_mispredicts=15 bank_delayed_loads=16 bank_delay_cycles=17 \
-            loads_merged_into_mshr=18 dram_row_hits=19 dram_row_misses=20 \
-            loads_spec_woken=21 loads_conservative=22 filter_sure_hit=23 \
-            filter_sure_miss=24 filter_unstable=25 crit_predicted_critical=26 \
-            crit_predicted_noncritical=27 memdep_violations=28 \
-            dispatch_stall_cycles=29 recovery_buffer_replays=30 degrade_entries=31 \
-            degrade_cycles=32 faults_injected=33 l1d.accesses=101 l2.accesses=201 \
-            l1d.hits=102 l2.hits=202 l1d.misses=103 l2.misses=203 \
-            l1d.mshr_merges=104 l2.mshr_merges=204 l1d.prefetches=105 \
-            l2.prefetches=205 l1d.prefetch_hits=106 l2.prefetch_hits=206";
-        (s, line)
-    }
-
-    #[test]
-    fn wire_bytes_are_pinned() {
-        let (s, line) = distinct_stats();
-        assert_eq!(stats_to_wire(&s), line);
-        assert_eq!(stats_from_wire(line), Some(s));
-    }
-
-    #[test]
-    fn wire_reader_rejects_a_missing_repeated_or_unknown_field() {
-        let (_, line) = distinct_stats();
-        let tokens: Vec<&str> = line.split(' ').collect();
-        for i in 0..tokens.len() {
-            let mut short = tokens.clone();
-            let dropped = short.remove(i);
-            assert_eq!(
-                stats_from_wire(&short.join(" ")),
-                None,
-                "a line without `{dropped}` must be rejected"
-            );
-            assert_eq!(
-                stats_from_wire(&format!("{line} {dropped}")),
-                None,
-                "a line repeating `{dropped}` must be rejected"
-            );
-        }
-        assert_eq!(stats_from_wire(&format!("{line} bogus=1")), None);
-        assert_eq!(stats_from_wire("cycles=1 committed_uops=2"), None);
-        assert_eq!(stats_from_wire(&line.replace("=33", "=x")), None);
     }
 
     #[test]

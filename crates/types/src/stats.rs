@@ -7,6 +7,7 @@
 
 use crate::replay::ReplayCause;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Hit/miss counters for one cache level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -134,6 +135,115 @@ pub struct SimStats {
     pub faults_injected: u64,
 }
 
+/// Names every counter of [`SimStats`] once, in wire order: the
+/// top-level counters below, then each cache counter as
+/// `l1d.{name}` and `l2.{name}`. Both accessors destructure with no
+/// `..`, so a new field does not compile until it is listed here, and
+/// with it the wire line, the golden file and [`SimStats::delta`]
+/// carry it.
+macro_rules! counters {
+    (sim { $($f:ident),* $(,)? } cache { $($c:ident),* $(,)? }) => {
+        impl SimStats {
+            /// Number of counters, cache levels included.
+            pub const COUNTERS: usize = [$(stringify!($f)),*].len() + 2 * [$(stringify!($c)),*].len();
+
+            /// Every counter with its name, in wire order.
+            pub fn counters(&self) -> [(&'static str, u64); Self::COUNTERS] {
+                let SimStats { $($f,)* l1d, l2 } = self;
+                let (CacheStats { $($c: _),* }, CacheStats { $($c: _),* }) = (l1d, l2);
+                [
+                    $((stringify!($f), *$f),)*
+                    $(
+                        (concat!("l1d.", stringify!($c)), l1d.$c),
+                        (concat!("l2.", stringify!($c)), l2.$c),
+                    )*
+                ]
+            }
+
+            fn counters_mut(&mut self) -> [(&'static str, &mut u64); Self::COUNTERS] {
+                let SimStats { $($f,)* l1d, l2 } = self;
+                [
+                    $((stringify!($f), $f),)*
+                    $(
+                        (concat!("l1d.", stringify!($c)), &mut l1d.$c),
+                        (concat!("l2.", stringify!($c)), &mut l2.$c),
+                    )*
+                ]
+            }
+        }
+    };
+}
+
+counters! {
+    sim {
+        cycles, committed_uops, committed_loads, unique_issued, issued_total, replayed_miss,
+        replayed_bank, replayed_prf, replay_events_miss, replay_events_bank, replay_events_prf,
+        wrong_path_issued, cond_branches, cond_mispredicts, target_mispredicts,
+        bank_delayed_loads, bank_delay_cycles, loads_merged_into_mshr, dram_row_hits,
+        dram_row_misses, loads_spec_woken, loads_conservative, filter_sure_hit, filter_sure_miss,
+        filter_unstable, crit_predicted_critical, crit_predicted_noncritical, memdep_violations,
+        dispatch_stall_cycles, recovery_buffer_replays, degrade_entries, degrade_cycles,
+        faults_injected,
+    }
+    cache { accesses, hits, misses, mshr_merges, prefetches, prefetch_hits }
+}
+
+impl SimStats {
+    /// The statistics as `name=value` tokens in wire order, leaving out
+    /// every zero counter (absent means 0): the form
+    /// `tests/golden/stats.txt` pins. [`stats_to_wire`] is the same text
+    /// with the zeros kept.
+    pub fn sparse_text(&self) -> String {
+        self.text(false)
+    }
+
+    fn text(&self, zeros: bool) -> String {
+        let mut out = String::with_capacity(1024);
+        for (name, v) in self.counters() {
+            if zeros || v != 0 {
+                let _ = write!(out, " {name}={v}");
+            }
+        }
+        if !out.is_empty() {
+            out.remove(0);
+        }
+        out
+    }
+
+    /// Parses `name=value` tokens back into statistics, a counter absent
+    /// from `text` being 0 (so it reads [`Self::sparse_text`] and the
+    /// wire line alike). `None` if a token is malformed, names no
+    /// counter, or repeats one.
+    pub fn parse_text(text: &str) -> Option<SimStats> {
+        let mut s = SimStats::default();
+        let mut seen = [false; Self::COUNTERS];
+        let fields = s.counters_mut();
+        for token in text.split_whitespace() {
+            let (k, v) = token.split_once('=')?;
+            let i = fields.iter().position(|(name, _)| *name == k)?;
+            if std::mem::replace(&mut seen[i], true) {
+                return None;
+            }
+            *fields[i].1 = v.parse().ok()?;
+        }
+        Some(s)
+    }
+}
+
+/// Serializes statistics as one `k=v ...` wire line (the `done` payload
+/// of `experiments serve`): every counter of [`SimStats::counters`], in
+/// that order.
+pub fn stats_to_wire(s: &SimStats) -> String {
+    s.text(true)
+}
+
+/// Parses a wire line back into statistics. `None` unless the line holds
+/// every counter exactly once and nothing else.
+pub fn stats_from_wire(line: &str) -> Option<SimStats> {
+    let s = SimStats::parse_text(line)?;
+    (line.split_whitespace().count() == SimStats::COUNTERS).then_some(s)
+}
+
 impl SimStats {
     /// Committed µ-ops per cycle.
     pub fn ipc(&self) -> f64 {
@@ -184,69 +294,12 @@ impl SimStats {
     /// Panics (in debug builds) if any counter in `earlier` exceeds the
     /// corresponding counter in `self`.
     pub fn delta(&self, earlier: &SimStats) -> SimStats {
-        fn sub(a: u64, b: u64) -> u64 {
-            debug_assert!(a >= b, "stats must be monotonic ({a} < {b})");
-            a - b
+        let mut out = self.clone();
+        for ((name, a), (_, b)) in out.counters_mut().into_iter().zip(earlier.counters()) {
+            debug_assert!(*a >= b, "stats must be monotonic ({name}: {a} < {b})");
+            *a -= b;
         }
-        fn subc(a: CacheStats, b: CacheStats) -> CacheStats {
-            CacheStats {
-                accesses: sub(a.accesses, b.accesses),
-                hits: sub(a.hits, b.hits),
-                misses: sub(a.misses, b.misses),
-                mshr_merges: sub(a.mshr_merges, b.mshr_merges),
-                prefetches: sub(a.prefetches, b.prefetches),
-                prefetch_hits: sub(a.prefetch_hits, b.prefetch_hits),
-            }
-        }
-        SimStats {
-            cycles: sub(self.cycles, earlier.cycles),
-            committed_uops: sub(self.committed_uops, earlier.committed_uops),
-            committed_loads: sub(self.committed_loads, earlier.committed_loads),
-            unique_issued: sub(self.unique_issued, earlier.unique_issued),
-            issued_total: sub(self.issued_total, earlier.issued_total),
-            replayed_miss: sub(self.replayed_miss, earlier.replayed_miss),
-            replayed_bank: sub(self.replayed_bank, earlier.replayed_bank),
-            replayed_prf: sub(self.replayed_prf, earlier.replayed_prf),
-            replay_events_miss: sub(self.replay_events_miss, earlier.replay_events_miss),
-            replay_events_bank: sub(self.replay_events_bank, earlier.replay_events_bank),
-            replay_events_prf: sub(self.replay_events_prf, earlier.replay_events_prf),
-            wrong_path_issued: sub(self.wrong_path_issued, earlier.wrong_path_issued),
-            cond_branches: sub(self.cond_branches, earlier.cond_branches),
-            cond_mispredicts: sub(self.cond_mispredicts, earlier.cond_mispredicts),
-            target_mispredicts: sub(self.target_mispredicts, earlier.target_mispredicts),
-            l1d: subc(self.l1d, earlier.l1d),
-            l2: subc(self.l2, earlier.l2),
-            bank_delayed_loads: sub(self.bank_delayed_loads, earlier.bank_delayed_loads),
-            bank_delay_cycles: sub(self.bank_delay_cycles, earlier.bank_delay_cycles),
-            loads_merged_into_mshr: sub(
-                self.loads_merged_into_mshr,
-                earlier.loads_merged_into_mshr,
-            ),
-            dram_row_hits: sub(self.dram_row_hits, earlier.dram_row_hits),
-            dram_row_misses: sub(self.dram_row_misses, earlier.dram_row_misses),
-            loads_spec_woken: sub(self.loads_spec_woken, earlier.loads_spec_woken),
-            loads_conservative: sub(self.loads_conservative, earlier.loads_conservative),
-            filter_sure_hit: sub(self.filter_sure_hit, earlier.filter_sure_hit),
-            filter_sure_miss: sub(self.filter_sure_miss, earlier.filter_sure_miss),
-            filter_unstable: sub(self.filter_unstable, earlier.filter_unstable),
-            crit_predicted_critical: sub(
-                self.crit_predicted_critical,
-                earlier.crit_predicted_critical,
-            ),
-            crit_predicted_noncritical: sub(
-                self.crit_predicted_noncritical,
-                earlier.crit_predicted_noncritical,
-            ),
-            memdep_violations: sub(self.memdep_violations, earlier.memdep_violations),
-            dispatch_stall_cycles: sub(self.dispatch_stall_cycles, earlier.dispatch_stall_cycles),
-            recovery_buffer_replays: sub(
-                self.recovery_buffer_replays,
-                earlier.recovery_buffer_replays,
-            ),
-            degrade_entries: sub(self.degrade_entries, earlier.degrade_entries),
-            degrade_cycles: sub(self.degrade_cycles, earlier.degrade_cycles),
-            faults_injected: sub(self.faults_injected, earlier.faults_injected),
-        }
+        out
     }
 
     /// Issue events per committed µ-op — the pipeline-efficiency metric the
@@ -398,5 +451,138 @@ mod tests {
         assert!(out.contains("IPC"));
         assert!(out.contains("replayed (bank)"));
         assert!(out.contains("issued / committed"));
+    }
+
+    #[test]
+    fn wire_stats_round_trip_preserves_all_fields() {
+        let mut s = SimStats {
+            cycles: 12_345,
+            committed_uops: 678,
+            ..Default::default()
+        };
+        s.l1d.misses = 9;
+        s.l2.accesses = 11;
+        let line = stats_to_wire(&s);
+        assert!(line.contains("cycles=12345"), "{line}");
+        let back = stats_from_wire(&line).expect("parses");
+        assert_eq!(back, s);
+    }
+
+    /// Every field set to a distinct value, and its wire line as the
+    /// codec has always written it.
+    fn distinct_stats() -> (SimStats, &'static str) {
+        let s = SimStats {
+            cycles: 1,
+            committed_uops: 2,
+            committed_loads: 3,
+            unique_issued: 4,
+            issued_total: 5,
+            replayed_miss: 6,
+            replayed_bank: 7,
+            replayed_prf: 8,
+            replay_events_miss: 9,
+            replay_events_bank: 10,
+            replay_events_prf: 11,
+            wrong_path_issued: 12,
+            cond_branches: 13,
+            cond_mispredicts: 14,
+            target_mispredicts: 15,
+            bank_delayed_loads: 16,
+            bank_delay_cycles: 17,
+            loads_merged_into_mshr: 18,
+            dram_row_hits: 19,
+            dram_row_misses: 20,
+            loads_spec_woken: 21,
+            loads_conservative: 22,
+            filter_sure_hit: 23,
+            filter_sure_miss: 24,
+            filter_unstable: 25,
+            crit_predicted_critical: 26,
+            crit_predicted_noncritical: 27,
+            memdep_violations: 28,
+            dispatch_stall_cycles: 29,
+            recovery_buffer_replays: 30,
+            degrade_entries: 31,
+            degrade_cycles: 32,
+            faults_injected: 33,
+            l1d: CacheStats {
+                accesses: 101,
+                hits: 102,
+                misses: 103,
+                mshr_merges: 104,
+                prefetches: 105,
+                prefetch_hits: 106,
+            },
+            l2: CacheStats {
+                accesses: 201,
+                hits: 202,
+                misses: 203,
+                mshr_merges: 204,
+                prefetches: 205,
+                prefetch_hits: 206,
+            },
+        };
+        let line = "cycles=1 committed_uops=2 committed_loads=3 unique_issued=4 \
+            issued_total=5 replayed_miss=6 replayed_bank=7 replayed_prf=8 \
+            replay_events_miss=9 replay_events_bank=10 replay_events_prf=11 \
+            wrong_path_issued=12 cond_branches=13 cond_mispredicts=14 \
+            target_mispredicts=15 bank_delayed_loads=16 bank_delay_cycles=17 \
+            loads_merged_into_mshr=18 dram_row_hits=19 dram_row_misses=20 \
+            loads_spec_woken=21 loads_conservative=22 filter_sure_hit=23 \
+            filter_sure_miss=24 filter_unstable=25 crit_predicted_critical=26 \
+            crit_predicted_noncritical=27 memdep_violations=28 \
+            dispatch_stall_cycles=29 recovery_buffer_replays=30 degrade_entries=31 \
+            degrade_cycles=32 faults_injected=33 l1d.accesses=101 l2.accesses=201 \
+            l1d.hits=102 l2.hits=202 l1d.misses=103 l2.misses=203 \
+            l1d.mshr_merges=104 l2.mshr_merges=204 l1d.prefetches=105 \
+            l2.prefetches=205 l1d.prefetch_hits=106 l2.prefetch_hits=206";
+        (s, line)
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let (s, line) = distinct_stats();
+        assert_eq!(stats_to_wire(&s), line);
+        assert_eq!(stats_from_wire(line), Some(s));
+    }
+
+    #[test]
+    fn wire_reader_rejects_a_missing_repeated_or_unknown_field() {
+        let (_, line) = distinct_stats();
+        let tokens: Vec<&str> = line.split(' ').collect();
+        for i in 0..tokens.len() {
+            let mut short = tokens.clone();
+            let dropped = short.remove(i);
+            assert_eq!(
+                stats_from_wire(&short.join(" ")),
+                None,
+                "a line without `{dropped}` must be rejected"
+            );
+            assert_eq!(
+                stats_from_wire(&format!("{line} {dropped}")),
+                None,
+                "a line repeating `{dropped}` must be rejected"
+            );
+        }
+        assert_eq!(stats_from_wire(&format!("{line} bogus=1")), None);
+        assert_eq!(stats_from_wire("cycles=1 committed_uops=2"), None);
+        assert_eq!(stats_from_wire(&line.replace("=33", "=x")), None);
+    }
+
+    #[test]
+    fn sparse_text_leaves_out_zeros_and_reads_back() {
+        let (s, line) = distinct_stats();
+        assert_eq!(s.sparse_text(), line);
+        let mut t = SimStats {
+            cycles: 7,
+            ..Default::default()
+        };
+        t.l2.hits = 3;
+        assert_eq!(t.sparse_text(), "cycles=7 l2.hits=3");
+        assert_eq!(SimStats::parse_text(&t.sparse_text()), Some(t));
+        assert_eq!(SimStats::parse_text(""), Some(SimStats::default()));
+        assert_eq!(SimStats::parse_text("cycles=1 cycles=1"), None);
+        assert_eq!(SimStats::parse_text("bogus=1"), None);
+        assert_eq!(stats_from_wire("cycles=7 l2.hits=3"), None);
     }
 }
