@@ -1,27 +1,30 @@
-//! Golden `SimStats` digests: checked-in evidence that the simulator's
+//! Golden `SimStats`: checked-in evidence that the simulator's
 //! observable behaviour has not moved.
 //!
-//! `tests/golden/stats.txt` holds one FNV-1a digest per cell of the
-//! [`SimStats`] in its `Persist` byte encoding (every field, the form
-//! snapshots store), plus one digest of a traced
-//! run's event stream. The cells cover the headline policy matrix
-//! (`ConfigSpec::variants_at(4)`) × three kernels × {no faults, a
-//! latency-spike + replay-storm plan}, and every `rv:` suite program at
-//! two configurations. Scheduler cells widen the net where the issue
-//! stage's event paths (tag broadcast, timer parking, store-dependence
-//! waiters, squash re-registration, the recovery buffer) differ most:
-//! the whole matrix at delays 0 and 4 on a replay-heavy kernel, five
-//! contrasting kernels over a longer run, each injected-fault kind on
-//! its own, and 32 seeded fuzz cells (random machine × generated kernel
-//! × fault windows; the digest covers the run's outcome text too, so a
-//! cell that ends in an error is pinned as well). It also pins the
-//! exact bytes of a few mid-run snapshots (`Snapshot::to_bytes`), taken
-//! with branches in flight, one of them just after a mispredicted
+//! `tests/golden/stats.txt` holds, per cell, every non-zero counter of
+//! the run's [`SimStats`] by name (`key | name=value ...`, in the
+//! order of [`SimStats::counters`]; a counter the line leaves out is
+//! 0), plus FNV-1a digests (`digest key`) of one traced run's event
+//! stream and of a few mid-run snapshots' bytes. The cells cover the
+//! headline policy matrix (`ConfigSpec::variants_at(4)`) × three
+//! kernels × {no faults, a latency-spike + replay-storm plan}, and every
+//! `rv:` suite program at two configurations. Scheduler cells widen the
+//! net where the issue stage's event paths (tag broadcast, timer
+//! parking, store-dependence waiters, squash re-registration, the
+//! recovery buffer) differ most: the whole matrix at delays 0 and 4 on
+//! a replay-heavy kernel, five contrasting kernels over a longer run,
+//! each injected-fault kind on its own, and 32 seeded fuzz cells
+//! (random machine × generated kernel × fault windows; their lines
+//! carry the run's outcome, `ok` or `err …`, before the counters, so a
+//! cell that ends in an error is pinned as well). The snapshot digests
+//! pin the exact bytes of mid-run captures (`Snapshot::to_bytes`),
+//! taken with branches in flight, one of them just after a mispredicted
 //! branch sent fetch down the wrong path: the on-disk snapshot format
 //! must not drift under a refactor of the instruction window. A
-//! refactor of the pipeline or the run loop must leave every digest
+//! refactor of the pipeline or the run loop must leave every line
 //! unchanged; a deliberate behaviour change re-blesses the file and
-//! says so in its commit.
+//! says so in its commit. A mismatch names the counter that moved, as
+//! `cell: counter expected → got`.
 //!
 //! `tests/golden/work.txt` pins, for the same runs, the simulator's
 //! exact [`WorkCounts`]: cycles stepped, issue-stage calls, recovery
@@ -41,7 +44,7 @@ use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest, Simulator, 
 use speculative_scheduling::frontend::{programs, ProgramSpec, RvTraceSource};
 use speculative_scheduling::harness::fuzz::FuzzCell;
 use speculative_scheduling::snapshot::Snapshot;
-use speculative_scheduling::types::persist::{fnv1a64, Persist, PersistState, Writer};
+use speculative_scheduling::types::persist::{fnv1a64, PersistState};
 use speculative_scheduling::types::{ConfigSpec, SimStats};
 use speculative_scheduling::workloads::{benchmark, KernelTrace, TraceSource};
 use std::collections::{BTreeMap, BTreeSet};
@@ -72,26 +75,79 @@ fn work_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/work.txt")
 }
 
-fn stats_bytes(stats: &SimStats) -> Vec<u8> {
-    let mut w = Writer::new();
-    stats.save(&mut w);
-    w.into_bytes()
-}
-
 fn spec(name: &str) -> ConfigSpec {
     name.parse().expect("known config")
 }
 
+/// What a cell pins in `stats.txt`.
+enum Pinned {
+    /// A run's statistics; a fuzz cell also pins how the run ended.
+    Stats {
+        outcome: Option<String>,
+        stats: Box<SimStats>,
+    },
+    /// An FNV-1a digest of output too long to pin value by value.
+    Digest(u64),
+}
+
+impl Pinned {
+    /// The cell's `stats.txt` line under `key`.
+    fn line(&self, key: &str) -> String {
+        match self {
+            Pinned::Stats { outcome, stats } => match outcome {
+                Some(o) => format!("{key} | {o} | {}", stats.sparse_text()),
+                None => format!("{key} | {}", stats.sparse_text()),
+            },
+            Pinned::Digest(d) => format!("{d:016x} {key}"),
+        }
+    }
+
+    /// How this differs from the blessed `want` line, one entry per
+    /// value that moved.
+    fn diff(&self, want: &str) -> Vec<String> {
+        let (outcome, stats) = match self {
+            Pinned::Stats { outcome, stats } => (outcome, stats),
+            Pinned::Digest(d) => {
+                let was = want.split(' ').next().unwrap_or("");
+                return vec![format!("digest {was} → {d:016x}")];
+            }
+        };
+        let (_, value) = want.split_once(" | ").unwrap_or(("", ""));
+        let (want_outcome, counters) = match value.rsplit_once(" | ") {
+            Some((o, c)) => (Some(o), c),
+            None => (None, value),
+        };
+        let mut out = Vec::new();
+        if want_outcome != outcome.as_deref() {
+            out.push(format!(
+                "outcome {} → {}",
+                want_outcome.unwrap_or("-"),
+                outcome.as_deref().unwrap_or("-")
+            ));
+        }
+        let Some(blessed) = SimStats::parse_text(counters) else {
+            out.push(format!("unreadable counters `{counters}`"));
+            return out;
+        };
+        for ((name, was), (_, now)) in blessed.counters().into_iter().zip(stats.counters()) {
+            if was != now {
+                out.push(format!("{name} {was} → {now}"));
+            }
+        }
+        out
+    }
+}
+
 /// One pinned cell: the key it is filed under in both golden files, and
-/// the run that yields its digest and the work it took. Keys are known
-/// before anything runs.
+/// the run that yields what it pins and the work it took. Keys are
+/// known before anything runs.
 struct Cell {
     key: String,
-    run: Box<dyn FnOnce() -> (u64, WorkCounts)>,
+    run: Box<dyn FnOnce() -> (Pinned, WorkCounts)>,
 }
 
 impl Cell {
-    fn new(key: String, run: impl FnOnce() -> (u64, WorkCounts) + 'static) -> Cell {
+    fn new(key: String, run: impl FnOnce() -> (Pinned, WorkCounts) + 'static) -> Cell {
         Cell {
             key,
             run: Box::new(run),
@@ -99,7 +155,7 @@ impl Cell {
     }
 
     /// A request's measured statistics, keyed by its canonical wire
-    /// text; `check` sees them before they are digested.
+    /// text; `check` sees them before they are pinned.
     fn checked_request(req: RunRequest, check: impl FnOnce(&str, &SimStats) + 'static) -> Cell {
         let key = req.to_string();
         Cell::new(key.clone(), move || {
@@ -107,7 +163,11 @@ impl Cell {
                 .execute()
                 .unwrap_or_else(|e| panic!("{key}: run failed: {e}"));
             check(&key, &outcome.stats);
-            (fnv1a64(&stats_bytes(&outcome.stats)), outcome.work)
+            let pinned = Pinned::Stats {
+                outcome: None,
+                stats: Box::new(outcome.stats),
+            };
+            (pinned, outcome.work)
         })
     }
 
@@ -220,7 +280,7 @@ fn fault_kind_cells() -> Vec<Cell> {
 
 /// 32 seeded fuzz cells, keyed by `FuzzCell::cell_key`. A run may end in
 /// a structured error (an extreme fault plan can trip the periodic
-/// invariant checker); the digest covers the outcome text and the
+/// invariant checker); the line pins the outcome text and the
 /// statistics at that point.
 fn fuzz_cells() -> Vec<Cell> {
     (0..32u64)
@@ -236,10 +296,11 @@ fn fuzz_cells() -> Vec<Cell> {
                     Ok(_) => "ok".to_string(),
                     Err(e) => format!("err {e}"),
                 };
-                let mut bytes = outcome.into_bytes();
-                bytes.push(b'\n');
-                bytes.extend(stats_bytes(&sim.stats()));
-                (fnv1a64(&bytes), sim.work())
+                let pinned = Pinned::Stats {
+                    outcome: Some(outcome),
+                    stats: Box::new(sim.stats()),
+                };
+                (pinned, sim.work())
             })
         })
         .collect()
@@ -269,7 +330,7 @@ fn trace_cell() -> Cell {
             text.push_str(&ev.to_string());
             text.push('\n');
         }
-        (fnv1a64(text.as_bytes()), outcome.work)
+        (Pinned::Digest(fnv1a64(text.as_bytes())), outcome.work)
     })
 }
 
@@ -290,7 +351,7 @@ enum CapturePoint {
 fn snapshot_digest<T: TraceSource + PersistState>(
     make: impl Fn() -> Simulator<T>,
     at: CapturePoint,
-) -> (u64, WorkCounts) {
+) -> (Pinned, WorkCounts) {
     let mut sim = make();
     match at {
         CapturePoint::Committed(n) => {
@@ -321,7 +382,7 @@ fn snapshot_digest<T: TraceSource + PersistState>(
         again.capture().to_bytes() == bytes,
         "restore then capture changed the snapshot bytes"
     );
-    (fnv1a64(&bytes), sim.work())
+    (Pinned::Digest(fnv1a64(&bytes)), sim.work())
 }
 
 /// Mid-run snapshot bytes: branch-heavy kernels with branches in flight,
@@ -389,17 +450,44 @@ fn all_cells() -> Vec<Cell> {
     all
 }
 
-/// The `(key, value)` lines of a golden file, in file order. A line is
-/// `{value} {key}`, the value being `value_tokens` space-separated
-/// tokens; `#` lines are comments.
-fn read_lines(path: &Path, value_tokens: usize) -> Vec<(String, String)> {
+/// The lines of a golden file, in file order, without `#` comments.
+fn golden_lines(path: &Path) -> Vec<String> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("{}: {e} (bless it first)", path.display()));
     text.lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The `(key, line)` pairs of `stats.txt`, in file order: a counter line
+/// is `{key} | …`, a digest line `{digest} {key}`.
+fn read_stats(path: &Path) -> Vec<(String, String)> {
+    golden_lines(path)
+        .into_iter()
         .map(|l| {
-            let mut parts = l.splitn(value_tokens + 1, ' ');
-            let value: Vec<&str> = parts.by_ref().take(value_tokens).collect();
+            let key = match l.split_once(" | ") {
+                Some((key, _)) => key,
+                None => {
+                    l.split_once(' ')
+                        .unwrap_or_else(|| panic!("{}: `{l}` has no key", path.display()))
+                        .1
+                }
+            };
+            (key.to_string(), l.clone())
+        })
+        .collect()
+}
+
+/// The `(key, counts)` pairs of `work.txt`, in file order. A line is
+/// `{counts} {key}`, the counts being [`WORK_TOKENS`] space-separated
+/// tokens.
+fn read_work(path: &Path) -> Vec<(String, String)> {
+    golden_lines(path)
+        .iter()
+        .map(|l| {
+            let mut parts = l.splitn(WORK_TOKENS + 1, ' ');
+            let value: Vec<&str> = parts.by_ref().take(WORK_TOKENS).collect();
             let key = parts
                 .next()
                 .unwrap_or_else(|| panic!("{}: `{l}` has no key", path.display()));
@@ -460,19 +548,15 @@ fn work_diff(want: &str, got: &WorkCounts) -> String {
 }
 
 fn assert_golden(cells: Vec<Cell>) {
-    let value_of = |path: PathBuf, tokens| -> BTreeMap<String, String> {
-        read_lines(&path, tokens).into_iter().collect()
-    };
-    let digests = value_of(golden_path(), 1);
-    let works = value_of(work_path(), WORK_TOKENS);
+    let stats: BTreeMap<String, String> = read_stats(&golden_path()).into_iter().collect();
+    let works: BTreeMap<String, String> = read_work(&work_path()).into_iter().collect();
     let mut moved = Vec::new();
     let mut work_moved = Vec::new();
     for Cell { key, run } in cells {
-        let (digest, work) = run();
-        let digest = format!("{digest:016x}");
-        match digests.get(&key) {
-            Some(want) if *want == digest => {}
-            Some(want) => moved.push(format!("{key}: {digest} != golden {want}")),
+        let (pinned, work) = run();
+        match stats.get(&key) {
+            Some(want) if *want == pinned.line(&key) => {}
+            Some(want) => moved.extend(pinned.diff(want).iter().map(|d| format!("{key}: {d}"))),
             None => moved.push(format!("{key}: missing from the golden file")),
         }
         match works.get(&key) {
@@ -483,8 +567,8 @@ fn assert_golden(cells: Vec<Cell>) {
     }
     assert!(
         moved.is_empty() && work_moved.is_empty(),
-        "{} digest(s) moved:\n{}\n{} work count line(s) moved (a rise is new work \
-         per run and wants a cause; a fall is a re-bless, said in the commit):\n{}",
+        "{} golden value(s) moved (expected → got):\n{}\n{} work count line(s) moved (a rise \
+         is new work per run and wants a cause; a fall is a re-bless, said in the commit):\n{}",
         moved.len(),
         moved.join("\n"),
         work_moved.len(),
@@ -549,10 +633,13 @@ fn golden_files_list_exactly_the_blessed_cells() {
         want.len(),
         "two generated cells share a key"
     );
-    for (path, tokens) in [(golden_path(), 1), (work_path(), WORK_TOKENS)] {
+    for (path, lines) in [
+        (golden_path(), read_stats(&golden_path())),
+        (work_path(), read_work(&work_path())),
+    ] {
         let mut seen = BTreeSet::new();
         let mut bad = Vec::new();
-        for (key, _) in read_lines(&path, tokens) {
+        for (key, _) in lines {
             if !want_set.contains(&key) {
                 bad.push(format!("{key}: no generator emits it"));
             }
@@ -571,7 +658,9 @@ fn golden_files_list_exactly_the_blessed_cells() {
 #[ignore = "rewrites tests/golden/stats.txt and work.txt; run explicitly to re-bless"]
 fn bless() {
     let mut stats = String::from(
-        "# FNV-1a digests of persisted SimStats, one trace event stream and mid-run snapshot bytes.\n\
+        "# Per cell `key | name=value ...`: every non-zero SimStats counter (absent means 0);\n\
+         # fuzz cells put the run's outcome first. One trace event stream and mid-run\n\
+         # snapshot bytes are pinned as FNV-1a digests, `digest key`.\n\
          # Regenerate: cargo test --test golden_stats -- --ignored\n",
     );
     let mut work = String::from(
@@ -579,8 +668,9 @@ fn bless() {
          # Regenerate: cargo test --test golden_stats -- --ignored\n",
     );
     for Cell { key, run } in all_cells() {
-        let (digest, counts) = run();
-        stats.push_str(&format!("{digest:016x} {key}\n"));
+        let (pinned, counts) = run();
+        stats.push_str(&pinned.line(&key));
+        stats.push('\n');
         work.push_str(&format!("{} {key}\n", work_text(&counts)));
     }
     for (path, text) in [(golden_path(), stats), (work_path(), work)] {
