@@ -7,11 +7,8 @@
 //! arrives much later than its hit/miss signal implied), bank-conflict
 //! bursts, and replay storms (every load in the window looks late to its
 //! speculatively-woken dependents). Injected faults are counted in
-//! [`SimStats::faults_injected`](ss_types::SimStats) and, when the
-//! machine is configured with a
-//! [`DegradeConfig`](ss_types::DegradeConfig), a detected replay storm
-//! makes the scheduler fall back to non-speculative wakeup until the
-//! storm passes.
+//! [`SimStats::faults_injected`](ss_types::SimStats); the machine rides
+//! every storm out through its ordinary replay path.
 
 use ss_types::{Cycle, ReplayCause, SimError};
 use std::fmt;
@@ -34,8 +31,7 @@ pub enum FaultKind {
         delay_cycles: u64,
     },
     /// Every load's value arrives just late enough that dependents woken
-    /// on the L1-hit schedule replay — the sustained replay storm the
-    /// graceful-degradation mode detects.
+    /// on the L1-hit schedule replay: a sustained replay storm.
     ReplayStorm,
 }
 

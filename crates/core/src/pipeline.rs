@@ -157,11 +157,6 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
 
     /// Injected-fault schedule (robustness testing), if any.
     fault_plan: Option<FaultPlan>,
-    /// Graceful degradation: conservative-wakeup fallback active until
-    /// this cycle (replay-storm response; `Cycle::ZERO` = not degraded).
-    degrade_until: Cycle,
-    degrade_window_start: Cycle,
-    degrade_window_replays: u64,
     /// A structured error detected mid-tick (e.g. a malformed µ-op at the
     /// fetch boundary), surfaced by [`Simulator::try_run_committed`].
     pending_error: Option<SimError>,
@@ -244,9 +239,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             recent_load_idx: 0,
             wp_rng: 0x2545_F491_4F6C_DD1D,
             fault_plan: None,
-            degrade_until: Cycle::ZERO,
-            degrade_window_start: Cycle::ZERO,
-            degrade_window_replays: 0,
             pending_error: None,
             commit_ring: VecDeque::new(),
             diff: None,
@@ -354,12 +346,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         self.wakeup_bug_armed = true;
     }
 
-    /// Whether the graceful-degradation fallback (non-speculative wakeup
-    /// after a detected replay storm) is active this cycle.
-    pub fn degraded(&self) -> bool {
-        self.now < self.degrade_until
-    }
-
     /// Runs until at least `n` more µ-ops commit, returning a structured
     /// error instead of panicking when the machine misbehaves:
     ///
@@ -372,13 +358,13 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     ///   malformed µ-op.
     ///
     /// Windows where no stage has work — 30–50% of all cycles on
-    /// scheduler-bound workloads — are fast-forwarded in one jump
-    /// ([`Self::quiet_skip`]). The jump only covers cycles where
-    /// [`Self::tick`] would have advanced the clock and counted
-    /// `cycles` (plus `degrade_cycles` / `dispatch_stall_cycles` where
-    /// those stalls hold, and one `Occupancy` event each when tracing)
-    /// without touching anything else, and it lands exactly on the
-    /// watchdog deadline and on every invariant-check multiple, so
+    /// scheduler-bound workloads — are fast-forwarded in one jump (the
+    /// private `quiet_skip` probe finds them). The jump only covers
+    /// cycles where [`Self::tick`] would have advanced the clock and
+    /// counted `cycles` (plus `dispatch_stall_cycles` while a ready
+    /// frontend head is blocked, and one `Occupancy` event each when
+    /// tracing) without touching anything else, and it lands exactly on
+    /// the watchdog deadline and on every invariant-check multiple, so
     /// statistics, errors and failure reports are those of stepping
     /// every cycle.
     ///
@@ -442,9 +428,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         self.work.ticks += 1;
         self.now += 1;
         self.stats.cycles += 1;
-        if self.degraded() {
-            self.stats.degrade_cycles += 1;
-        }
         let now = self.now;
 
         if self.deferred_wakes.iter().any(|&(at, _, _)| at <= now) {
@@ -596,19 +579,14 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
 
     /// Advances the clock over `n` quiet cycles, applying exactly the
     /// statistics a real [`Self::tick`] would have counted on each:
-    /// `cycles` always, `degrade_cycles` while the degradation window is
-    /// active, and `dispatch_stall_cycles` when the probe saw a ready
-    /// frontend head blocked on a structural resource (the condition is
-    /// constant across a quiet window — nothing that feeds it changes).
+    /// `cycles` always, and `dispatch_stall_cycles` when the probe saw a
+    /// ready frontend head blocked on a structural resource (the
+    /// condition is constant across a quiet window — nothing that feeds
+    /// it changes).
     /// An enabled trace sink gets the `Occupancy` event of each skipped
     /// cycle; occupancy is constant across the window too.
     fn advance_quiet(&mut self, n: u64, dispatch_stall: bool) {
         debug_assert!(n >= 1);
-        self.stats.degrade_cycles += self
-            .degrade_until
-            .get()
-            .saturating_sub(self.now.get() + 1)
-            .min(n);
         if dispatch_stall {
             self.stats.dispatch_stall_cycles += n;
         }
@@ -805,29 +783,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             return fail(what);
         }
         Ok(())
-    }
-
-    /// Counts a replay event and, when graceful degradation is
-    /// configured, feeds the sliding replay-storm detector: crossing
-    /// `replay_threshold` events within `window_cycles` switches load
-    /// wakeup to the conservative fallback for `duration_cycles`.
-    fn note_replay_event(&mut self, cause: ReplayCause) {
-        self.stats.add_replay_event(cause);
-        let Some(d) = self.cfg.degrade else { return };
-        if self.degraded() {
-            return;
-        }
-        if self.now.since(self.degrade_window_start) >= d.window_cycles {
-            self.degrade_window_start = self.now;
-            self.degrade_window_replays = 0;
-        }
-        self.degrade_window_replays += 1;
-        if self.degrade_window_replays >= d.replay_threshold {
-            self.degrade_until = self.now + d.duration_cycles;
-            self.stats.degrade_entries += 1;
-            self.degrade_window_start = self.now;
-            self.degrade_window_replays = 0;
-        }
     }
 
     /// Applies a pending wake revision for `reg` immediately (a replay
@@ -1239,7 +1194,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         // Pentium-4-style: only this µ-op recycles; the
                         // rest of the window is untouched and issue
                         // continues this cycle.
-                        self.note_replay_event(cause);
+                        self.stats.add_replay_event(cause);
                         self.stats.add_replayed(cause, 1);
                         let mut group = self.group_pool.get();
                         self.squash_one(seq, &mut group);
@@ -1256,7 +1211,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         // Branch-misprediction-style recovery: squash from
                         // the offender onward and stall fetch for a
                         // frontend refill.
-                        self.note_replay_event(cause);
+                        self.stats.add_replay_event(cause);
                         let n = self.squash_from(seq, Some((trigger, cause)));
                         self.stats.add_replayed(cause, n);
                         self.issue_blocked_at = Some(self.now);
@@ -1576,7 +1531,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             self.wakeup_bug_fired = true;
             let _ = self.next_correct_uop();
         }
-        self.note_replay_event(cause);
+        self.stats.add_replay_event(cause);
         self.issue_blocked_at = Some(self.now);
         let mut squashed = 0u64;
         while let Some((issue_cycle, group)) = self.inflight.pop_front() {
@@ -2075,15 +2030,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         if let Some((dst, _)) = dst {
             match uop.class {
                 OpClass::Load => {
-                    // Degradation fallback: while a replay storm is being
-                    // ridden out, wake dependents conservatively no matter
-                    // what the policy says (they pay the delay but cannot
-                    // replay on this load).
-                    let decision = if self.degraded() {
-                        WakeupDecision::Conservative
-                    } else {
-                        self.engine.decide(uop.pc)
-                    };
+                    let decision = self.engine.decide(uop.pc);
                     cycle_state.loads_issued += 1;
                     let shifted = match self.cfg.shift_policy {
                         ShiftPolicy::Off => false,
@@ -2543,9 +2490,6 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
             self.recent_load_idx.save(w);
             self.wp_rng.save(w);
             self.fault_plan.save(w);
-            self.degrade_until.save(w);
-            self.degrade_window_start.save(w);
-            self.degrade_window_replays.save(w);
             self.commit_ring.save(w);
             self.wakeup_bug_armed.save(w);
             self.wakeup_bug_fired.save(w);
@@ -2685,9 +2629,6 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
         self.recent_load_idx = Persist::load(r)?;
         self.wp_rng = Persist::load(r)?;
         self.fault_plan = Persist::load(r)?;
-        self.degrade_until = Persist::load(r)?;
-        self.degrade_window_start = Persist::load(r)?;
-        self.degrade_window_replays = Persist::load(r)?;
         self.commit_ring = Persist::load(r)?;
         self.wakeup_bug_armed = Persist::load(r)?;
         self.wakeup_bug_fired = Persist::load(r)?;

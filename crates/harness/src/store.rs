@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Entry format version. Bump whenever the simulator's behaviour or the
 /// [`SimStats`] encoding changes incompatibly, so entries written by
 /// older builds read as stale and are re-simulated.
-pub const STORE_VERSION: u32 = 1;
+pub const STORE_VERSION: u32 = 2;
 
 /// Magic tag leading every entry's header line.
 const MAGIC: &str = "ss-results";
@@ -188,7 +188,6 @@ mod tests {
         let mut s = SimStats {
             cycles: 77,
             committed_uops: 88,
-            degrade_entries: 2,
             faults_injected: 5,
             ..Default::default()
         };
@@ -237,7 +236,8 @@ mod tests {
             }
         };
         // Another format version is stale.
-        let old = String::from_utf8_lossy(&good).replacen(" v1 ", " v0 ", 1);
+        let current = format!(" v{STORE_VERSION} ");
+        let old = String::from_utf8_lossy(&good).replacen(&current, " v1 ", 1);
         check(old.as_bytes(), true, "format version");
         // Another request's text under this hash, intact, is stale.
         let other = "src=bench:fp_compute@0xb5 cfg=Baseline_0 len=w9m9";
@@ -257,7 +257,7 @@ mod tests {
         // A truncated body fails to decode even with a matching checksum.
         let nl = good.iter().position(|&b| b == b'\n').unwrap();
         let tail = &good[nl - TEXT.len()..good.len() - 8];
-        let mut short = format!("ss-results v1 {:016x} ", fnv1a64(tail)).into_bytes();
+        let mut short = format!("ss-results v{STORE_VERSION} {:016x} ", fnv1a64(tail)).into_bytes();
         short.extend_from_slice(tail);
         check(&short, false, "undecodable");
         // Headerless and foreign files are corrupt.
@@ -273,7 +273,8 @@ mod tests {
         store.put(TEXT, &stats()).unwrap();
         let path = store.path(TEXT);
         let good = std::fs::read(&path).unwrap();
-        let stale = String::from_utf8_lossy(&good).replacen(" v1 ", " v0 ", 1);
+        let current = format!(" v{STORE_VERSION} ");
+        let stale = String::from_utf8_lossy(&good).replacen(&current, " v1 ", 1);
         std::fs::write(&path, stale.as_bytes()).unwrap();
         assert!(store.get(TEXT).is_err());
         assert!(path.exists(), "get never touches the file");

@@ -42,8 +42,9 @@ pub const SNAPSHOT_MAGIC: &str = "ss-snapshot";
 
 /// Snapshot format version written and read by this build. Bump whenever
 /// the serialized field set of any component, or the codec, changes
-/// (version 3 writes sequences as literal stretches and runs).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+/// (version 3 writes sequences as literal stretches and runs; version 4
+/// drops the degrade-mode fields from the CORE section and `SimStats`).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
 
 /// Why a snapshot could not be used.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -161,33 +161,6 @@ impl CacheGeometry {
     }
 }
 
-/// Graceful-degradation knobs: when a replay storm is detected (more than
-/// `replay_threshold` replay events inside a `window_cycles` window), the
-/// scheduler temporarily falls back to conservative (non-speculative)
-/// load wakeup for `duration_cycles`, then re-enables speculation. Entries
-/// and degraded cycles are recorded in
-/// [`SimStats`](crate::SimStats)::`degrade_entries` / `degrade_cycles`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradeConfig {
-    /// Sliding-window length in cycles over which replay events are
-    /// counted.
-    pub window_cycles: u64,
-    /// Replay events within the window that trigger degradation.
-    pub replay_threshold: u64,
-    /// Cycles to stay in conservative mode once triggered.
-    pub duration_cycles: u64,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        DegradeConfig {
-            window_cycles: 1_000,
-            replay_threshold: 100,
-            duration_cycles: 5_000,
-        }
-    }
-}
-
 /// Banked-L1D organization (paper §4.2): Sandy-Bridge-style 8 banks of one
 /// quadword each, with a Rivers-style single line buffer allowing two
 /// same-set accesses per cycle.
@@ -446,9 +419,6 @@ pub struct SimConfig {
     /// Run the internal invariant checker every this many cycles; 0
     /// disables it (the default — it costs a full window scan).
     pub invariant_check_interval: u64,
-    /// `Some(_)` enables replay-storm detection with graceful fallback to
-    /// conservative wakeup; `None` (the default) never degrades.
-    pub degrade: Option<DegradeConfig>,
     /// Keep a streaming ring of the last `n` committed µ-ops (the
     /// canonical commit log) for divergence context dumps; 0 disables the
     /// ring (the default). Memory is O(`n`), independent of run length.
@@ -602,14 +572,6 @@ impl SimConfig {
         check(self.watchdog_cycles > 0, || {
             "watchdog threshold must be non-zero".into()
         })?;
-        if let Some(d) = &self.degrade {
-            check(d.window_cycles > 0 && d.duration_cycles > 0, || {
-                "degradation window and duration must be non-zero".into()
-            })?;
-            check(d.replay_threshold > 0, || {
-                "degradation replay threshold must be non-zero".into()
-            })?;
-        }
         Ok(())
     }
 }
@@ -674,7 +636,6 @@ impl Default for SimConfig {
             wrong_path: true,
             watchdog_cycles: 200_000,
             invariant_check_interval: 0,
-            degrade: None,
             commit_log_window: 0,
         }
     }
@@ -808,12 +769,6 @@ impl SimConfigBuilder {
     /// Runs the invariant checker every `n` cycles (0 disables).
     pub fn invariant_check_interval(mut self, n: u64) -> Self {
         self.cfg.invariant_check_interval = n;
-        self
-    }
-
-    /// Enables replay-storm detection with graceful degradation.
-    pub fn degrade(mut self, d: Option<DegradeConfig>) -> Self {
-        self.cfg.degrade = d;
         self
     }
 
@@ -1003,17 +958,14 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(c.watchdog_cycles, 200_000);
         assert_eq!(c.invariant_check_interval, 0);
-        assert!(c.degrade.is_none());
         assert_eq!(c.commit_log_window, 0);
         let c = SimConfig::builder()
             .watchdog_cycles(500)
             .invariant_check_interval(100)
-            .degrade(Some(DegradeConfig::default()))
             .commit_log_window(32)
             .build();
         assert_eq!(c.watchdog_cycles, 500);
         assert_eq!(c.invariant_check_interval, 100);
-        assert!(c.degrade.is_some());
         assert_eq!(c.commit_log_window, 32);
         assert!(SimConfig::builder().watchdog_cycles(0).try_build().is_err());
     }

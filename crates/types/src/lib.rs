@@ -63,9 +63,8 @@ pub mod trace;
 pub use backoff::Backoff;
 pub use commit::{CommitOracle, CommitRecord};
 pub use config::{
-    BankInterleaving, BankedL1dConfig, CacheGeometry, CritCriterion, DegradeConfig, DramConfig,
-    PredictorConfig, PrfBankConfig, ReplayScheme, SchedPolicyKind, ShiftPolicy, SimConfig,
-    SimConfigBuilder,
+    BankInterleaving, BankedL1dConfig, CacheGeometry, CritCriterion, DramConfig, PredictorConfig,
+    PrfBankConfig, ReplayScheme, SchedPolicyKind, ShiftPolicy, SimConfig, SimConfigBuilder,
 };
 pub use config_spec::{ConfigFamily, ConfigSpec, ConfigVariant, NamedConfig, ParseConfigError};
 pub use error::{DeadlockReport, DivergenceReport, InvariantReport, PipelineSnapshot, SimError};

@@ -667,8 +667,6 @@ crate::impl_persist!(crate::SimStats {
     memdep_violations,
     dispatch_stall_cycles,
     recovery_buffer_replays,
-    degrade_entries,
-    degrade_cycles,
     faults_injected,
 });
 

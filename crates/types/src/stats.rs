@@ -125,11 +125,6 @@ pub struct SimStats {
     pub recovery_buffer_replays: u64,
 
     // ---- robustness ----
-    /// Times a replay storm triggered graceful degradation (temporary
-    /// fallback to conservative wakeup).
-    pub degrade_entries: u64,
-    /// Cycles spent in degraded (forced-conservative) mode.
-    pub degrade_cycles: u64,
     /// Faults injected by an active fault plan (latency spikes,
     /// bank-conflict bursts, replay storms).
     pub faults_injected: u64,
@@ -182,8 +177,7 @@ counters! {
         bank_delayed_loads, bank_delay_cycles, loads_merged_into_mshr, dram_row_hits,
         dram_row_misses, loads_spec_woken, loads_conservative, filter_sure_hit, filter_sure_miss,
         filter_unstable, crit_predicted_critical, crit_predicted_noncritical, memdep_violations,
-        dispatch_stall_cycles, recovery_buffer_replays, degrade_entries, degrade_cycles,
-        faults_injected,
+        dispatch_stall_cycles, recovery_buffer_replays, faults_injected,
     }
     cache { accesses, hits, misses, mshr_merges, prefetches, prefetch_hits }
 }
@@ -469,7 +463,7 @@ mod tests {
     }
 
     /// Every field set to a distinct value, and its wire line as the
-    /// codec has always written it.
+    /// codec writes it.
     fn distinct_stats() -> (SimStats, &'static str) {
         let s = SimStats {
             cycles: 1,
@@ -502,9 +496,7 @@ mod tests {
             memdep_violations: 28,
             dispatch_stall_cycles: 29,
             recovery_buffer_replays: 30,
-            degrade_entries: 31,
-            degrade_cycles: 32,
-            faults_injected: 33,
+            faults_injected: 31,
             l1d: CacheStats {
                 accesses: 101,
                 hits: 102,
@@ -531,8 +523,8 @@ mod tests {
             loads_spec_woken=21 loads_conservative=22 filter_sure_hit=23 \
             filter_sure_miss=24 filter_unstable=25 crit_predicted_critical=26 \
             crit_predicted_noncritical=27 memdep_violations=28 \
-            dispatch_stall_cycles=29 recovery_buffer_replays=30 degrade_entries=31 \
-            degrade_cycles=32 faults_injected=33 l1d.accesses=101 l2.accesses=201 \
+            dispatch_stall_cycles=29 recovery_buffer_replays=30 faults_injected=31 \
+            l1d.accesses=101 l2.accesses=201 \
             l1d.hits=102 l2.hits=202 l1d.misses=103 l2.misses=203 \
             l1d.mshr_merges=104 l2.mshr_merges=204 l1d.prefetches=105 \
             l2.prefetches=205 l1d.prefetch_hits=106 l2.prefetch_hits=206";
@@ -566,7 +558,7 @@ mod tests {
         }
         assert_eq!(stats_from_wire(&format!("{line} bogus=1")), None);
         assert_eq!(stats_from_wire("cycles=1 committed_uops=2"), None);
-        assert_eq!(stats_from_wire(&line.replace("=33", "=x")), None);
+        assert_eq!(stats_from_wire(&line.replace("=31", "=x")), None);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Fault-tolerance coverage: structured deadlock errors, the periodic
-//! invariant checker, and fault-injected replay storms with graceful
-//! degradation. These exercise the `try_*` Result APIs end to end — no
+//! invariant checker, and fault-injected replay storms. These exercise the `try_*` Result APIs end to end — no
 //! test here relies on catching a panic.
 
 use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest, Simulator};
 use speculative_scheduling::prelude::*;
-use speculative_scheduling::types::{DegradeConfig, SimError};
+use speculative_scheduling::types::SimError;
 use speculative_scheduling::workloads::{kernels, KernelTrace};
 
 /// Test-local shim over the unified runner, preserving the fallible
@@ -107,40 +106,9 @@ fn invariant_checker_passes_mid_flight() {
     }
 }
 
-/// A fault-injected replay storm trips the degradation detector: the
-/// simulator falls back to conservative wakeup for a bounded window,
-/// records the episode in `SimStats`, and the run still completes.
-#[test]
-fn replay_storm_triggers_graceful_degradation() {
-    let cfg = SimConfig::builder()
-        .issue_to_execute_delay(4)
-        .sched_policy(SchedPolicyKind::AlwaysHit)
-        .degrade(Some(DegradeConfig {
-            window_cycles: 500,
-            replay_threshold: 20,
-            duration_cycles: 2_000,
-        }))
-        .build();
-    let mut sim = Simulator::new(cfg, KernelTrace::new(kernels::stream_hi_ilp(1)));
-    sim.set_fault_plan(FaultPlan::new().replay_storm(1_000, 4_000))
-        .expect("valid plan");
-    let stats = sim
-        .try_run_committed(60_000)
-        .expect("degraded run completes");
-    assert!(
-        stats.faults_injected > 0,
-        "the fault window perturbed loads"
-    );
-    assert!(stats.degrade_entries > 0, "the storm tripped the detector");
-    assert!(stats.degrade_cycles > 0, "conservative fallback was active");
-    assert!(
-        stats.committed_uops >= 60_000,
-        "forward progress despite the storm"
-    );
-}
-
-/// Without a degradation policy configured, the same fault plan is
-/// weathered the slow way: replays spike but nothing degrades.
+/// A fault-injected replay storm is weathered through the ordinary
+/// replay path: the window perturbs loads, their dependents replay, and
+/// the run still completes.
 #[test]
 fn fault_plan_without_degrade_policy_just_replays() {
     let cfg = SimConfig::builder()
@@ -152,8 +120,8 @@ fn fault_plan_without_degrade_policy_just_replays() {
         .expect("valid plan");
     let stats = sim.try_run_committed(30_000).expect("run completes");
     assert!(stats.faults_injected > 0);
-    assert_eq!(stats.degrade_entries, 0);
-    assert_eq!(stats.degrade_cycles, 0);
+    assert!(stats.replay_events_miss > 0, "the storm forced replays");
+    assert!(stats.committed_uops >= 30_000);
 }
 
 /// Invalid configurations surface as `ConfigInvalid`, not panics, through
