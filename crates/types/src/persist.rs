@@ -634,41 +634,23 @@ crate::impl_persist!(crate::CacheStats {
     prefetch_hits,
 });
 
-crate::impl_persist!(crate::SimStats {
-    cycles,
-    committed_uops,
-    committed_loads,
-    unique_issued,
-    issued_total,
-    replayed_miss,
-    replayed_bank,
-    replayed_prf,
-    replay_events_miss,
-    replay_events_bank,
-    replay_events_prf,
-    wrong_path_issued,
-    cond_branches,
-    cond_mispredicts,
-    target_mispredicts,
-    l1d,
-    l2,
-    bank_delayed_loads,
-    bank_delay_cycles,
-    loads_merged_into_mshr,
-    dram_row_hits,
-    dram_row_misses,
-    loads_spec_woken,
-    loads_conservative,
-    filter_sure_hit,
-    filter_sure_miss,
-    filter_unstable,
-    crit_predicted_critical,
-    crit_predicted_noncritical,
-    memdep_violations,
-    dispatch_stall_cycles,
-    recovery_buffer_replays,
-    faults_injected,
-});
+/// Every counter of [`SimStats::counters`](crate::SimStats::counters),
+/// in that order: the one field list the wire line and the golden file
+/// use, so a new counter is persisted as soon as it is listed there.
+impl Persist for crate::SimStats {
+    fn save(&self, w: &mut Writer) {
+        for (_, v) in self.counters() {
+            v.save(w);
+        }
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let mut s = crate::SimStats::default();
+        for (_, v) in s.counters_mut() {
+            *v = u64::load(r)?;
+        }
+        Ok(s)
+    }
+}
 
 /// FNV-1a 64-bit hash — the workspace's integrity checksum (same algorithm
 /// as the harness stats cache).

@@ -134,8 +134,8 @@ pub struct SimStats {
 /// top-level counters below, then each cache counter as
 /// `l1d.{name}` and `l2.{name}`. Both accessors destructure with no
 /// `..`, so a new field does not compile until it is listed here, and
-/// with it the wire line, the golden file and [`SimStats::delta`]
-/// carry it.
+/// with it the wire line, the golden file, the `Persist` encoding and
+/// [`SimStats::delta`] carry it.
 macro_rules! counters {
     (sim { $($f:ident),* $(,)? } cache { $($c:ident),* $(,)? }) => {
         impl SimStats {
@@ -155,7 +155,7 @@ macro_rules! counters {
                 ]
             }
 
-            fn counters_mut(&mut self) -> [(&'static str, &mut u64); Self::COUNTERS] {
+            pub(crate) fn counters_mut(&mut self) -> [(&'static str, &mut u64); Self::COUNTERS] {
                 let SimStats { $($f,)* l1d, l2 } = self;
                 [
                     $((stringify!($f), $f),)*
