@@ -125,6 +125,9 @@ pub struct PrewarmStats {
     pub seconds: f64,
     /// Aggregate simulated cycles of freshly-run cells.
     pub sim_cycles: u64,
+    /// Workers that ran: `min(jobs, uncached cells)`, or the one inline
+    /// worker when every cell was cached.
+    pub workers: usize,
 }
 
 /// Runs every (configuration × benchmark) cell of `cfgs` that the
@@ -172,6 +175,7 @@ pub fn prewarm(
     if live_progress && total > 0 {
         eprintln!("\r[prewarm] {}    ", progress.line());
     }
+    let n_workers = workers.len();
     for w in workers {
         sess.merge(w);
     }
@@ -181,6 +185,7 @@ pub fn prewarm(
         failures: progress.failed.load(Ordering::Relaxed),
         seconds: started.elapsed().as_secs_f64(),
         sim_cycles: progress.sim_cycles.load(Ordering::Relaxed),
+        workers: n_workers,
     }
 }
 
@@ -245,6 +250,13 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
             "--resume requires --checkpoint-dir (the directory of the interrupted sweep)".into(),
         );
     }
+    if !sweep.cache && sweep.checkpoint_dir.is_some() {
+        return Err(
+            "--no-cache conflicts with --checkpoint-dir (a checkpointed sweep keeps its results \
+             in DIR/cache)"
+                .into(),
+        );
+    }
     if which.is_empty() {
         which.push("all");
     }
@@ -305,7 +317,7 @@ fn run_sweep(args: SweepArgs) -> i32 {
     eprintln!(
         "[prewarm: {} cells across {} workers, {:.1}s, {:.1}M sim-cycles/s{}]",
         stats.cells,
-        args.jobs,
+        stats.workers,
         stats.seconds,
         stats.sim_cycles as f64 / stats.seconds.max(1e-9) / 1e6,
         if stats.failures > 0 {
@@ -349,4 +361,27 @@ fn run_sweep(args: SweepArgs) -> i32 {
         args.out.display()
     );
     i32::from(!sess.failures.is_empty() || broken > 0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::configs;
+
+    /// The worker count reported is the one that ran: two for a cold
+    /// sweep with `jobs = 2`, the one inline worker for a fully cached
+    /// rerun.
+    #[test]
+    fn prewarm_reports_the_workers_it_started() {
+        let len = RunLength {
+            warmup: 0,
+            measure: 200,
+        };
+        let mut sess = Session::new(len, None);
+        let cfgs = [configs::baseline(0)];
+        let cold = prewarm(&mut sess, &cfgs, 2, &CancelFlag::new(), false);
+        assert_eq!((cold.cells, cold.failures, cold.workers), (20, 0, 2));
+        let warm = prewarm(&mut sess, &cfgs, 2, &CancelFlag::new(), false);
+        assert_eq!((warm.cells, warm.workers), (0, 1));
+    }
 }

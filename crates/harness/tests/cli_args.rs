@@ -58,7 +58,7 @@ fn every_subcommand_answers_help_with_exit_0() {
 
 #[test]
 fn bad_sweep_arguments_exit_2_without_panicking() {
-    let cases: [&[&str]; 9] = [
+    let cases: [&[&str]; 10] = [
         &["fig5", "--jobs", "x"],
         &["fig5", "--jobs"],
         &["fig5", "--jobs", "0"],
@@ -66,6 +66,7 @@ fn bad_sweep_arguments_exit_2_without_panicking() {
         &["fig5", "--out"],
         &["fig5", "--checkpoint-dir"],
         &["fig5", "--no-cache", "--resume"],
+        &["fig5", "--no-cache", "--checkpoint-dir", "ckpt"],
         &["no_such_experiment", "--no-cache"],
         &["--smoke", "-j", "-3"],
     ];
