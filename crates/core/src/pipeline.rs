@@ -162,7 +162,8 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
     pending_error: Option<SimError>,
 
     /// Bounded ring of the last `commit_log_window` committed µ-ops (the
-    /// canonical commit log; O(window) memory regardless of run length).
+    /// canonical commit log a divergence report carries as context;
+    /// O(window) memory regardless of run length).
     commit_ring: VecDeque<CommitRecord>,
     /// Online differential checker against a golden model, if attached.
     diff: Option<DiffChecker>,
@@ -329,12 +330,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// Commits verified by the attached differential checker, if any.
     pub fn diff_verified(&self) -> Option<u64> {
         self.diff.as_ref().map(DiffChecker::verified)
-    }
-
-    /// The bounded commit log: the last [`SimConfig::commit_log_window`]
-    /// committed µ-ops, oldest first (empty when the knob is 0).
-    pub fn recent_commits(&self) -> impl Iterator<Item = &CommitRecord> {
-        self.commit_ring.iter()
     }
 
     /// Arms a deliberately-seeded wakeup-recovery bug for oracle "teeth"

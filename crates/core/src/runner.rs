@@ -57,13 +57,6 @@ pub struct RunLength {
 }
 
 impl RunLength {
-    /// The default experiment length used by the harness: 200K warmup +
-    /// 2M measured µ-ops (the paper used 50M + 100M on gem5; synthetic
-    /// kernels are stationary and converge much faster — see DESIGN.md).
-    pub const FULL: RunLength = RunLength {
-        warmup: 200_000,
-        measure: 2_000_000,
-    };
     /// A short smoke-test length for unit/integration tests.
     pub const SMOKE: RunLength = RunLength {
         warmup: 5_000,
