@@ -8,7 +8,8 @@
 //! time the pipeline commits a µ-op, the checker pulls the next expected
 //! record from the oracle and compares content — seq (commit-order
 //! index), pc, µ-op kind, destination register — never timing. The first
-//! mismatch aborts the run with [`SimError::Divergence`] carrying the
+//! mismatch aborts the run with
+//! [`SimError::Divergence`](ss_types::SimError::Divergence) carrying the
 //! last N commits (the `commit_log_window` ring) and a dump of in-flight
 //! scheduler/replay state.
 //!

@@ -7,7 +7,7 @@
 //! snapshot-fork × trace-sink × fault-plan`. The encodable subset of
 //! that product has a canonical single-line text form ([`fmt::Display`]
 //! / [`FromStr`], property-tested like
-//! [`ConfigSpec`](ss_types::ConfigSpec)), so the same type is both the
+//! [`ConfigSpec`]), so the same type is both the
 //! library API and the `experiments serve` wire protocol:
 //!
 //! ```text

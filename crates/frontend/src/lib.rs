@@ -23,7 +23,7 @@
 //!   `RunRequest` its `src=rv:…` wire form;
 //! - [`RvTraceSource`] — the [`TraceSource`] adapter (infinite: the
 //!   program restarts on exit, joined by a synthetic jump µ-op), with
-//!   [`PersistState`](ss_types::persist::PersistState) so snapshots and
+//!   [`PersistState`] so snapshots and
 //!   chunked execution keep working. A checked run's commit oracle is a
 //!   second `RvTraceSource` over the same program, wrapped in
 //!   `ss_oracle::InOrderModel`.

@@ -1,9 +1,10 @@
 //! The named machine configurations of the paper's evaluation (§3–§5),
 //! built around one typed name: [`ConfigSpec`].
 //!
-//! A `ConfigSpec` is `{ family, delay, variant }`; its [`Display`] form
+//! A `ConfigSpec` is `{ family, delay, variant }`; its
+//! [`Display`](std::fmt::Display) form
 //! is the paper's configuration name (`Baseline_4`, `SpecSched_4_Crit`,
-//! …) and its [`FromStr`] parses that name back — the two round-trip for
+//! …) and its [`FromStr`](std::str::FromStr) parses that name back — the two round-trip for
 //! every configuration the harness can name. Display names, session
 //! cache keys, and report row labels are all derived from this one type;
 //! there is no stringly-typed naming anywhere else.

@@ -4,7 +4,7 @@
 //! — every cell derived from a single `u64` seed, so the whole run is
 //! reproducible from the campaign seed alone — and executes each one
 //! with the in-order golden model attached ([`ss_oracle::InOrderModel`]
-//! plus [`DiffChecker`]). Any divergence, panic, deadlock, or invariant
+//! plus [`DiffChecker`](ss_core::DiffChecker)). Any divergence, panic, deadlock, or invariant
 //! violation is fed to an automatic **shrinker** that minimizes the
 //! failing cell (halve the run length, drop fault windows, neutralize
 //! config knobs one at a time, keeping each mutation only while the same
@@ -195,7 +195,8 @@ impl FuzzCell {
         plan
     }
 
-    /// Canonical cell key, analogous to [`crate::Session::cell_key`]:
+    /// Canonical cell key, analogous to
+    /// [`CellFailure::cell_key`](crate::session::CellFailure::cell_key):
     /// every knob that defines the cell, so a reported failure is
     /// reproducible from the report alone.
     pub fn cell_key(&self) -> String {

@@ -20,7 +20,8 @@
 //! charges every decoded sequence against a fixed [`DECODE_BUDGET`], so
 //! truncated or bit-flipped payloads fail cleanly before they allocate.
 //!
-//! The [`impl_persist!`] and [`impl_persist_state!`] macros generate the
+//! The [`impl_persist!`](crate::impl_persist) and
+//! [`impl_persist_state!`](crate::impl_persist_state) macros generate the
 //! field-by-field implementations; they are invoked inside the module
 //! that owns each type so private fields remain private.
 
