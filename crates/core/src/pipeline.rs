@@ -1182,7 +1182,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 };
                 match self.cfg.replay_scheme {
                     ReplayScheme::Squash => {
-                        self.trigger_replay(cause, trigger);
+                        self.trigger_replay(cause, trigger, &group);
                         replayed = true;
                     }
                     ReplayScheme::Selective => {
@@ -1512,10 +1512,12 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     }
 
     /// Alpha-style replay: squash every µ-op between Issue and Execute
-    /// (all in-flight issue groups), lose one issue cycle, and account
-    /// the squashed µ-ops to `cause`. `trigger` is the µ-op whose late
-    /// result was detected (trace linkage only; no timing effect).
-    fn trigger_replay(&mut self, cause: ReplayCause, trigger: SeqNum) {
+    /// (all in-flight issue groups, plus the unexecuted rest of
+    /// `exec_group`, the group executing this cycle), lose one issue
+    /// cycle, and account the squashed µ-ops to `cause`. `trigger` is the
+    /// µ-op whose late result was detected (trace linkage only; no
+    /// timing effect).
+    fn trigger_replay(&mut self, cause: ReplayCause, trigger: SeqNum, exec_group: &[SeqNum]) {
         // Seeded-bug hook (tests only, armed via `seed_wakeup_bug`): a
         // recovery bug that loses one correct-path µ-op during the
         // squash. Timing-only wakeup bugs cannot change the commit
@@ -1553,16 +1555,17 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         // squashed window too (its group was popped before this call);
         // account it through the caller's `continue` path: the remaining
         // members of the executing group were skipped, not squashed, so
-        // re-squash any InFlight stragglers with the exec group's cycle.
+        // re-squash its InFlight stragglers, oldest first. Every µ-op
+        // issued at the exec group's cycle is in that group, so no ROB
+        // walk is needed.
         let exec_cycle = Cycle::new(self.now.get() - self.delay - 1);
         let mut stragglers = std::mem::take(&mut self.scratch_squash);
         stragglers.clear();
-        stragglers.extend(
-            self.rob
-                .iter()
-                .filter(|e| e.state == UopState::InFlight && e.issue_cycle == exec_cycle)
-                .map(|e| e.seq),
-        );
+        stragglers.extend(exec_group.iter().copied().filter(|&seq| {
+            self.entry(seq)
+                .is_some_and(|e| e.state == UopState::InFlight && e.issue_cycle == exec_cycle)
+        }));
+        stragglers.sort_unstable();
         let mut recovery_group = self.group_pool.get();
         for &seq in &stragglers {
             squashed += 1;
@@ -1838,6 +1841,10 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         first_iq_issue = false;
                     }
                     issued_group.push(seq);
+                }
+                if candidates.len() < SELECT_BATCH {
+                    // A short batch took every ready entry left.
+                    break;
                 }
                 // Resume the next batch just past the last processed age.
                 let head = base.expect("candidates imply a ROB head");
