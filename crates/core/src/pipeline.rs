@@ -1556,8 +1556,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         // account it through the caller's `continue` path: the remaining
         // members of the executing group were skipped, not squashed, so
         // re-squash its InFlight stragglers, oldest first. Every µ-op
-        // issued at the exec group's cycle is in that group, so no ROB
-        // walk is needed.
+        // issued at the exec group's cycle is in that group.
         let exec_cycle = Cycle::new(self.now.get() - self.delay - 1);
         let mut stragglers = std::mem::take(&mut self.scratch_squash);
         stragglers.clear();
