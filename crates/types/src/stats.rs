@@ -140,7 +140,8 @@ macro_rules! counters {
     (sim { $($f:ident),* $(,)? } cache { $($c:ident),* $(,)? }) => {
         impl SimStats {
             /// Number of counters, cache levels included.
-            pub const COUNTERS: usize = [$(stringify!($f)),*].len() + 2 * [$(stringify!($c)),*].len();
+            pub const COUNTERS: usize =
+                [$(stringify!($f)),*].len() + 2 * [$(stringify!($c)),*].len();
 
             /// Every counter with its name, in wire order.
             pub fn counters(&self) -> [(&'static str, u64); Self::COUNTERS] {
@@ -155,6 +156,7 @@ macro_rules! counters {
                 ]
             }
 
+            /// [`Self::counters`], writable.
             pub(crate) fn counters_mut(&mut self) -> [(&'static str, &mut u64); Self::COUNTERS] {
                 let SimStats { $($f,)* l1d, l2 } = self;
                 [
