@@ -817,20 +817,26 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     // entry plumbing
     // ------------------------------------------------------------------
 
+    /// The ROB slot of `seq`. Sequence numbers in the ROB are contiguous
+    /// and end just below `next_seq` (dispatch hands out `next_seq`, a
+    /// flush resets it to the branch's successor), so the head's seq is
+    /// derived rather than loaded.
+    fn rob_index(&self, seq: SeqNum) -> Option<usize> {
+        let base = self.next_seq.get() - self.rob.len() as u64;
+        debug_assert!(
+            self.rob.front().is_none_or(|e| e.seq.get() == base),
+            "ROB seqs must end just below next_seq"
+        );
+        seq.get().checked_sub(base).map(|i| i as usize)
+    }
+
     fn entry(&self, seq: SeqNum) -> Option<&RobEntry> {
-        let base = self.rob.front()?.seq;
-        if seq < base {
-            return None;
-        }
-        self.rob.get((seq.get() - base.get()) as usize)
+        self.rob.get(self.rob_index(seq)?)
     }
 
     fn entry_mut(&mut self, seq: SeqNum) -> Option<&mut RobEntry> {
-        let base = self.rob.front()?.seq;
-        if seq < base {
-            return None;
-        }
-        self.rob.get_mut((seq.get() - base.get()) as usize)
+        let i = self.rob_index(seq)?;
+        self.rob.get_mut(i)
     }
 
     // ------------------------------------------------------------------
