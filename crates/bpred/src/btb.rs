@@ -1,5 +1,6 @@
 //! The branch target buffer: 2-way set-associative, 8K entries (Table 1).
 
+use ss_types::persist::{load_seq_into, DecodeError, PersistState, Reader, Writer};
 use ss_types::Pc;
 
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -10,13 +11,31 @@ struct BtbEntry {
 }
 
 /// Set-associative branch target buffer with per-set LRU.
+///
+/// Entries are one flat, set-major array of `sets × ways`. Each set's
+/// recency order is one byte: 2 bits per position, position 0 (the low
+/// bits) holding the most recently used way. Every set starts in way
+/// order, so untouched sets share one byte value.
 #[derive(Debug, Clone)]
 pub struct Btb {
-    sets: Vec<[BtbEntry; 4]>,
+    entries: Vec<BtbEntry>,
+    lru: Vec<u8>,
     ways: usize,
-    /// LRU order per set: `lru[set][0]` is the most recently used way.
-    lru: Vec<[u8; 4]>,
     set_bits: u32,
+}
+
+/// The recency order `0, 1, …, ways − 1`, packed.
+fn initial_order(ways: usize) -> u8 {
+    (0..ways).fold(0, |order, pos| order | (pos as u8) << (2 * pos))
+}
+
+/// Whether `order` packs a permutation of `0..ways` with no stray bits.
+fn is_order(order: u8, ways: usize) -> bool {
+    let mut seen = 0u8;
+    for pos in 0..ways {
+        seen |= 1 << (order >> (2 * pos) & 3);
+    }
+    seen as usize == (1 << ways) - 1 && u16::from(order) >> (2 * ways) == 0
 }
 
 impl Btb {
@@ -30,10 +49,11 @@ impl Btb {
         assert!(entries.is_power_of_two() && entries >= ways);
         let sets = (entries / ways) as usize;
         assert!(sets.is_power_of_two());
+        let ways = ways as usize;
         Btb {
-            sets: vec![[BtbEntry::default(); 4]; sets],
-            ways: ways as usize,
-            lru: vec![[0, 1, 2, 3]; sets],
+            entries: vec![BtbEntry::default(); sets * ways],
+            lru: vec![initial_order(ways); sets],
+            ways,
             set_bits: sets.trailing_zeros(),
         }
     }
@@ -45,49 +65,66 @@ impl Btb {
         (set, tag)
     }
 
-    fn touch(&mut self, set: usize, way: u8) {
-        let order = &mut self.lru[set];
-        let pos = order
+    /// The way of `set` holding a valid entry for `tag`, if any.
+    fn find(&self, set: usize, tag: u32) -> Option<usize> {
+        let base = set * self.ways;
+        self.entries[base..base + self.ways]
             .iter()
-            .position(|&w| w == way)
+            .position(|e| e.valid && e.tag == tag)
+    }
+
+    /// Makes `way` the most recently used of `set`, shifting the ways
+    /// that were more recent one position older.
+    fn touch(&mut self, set: usize, way: usize) {
+        let order = self.lru[set];
+        let pos = (0..self.ways)
+            .find(|&p| usize::from(order >> (2 * p) & 3) == way)
             .expect("way in LRU order");
-        order[..=pos].rotate_right(1);
+        let younger = order & ((1u16 << (2 * pos)) - 1) as u8;
+        let older = (u16::from(order) >> (2 * pos + 2) << (2 * pos + 2)) as u8;
+        self.lru[set] = older | younger << 2 | way as u8;
     }
 
     /// Looks up the predicted target for the branch at `pc`, updating LRU
     /// on a hit.
     pub fn lookup(&mut self, pc: Pc) -> Option<Pc> {
         let (set, tag) = self.set_and_tag(pc);
-        for way in 0..self.ways {
-            let e = self.sets[set][way];
-            if e.valid && e.tag == tag {
-                self.touch(set, way as u8);
-                return Some(e.target);
-            }
-        }
-        None
+        let way = self.find(set, tag)?;
+        self.touch(set, way);
+        Some(self.entries[set * self.ways + way].target)
     }
 
     /// Installs or updates the target for the branch at `pc`.
     pub fn update(&mut self, pc: Pc, target: Pc) {
         let (set, tag) = self.set_and_tag(pc);
-        // hit: update in place
-        for way in 0..self.ways {
-            let e = &mut self.sets[set][way];
-            if e.valid && e.tag == tag {
-                e.target = target;
-                self.touch(set, way as u8);
-                return;
-            }
-        }
-        // miss: fill LRU way
-        let victim = self.lru[set][self.ways - 1];
-        self.sets[set][victim as usize] = BtbEntry {
+        // hit: update in place; miss: fill the LRU way
+        let way = self
+            .find(set, tag)
+            .unwrap_or_else(|| usize::from(self.lru[set] >> (2 * (self.ways - 1)) & 3));
+        self.entries[set * self.ways + way] = BtbEntry {
             valid: true,
             tag,
             target,
         };
-        self.touch(set, victim);
+        self.touch(set, way);
+    }
+}
+
+impl PersistState for Btb {
+    fn save_state(&self, w: &mut Writer) {
+        ss_types::persist::Persist::save(&self.entries, w);
+        ss_types::persist::Persist::save(&self.lru, w);
+    }
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        load_seq_into(r, &mut self.entries, "BTB entry")?;
+        load_seq_into(r, &mut self.lru, "BTB LRU")?;
+        match self.lru.iter().find(|&&order| !is_order(order, self.ways)) {
+            Some(order) => Err(r.err(format_args!(
+                "BTB LRU order {order:#04x} is not a permutation of {} ways",
+                self.ways
+            ))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -141,6 +178,141 @@ mod tests {
         }
     }
 
+    /// The naive model the BTB must match: per-set entries with a `u64`
+    /// stamp from a clock that never wraps; the victim is the first
+    /// invalid way, else the oldest. (The BTB itself fills the last way
+    /// of its recency order; untouched ways stay at the end of that
+    /// order, so both pick an invalid way while one exists and the true
+    /// LRU way after, and the targets they return agree.)
+    struct RefBtb {
+        sets: Vec<Vec<(bool, u32, Pc, u64)>>,
+        clock: u64,
+    }
+
+    impl RefBtb {
+        fn new(entries: u32, ways: u32) -> Self {
+            let sets = (entries / ways) as usize;
+            RefBtb {
+                sets: vec![vec![(false, 0, Pc::new(0), 0); ways as usize]; sets],
+                clock: 0,
+            }
+        }
+        fn set_and_tag(&self, pc: Pc) -> (usize, u32) {
+            let idx = pc.get() >> 2;
+            let sets = self.sets.len() as u64;
+            ((idx % sets) as usize, (idx / sets) as u32)
+        }
+        fn way(&self, set: usize, tag: u32) -> Option<usize> {
+            self.sets[set].iter().position(|e| e.0 && e.1 == tag)
+        }
+        fn lookup(&mut self, pc: Pc) -> Option<Pc> {
+            let (set, tag) = self.set_and_tag(pc);
+            self.clock += 1;
+            let way = self.way(set, tag)?;
+            self.sets[set][way].3 = self.clock;
+            Some(self.sets[set][way].2)
+        }
+        fn update(&mut self, pc: Pc, target: Pc) {
+            let (set, tag) = self.set_and_tag(pc);
+            self.clock += 1;
+            let lines = &self.sets[set];
+            let way = self
+                .way(set, tag)
+                .or_else(|| lines.iter().position(|e| !e.0))
+                .unwrap_or_else(|| (0..lines.len()).min_by_key(|&w| lines[w].3).unwrap());
+            self.sets[set][way] = (true, tag, target, self.clock);
+        }
+    }
+
+    /// Replays seeded random `lookup`/`update` sequences against
+    /// [`RefBtb`], crowding a few sets with more branches than ways;
+    /// some PCs differ only above the 32 tag bits, so they alias. The
+    /// BTB is snapshotted and restored into a fresh one mid-run.
+    fn check_against_reference(entries: u32, ways: u32, seed: u64) {
+        let mut rng = ss_types::rng::Xoshiro256::seed_from_u64(seed);
+        let sets = u64::from(entries / ways);
+        let hot_sets: Vec<u64> = (0..4).map(|_| rng.next_below(sets)).collect();
+        let mut btb = Btb::new(entries, ways);
+        let mut reference = RefBtb::new(entries, ways);
+        for step in 0..4_000 {
+            let set = hot_sets[rng.next_below(4) as usize];
+            let mut tag = rng.next_below(2 * u64::from(ways) + 1);
+            if rng.next_below(8) == 0 {
+                tag |= 1 << 32;
+            }
+            let pc = Pc::new((tag * sets + set) << 2);
+            if rng.next_below(3) == 0 {
+                let target = Pc::new(rng.next_below(1 << 20) << 2);
+                btb.update(pc, target);
+                reference.update(pc, target);
+            } else {
+                assert_eq!(
+                    btb.lookup(pc),
+                    reference.lookup(pc),
+                    "{entries}x{ways} step {step}: lookup {pc:?}"
+                );
+            }
+            if step == 2_000 {
+                let mut w = Writer::new();
+                btb.save_state(&mut w);
+                let bytes = w.into_bytes();
+                let mut fresh = Btb::new(entries, ways);
+                let mut r = Reader::new(&bytes);
+                fresh.restore_state(&mut r).unwrap();
+                assert!(r.is_finished());
+                btb = fresh;
+            }
+        }
+    }
+
+    #[test]
+    fn flat_btb_matches_a_naive_lru_reference() {
+        for (i, (entries, ways)) in [(4, 1), (8, 2), (16, 4), (64, 4), (8192, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            for seed in 0..4 {
+                check_against_reference(entries, ways, 0xB7B + 16 * i as u64 + seed);
+            }
+        }
+    }
+
+    #[test]
+    fn untouched_sets_share_one_lru_byte() {
+        let mut b = Btb::new(8192, 2);
+        b.update(Pc::new(0x40), Pc::new(0x80));
+        let distinct: std::collections::BTreeSet<u8> = b.lru.iter().copied().collect();
+        assert_eq!(distinct.len(), 2, "one touched set, one shared value");
+        let mut w = Writer::new();
+        b.save_state(&mut w);
+        assert!(w.bytes().len() < 200, "{} bytes", w.bytes().len());
+    }
+
+    #[test]
+    fn bad_snapshot_arrays_are_typed_errors() {
+        let mut w = Writer::new();
+        Btb::new(16, 2).save_state(&mut w);
+        let bytes = w.into_bytes();
+        let err = Btb::new(32, 2)
+            .restore_state(&mut Reader::new(&bytes))
+            .unwrap_err();
+        assert!(
+            err.reason
+                .contains("BTB entry geometry mismatch: 16 entries != 32"),
+            "{err}"
+        );
+        // An order naming a way the set does not have (3 in a 2-way set).
+        let mut b = Btb::new(16, 2);
+        b.lru[5] = 0b1100;
+        let mut w = Writer::new();
+        b.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let err = Btb::new(16, 2)
+            .restore_state(&mut Reader::new(&bytes))
+            .unwrap_err();
+        assert!(err.reason.contains("BTB LRU order 0x0c"), "{err}");
+    }
+
     #[test]
     #[should_panic(expected = "ways")]
     fn too_many_ways_rejected() {
@@ -149,4 +321,3 @@ mod tests {
 }
 
 ss_types::impl_persist!(BtbEntry { valid, tag, target });
-ss_types::impl_persist_state!(Btb { sets, lru });

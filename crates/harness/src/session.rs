@@ -656,14 +656,14 @@ mod tests {
             fingerprint
         );
         // * this machine's own warm state, stamped with format version 1,
-        //   2 or 3, whose layouts this build no longer reads.
+        //   2, 3 or 4, whose layouts this build no longer reads.
         let current = format!(
             "{} v{} ",
             ss_snapshot::SNAPSHOT_MAGIC,
             ss_snapshot::SNAPSHOT_FORMAT_VERSION
         );
         let payload = warm_bytes(cfg.spec)[current.len()..].to_vec();
-        let [v1, v2, v3] = [1, 2, 3].map(|version| {
+        let [v1, v2, v3, v4] = [1, 2, 3, 4].map(|version| {
             let mut old = format!("{} v{version} ", ss_snapshot::SNAPSHOT_MAGIC).into_bytes();
             old.extend_from_slice(&payload);
             assert!(matches!(
@@ -673,7 +673,7 @@ mod tests {
             old
         });
 
-        for stale in [foreign, v1, v2, v3] {
+        for stale in [foreign, v1, v2, v3, v4] {
             std::fs::write(&path, stale).unwrap();
             let mut sess = Session::new(LEN, None);
             sess.enable_warm_fork(dir.clone());

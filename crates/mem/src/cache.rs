@@ -6,17 +6,15 @@
 //! fill completes. Accesses to a line with an outstanding fill *merge*
 //! into the MSHR (secondary misses) instead of generating new traffic.
 
+use ss_types::persist::{load_seq_into, DecodeError, Persist, PersistState, Reader, Writer};
 use ss_types::{Addr, CacheGeometry, Cycle};
 
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct Line {
-    valid: bool,
-    tag: u64,
-    /// Larger = more recently used.
-    lru: u64,
-    /// Brought in by the prefetcher and not yet demand-hit.
-    prefetched: bool,
-}
+/// Tag-word flag: the line holds data.
+const VALID: u64 = 1;
+/// Tag-word flag: brought in by the prefetcher and not yet demand-hit.
+const PREFETCHED: u64 = 2;
+/// The tag sits above the two flag bits.
+const TAG_SHIFT: u32 = 2;
 
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,25 +30,48 @@ pub enum Lookup {
 
 /// A set-associative, true-LRU, write-allocate cache (timing only — no
 /// data).
+///
+/// Storage is two flat, set-major arrays with one slot per line: a tag
+/// word (`tag << 2 | prefetched << 1 | valid`) and a recency stamp. A
+/// hit or fill stamps its line with the next value of a per-cache
+/// clock, so the oldest line of a set is the one with the smallest
+/// stamp. Before the `u32` clock would wrap, every set's stamps are
+/// renumbered `1..` in their current order, which keeps LRU exact.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<Line>>,
+    tags: Vec<u64>,
+    stamps: Vec<u32>,
+    /// The stamp most recently handed out.
+    clock: u32,
+    ways: usize,
     line_bytes: u64,
     set_mask: u64,
     set_shift: u32,
-    lru_clock: u64,
 }
 
 impl SetAssocCache {
     /// Builds a cache from its geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one way spans fewer than 4 bytes (sets × line size),
+    /// which would leave no room for the tag word's two flag bits.
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
+        let set_shift = geom.line_bytes.trailing_zeros();
+        assert!(
+            set_shift + sets.trailing_zeros() >= TAG_SHIFT,
+            "a cache way must span at least 4 bytes"
+        );
+        let lines = (sets * geom.ways as u64) as usize;
         SetAssocCache {
-            sets: vec![vec![Line::default(); geom.ways as usize]; sets as usize],
+            tags: vec![0; lines],
+            stamps: vec![0; lines],
+            clock: 0,
+            ways: geom.ways as usize,
             line_bytes: geom.line_bytes,
             set_mask: sets - 1,
-            set_shift: geom.line_bytes.trailing_zeros(),
-            lru_clock: 0,
+            set_shift,
         }
     }
 
@@ -59,55 +80,110 @@ impl SetAssocCache {
         self.line_bytes
     }
 
-    fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
+    /// The first line slot of `addr`'s set, and the valid tag word the
+    /// line would carry (prefetch bit clear).
+    fn slot_and_key(&self, addr: Addr) -> (usize, u64) {
         let line = addr.get() >> self.set_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        let set = (line & self.set_mask) as usize;
+        let tag = line >> self.set_mask.count_ones();
+        (set * self.ways, tag << TAG_SHIFT | VALID)
+    }
+
+    /// The way of `base`'s set holding `key`, if any.
+    fn find(&self, base: usize, key: u64) -> Option<usize> {
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&w| w & !PREFETCHED == key)
+            .map(|way| base + way)
+    }
+
+    /// The next recency stamp, renumbering first if the clock would wrap.
+    fn next_stamp(&mut self) -> u32 {
+        if self.clock == u32::MAX {
+            self.renumber();
+        }
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Rewrites each set's valid stamps as `1..=k` in their current
+    /// order, and restarts the clock above the largest.
+    fn renumber(&mut self) {
+        let mut order: Vec<usize> = Vec::with_capacity(self.ways);
+        let mut top = 0;
+        for base in (0..self.tags.len()).step_by(self.ways) {
+            order.clear();
+            order.extend((base..base + self.ways).filter(|&i| self.tags[i] & VALID != 0));
+            order.sort_unstable_by_key(|&i| self.stamps[i]);
+            for (rank, &i) in order.iter().enumerate() {
+                self.stamps[i] = rank as u32 + 1;
+            }
+            top = top.max(order.len() as u32);
+        }
+        self.clock = top;
     }
 
     /// Looks up `addr`, updating LRU on a hit.
     pub fn lookup(&mut self, addr: Addr) -> Lookup {
-        let (set, tag) = self.set_and_tag(addr);
-        self.lru_clock += 1;
-        for line in &mut self.sets[set] {
-            if line.valid && line.tag == tag {
-                line.lru = self.lru_clock;
-                let was_prefetch = line.prefetched;
-                line.prefetched = false;
-                return Lookup::Hit { was_prefetch };
+        let (base, key) = self.slot_and_key(addr);
+        match self.find(base, key) {
+            Some(i) => {
+                let was_prefetch = self.tags[i] & PREFETCHED != 0;
+                self.tags[i] = key;
+                self.stamps[i] = self.next_stamp();
+                Lookup::Hit { was_prefetch }
             }
+            None => Lookup::Miss,
         }
-        Lookup::Miss
     }
 
     /// Probes without disturbing LRU or prefetch bits (wrong-path loads).
     pub fn probe(&self, addr: Addr) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        let (base, key) = self.slot_and_key(addr);
+        self.find(base, key).is_some()
     }
 
     /// Installs the line containing `addr`, evicting LRU if needed.
     pub fn fill(&mut self, addr: Addr, prefetched: bool) {
-        let (set, tag) = self.set_and_tag(addr);
-        self.lru_clock += 1;
+        let (base, key) = self.slot_and_key(addr);
+        let stamp = self.next_stamp();
         // already present (e.g. demand fill racing a prefetch): refresh
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = self.lru_clock;
-            line.prefetched &= prefetched;
+        if let Some(i) = self.find(base, key) {
+            if !prefetched {
+                self.tags[i] = key;
+            }
+            self.stamps[i] = stamp;
             return;
         }
-        let victim = self.sets[set]
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
+        // the first invalid way, else the least recently used
+        let set = base..base + self.ways;
+        let victim = set
+            .clone()
+            .find(|&i| self.tags[i] & VALID == 0)
+            .or_else(|| set.min_by_key(|&i| self.stamps[i]))
             .expect("non-zero associativity");
-        *victim = Line {
-            valid: true,
-            tag,
-            lru: self.lru_clock,
-            prefetched,
-        };
+        self.tags[victim] = if prefetched { key | PREFETCHED } else { key };
+        self.stamps[victim] = stamp;
+    }
+
+    /// Sets the recency clock, so a test can force the wrap.
+    #[cfg(test)]
+    fn set_clock(&mut self, clock: u32) {
+        self.clock = clock;
+    }
+}
+
+impl PersistState for SetAssocCache {
+    fn save_state(&self, w: &mut Writer) {
+        self.tags.save(w);
+        self.stamps.save(w);
+        self.clock.save(w);
+    }
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        load_seq_into(r, &mut self.tags, "cache tag")?;
+        load_seq_into(r, &mut self.stamps, "cache stamp")?;
+        self.clock = u32::load(r)?;
+        Ok(())
     }
 }
 
@@ -327,6 +403,198 @@ mod tests {
         );
     }
 
+    /// The naive model the flat cache must match: per-set lines with a
+    /// `u64` stamp from a clock that never wraps; the victim is the
+    /// first invalid way, else the oldest.
+    struct RefCache {
+        sets: Vec<Vec<RefLine>>,
+        clock: u64,
+        line_shift: u32,
+    }
+
+    #[derive(Clone, Copy, Default)]
+    struct RefLine {
+        valid: bool,
+        tag: u64,
+        stamp: u64,
+        prefetched: bool,
+    }
+
+    impl RefCache {
+        fn new(geom: CacheGeometry) -> Self {
+            RefCache {
+                sets: vec![vec![RefLine::default(); geom.ways as usize]; geom.sets() as usize],
+                clock: 0,
+                line_shift: geom.line_bytes.trailing_zeros(),
+            }
+        }
+        fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
+            let line = addr.get() >> self.line_shift;
+            let sets = self.sets.len() as u64;
+            ((line % sets) as usize, line / sets)
+        }
+        fn find(&mut self, addr: Addr) -> Option<&mut RefLine> {
+            let (set, tag) = self.set_and_tag(addr);
+            self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag)
+        }
+        fn lookup(&mut self, addr: Addr) -> Lookup {
+            self.clock += 1;
+            let clock = self.clock;
+            match self.find(addr) {
+                Some(l) => {
+                    l.stamp = clock;
+                    let was_prefetch = std::mem::take(&mut l.prefetched);
+                    Lookup::Hit { was_prefetch }
+                }
+                None => Lookup::Miss,
+            }
+        }
+        fn probe(&mut self, addr: Addr) -> bool {
+            self.find(addr).is_some()
+        }
+        fn fill(&mut self, addr: Addr, prefetched: bool) {
+            self.clock += 1;
+            let clock = self.clock;
+            if let Some(l) = self.find(addr) {
+                l.stamp = clock;
+                l.prefetched &= prefetched;
+                return;
+            }
+            let (set, tag) = self.set_and_tag(addr);
+            let lines = &mut self.sets[set];
+            let victim = match lines.iter().position(|l| !l.valid) {
+                Some(way) => way,
+                None => (0..lines.len()).min_by_key(|&w| lines[w].stamp).unwrap(),
+            };
+            lines[victim] = RefLine {
+                valid: true,
+                tag,
+                stamp: clock,
+                prefetched,
+            };
+        }
+    }
+
+    /// Replays seeded random `lookup`/`probe`/`fill` sequences against
+    /// [`RefCache`]. Addresses crowd a few sets with more tags than ways
+    /// so evictions are frequent; the recency clock is pushed to the
+    /// edge of its range now and then so every case wraps it, and the
+    /// cache is snapshotted and restored into a fresh one mid-run.
+    fn check_against_reference(geom: CacheGeometry, seed: u64) {
+        let mut rng = ss_types::rng::Xoshiro256::seed_from_u64(seed);
+        let sets = geom.sets();
+        let ways = u64::from(geom.ways);
+        let hot_sets: Vec<u64> = (0..4).map(|_| rng.next_below(sets)).collect();
+        let mut cache = SetAssocCache::new(geom);
+        let mut reference = RefCache::new(geom);
+        let mut wraps = 0;
+        for step in 0..4_000 {
+            let clock = cache.clock;
+            let set = hot_sets[rng.next_below(4) as usize];
+            let tag = rng.next_below(2 * ways + 1);
+            let line = tag * sets + set;
+            let addr = Addr::new(line * geom.line_bytes + rng.next_below(geom.line_bytes));
+            match rng.next_below(8) {
+                0..=3 => assert_eq!(
+                    cache.lookup(addr),
+                    reference.lookup(addr),
+                    "{geom:?} step {step}: lookup {addr:?}"
+                ),
+                4 => assert_eq!(
+                    cache.probe(addr),
+                    reference.probe(addr),
+                    "{geom:?} step {step}: probe {addr:?}"
+                ),
+                _ => {
+                    let prefetched = rng.next_bool();
+                    cache.fill(addr, prefetched);
+                    reference.fill(addr, prefetched);
+                }
+            }
+            if cache.clock < clock {
+                wraps += 1;
+            }
+            if rng.next_below(200) == 0 {
+                cache.set_clock(cache.clock.max(u32::MAX - rng.next_below(4) as u32));
+            }
+            if step == 2_000 {
+                let mut w = Writer::new();
+                cache.save_state(&mut w);
+                let bytes = w.into_bytes();
+                let mut fresh = SetAssocCache::new(geom);
+                let mut r = Reader::new(&bytes);
+                fresh.restore_state(&mut r).unwrap();
+                assert!(r.is_finished());
+                cache = fresh;
+            }
+        }
+        assert!(wraps > 0, "{geom:?}: the clock never wrapped");
+        // Every line either model holds, the other holds too.
+        for &set in &hot_sets {
+            for tag in 0..=2 * ways {
+                let addr = Addr::new((tag * sets + set) * geom.line_bytes);
+                assert_eq!(cache.probe(addr), reference.probe(addr), "{geom:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn flat_cache_matches_a_naive_lru_reference() {
+        let geom = |capacity_bytes, ways, line_bytes| CacheGeometry {
+            capacity_bytes,
+            ways,
+            line_bytes,
+        };
+        let cases = [
+            geom(64, 1, 64),
+            geom(256, 1, 64),
+            geom(512, 2, 64),
+            geom(1024, 4, 32),
+            geom(2048, 16, 32),
+            geom(32 * 1024, 8, 64),    // Table 1 L1I / L1D
+            geom(1024 * 1024, 16, 64), // Table 1 L2
+        ];
+        for (i, g) in cases.into_iter().enumerate() {
+            for seed in 0..4 {
+                check_against_reference(g, 0xF1A7 + 16 * i as u64 + seed);
+            }
+        }
+    }
+
+    #[test]
+    fn wrap_renumbers_each_set_in_recency_order() {
+        let mut c = small_cache();
+        // set 0 gets a, b (b most recent); set 1 gets one line
+        let (a, b) = (Addr::new(0), Addr::new(256));
+        c.fill(a, false);
+        c.fill(b, false);
+        c.fill(Addr::new(64), false);
+        c.set_clock(u32::MAX);
+        assert!(matches!(c.lookup(a), Lookup::Hit { .. })); // a MRU, wraps
+        assert_eq!(c.clock, 3, "stamps renumbered 1..=2, then a takes 3");
+        assert_eq!(&c.stamps[..4], &[3, 2, 1, 0]);
+        c.fill(Addr::new(512), false); // evicts b, the LRU line
+        assert!(c.probe(a) && !c.probe(b));
+    }
+
+    #[test]
+    fn mis_sized_snapshot_arrays_are_a_geometry_mismatch() {
+        let mut w = Writer::new();
+        small_cache().save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut bigger = SetAssocCache::new(CacheGeometry {
+            capacity_bytes: 1024,
+            ways: 2,
+            line_bytes: 64,
+        });
+        let err = bigger.restore_state(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(
+            err.reason
+                .contains("cache tag geometry mismatch: 8 entries != 16"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn mshr_merge_and_drain() {
         let mut m = MshrFile::new(4, 64);
@@ -381,13 +649,6 @@ mod tests {
     }
 }
 
-ss_types::impl_persist!(Line {
-    valid,
-    tag,
-    lru,
-    prefetched
-});
-ss_types::impl_persist_state!(SetAssocCache { sets, lru_clock });
 ss_types::impl_persist!(Mshr {
     line,
     complete,

@@ -43,8 +43,10 @@ pub const SNAPSHOT_MAGIC: &str = "ss-snapshot";
 /// Snapshot format version written and read by this build. Bump whenever
 /// the serialized field set of any component, or the codec, changes
 /// (version 3 writes sequences as literal stretches and runs; version 4
-/// drops the degrade-mode fields from the CORE section and `SimStats`).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
+/// drops the degrade-mode fields from the CORE section and `SimStats`;
+/// version 5 writes each cache as flat tag-word and stamp arrays and the
+/// BTB as `sets × ways` entries with a packed LRU byte per set).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be used.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -323,20 +323,44 @@ fn save_seq<'a, T: Persist + PartialEq + 'a>(
     put_literal(w, literal_from, len, &at);
 }
 
-fn load_seq<T: Persist + Clone>(r: &mut Reader<'_>) -> Result<Vec<T>, DecodeError> {
-    let len = usize::load(r)?;
-    r.charge(len, std::mem::size_of::<T>().max(1))?;
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
+/// Walks the chunks of a sequence of `len` elements, checking each
+/// header against what remains: `chunk(r, at, count, repeat)` decodes
+/// `count` elements starting at element `at`.
+fn load_chunks(
+    r: &mut Reader<'_>,
+    len: usize,
+    mut chunk: impl FnMut(&mut Reader<'_>, usize, usize, bool) -> Result<(), DecodeError>,
+) -> Result<(), DecodeError> {
+    let mut at = 0;
+    while at < len {
         let head = u32::load(r)?;
         let count = (head >> 1) as usize;
-        let left = len - out.len();
+        let left = len - at;
         if count == 0 || count > left {
             return Err(r.err(format_args!(
                 "chunk of {count} elements where {left} remain of {len}"
             )));
         }
-        if head & 1 == 1 {
+        let repeat = head & 1 == 1;
+        // Every literal element costs at least one byte.
+        if !repeat && count > r.remaining() {
+            return Err(r.err(format_args!(
+                "literal stretch of {count} exceeds {} remaining bytes",
+                r.remaining()
+            )));
+        }
+        chunk(r, at, count, repeat)?;
+        at += count;
+    }
+    Ok(())
+}
+
+fn load_seq<T: Persist + Clone>(r: &mut Reader<'_>) -> Result<Vec<T>, DecodeError> {
+    let len = usize::load(r)?;
+    r.charge(len, std::mem::size_of::<T>().max(1))?;
+    let mut out = Vec::with_capacity(len);
+    load_chunks(r, len, |r, _, count, repeat| {
+        if repeat {
             // The repeated element's own heap storage is cloned
             // `count - 1` more times; charge for it before `resize`.
             let spent = r.spent;
@@ -345,19 +369,42 @@ fn load_seq<T: Persist + Clone>(r: &mut Reader<'_>) -> Result<Vec<T>, DecodeErro
             r.charge(count - 1, inner)?;
             out.resize(out.len() + count, v);
         } else {
-            // Every element costs at least one byte.
-            if count > r.remaining() {
-                return Err(r.err(format_args!(
-                    "literal stretch of {count} exceeds {} remaining bytes",
-                    r.remaining()
-                )));
-            }
             for _ in 0..count {
                 out.push(T::load(r)?);
             }
         }
-    }
+        Ok(())
+    })?;
     Ok(out)
+}
+
+/// Decodes a sequence saved from a `Vec<T>` straight into `out`, a table
+/// whose size the configuration fixed, so a restore never holds a second
+/// copy of it. An encoded length other than `out.len()` is a
+/// [`DecodeError`] naming `what` ("… geometry mismatch").
+pub fn load_seq_into<T: Persist + Copy>(
+    r: &mut Reader<'_>,
+    out: &mut [T],
+    what: &str,
+) -> Result<(), DecodeError> {
+    let len = usize::load(r)?;
+    if len != out.len() {
+        return Err(r.err(format_args!(
+            "{what} geometry mismatch: {len} entries != {}",
+            out.len()
+        )));
+    }
+    load_chunks(r, len, |r, at, count, repeat| {
+        let slots = &mut out[at..at + count];
+        if repeat {
+            slots.fill(T::load(r)?);
+        } else {
+            for slot in slots {
+                *slot = T::load(r)?;
+            }
+        }
+        Ok(())
+    })
 }
 
 impl<T: Persist + PartialEq + Clone> Persist for Vec<T> {
@@ -832,6 +879,34 @@ mod tests {
         let bytes = w.into_bytes();
         let err = Vec::<Vec<u64>>::load(&mut Reader::new(&bytes)).unwrap_err();
         assert!(err.reason.contains("decode budget"), "{err}");
+    }
+
+    #[test]
+    fn sequences_decode_in_place_into_a_table_of_their_size() {
+        let mut table = vec![0u32; 300];
+        table[3] = 8;
+        table[299] = 1;
+        let bytes = encoded(&table);
+        let mut into = vec![5u32; 300];
+        load_seq_into(&mut Reader::new(&bytes), &mut into, "test table").unwrap();
+        assert_eq!(into, table);
+        // A table of another size is a geometry mismatch, before any
+        // element is written.
+        let mut small = vec![5u32; 299];
+        let err = load_seq_into(&mut Reader::new(&bytes), &mut small, "test table").unwrap_err();
+        assert!(
+            err.reason
+                .contains("test table geometry mismatch: 300 entries != 299"),
+            "{err}"
+        );
+        assert!(small.iter().all(|&v| v == 5));
+        // Malformed chunks fail as they do for a `Vec`.
+        let bytes = seq_bytes(4, 1 << 30, true, &7u32.to_le_bytes());
+        let err = load_seq_into(&mut Reader::new(&bytes), &mut [0u32; 4], "t").unwrap_err();
+        assert!(err.reason.contains("chunk of 1073741824"), "{err}");
+        let bytes = seq_bytes(100, 100, false, &[1, 2, 3]);
+        let err = load_seq_into(&mut Reader::new(&bytes), &mut [0u8; 100], "t").unwrap_err();
+        assert!(err.reason.contains("literal stretch of 100"), "{err}");
     }
 
     #[test]
