@@ -1,6 +1,6 @@
 //! The branch target buffer: 2-way set-associative, 8K entries (Table 1).
 
-use ss_types::persist::{load_seq_into, DecodeError, PersistState, Reader, Writer};
+use ss_types::persist::{load_seq_into, DecodeError, Persist, PersistState, Reader, Writer};
 use ss_types::Pc;
 
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -112,8 +112,8 @@ impl Btb {
 
 impl PersistState for Btb {
     fn save_state(&self, w: &mut Writer) {
-        ss_types::persist::Persist::save(&self.entries, w);
-        ss_types::persist::Persist::save(&self.lru, w);
+        self.entries.save(w);
+        self.lru.save(w);
     }
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
         load_seq_into(r, &mut self.entries, "BTB entry")?;

@@ -334,16 +334,8 @@ impl crate::persist::PersistState for SeqBitmap {
         &mut self,
         r: &mut crate::persist::Reader<'_>,
     ) -> Result<(), crate::persist::DecodeError> {
-        let words: Vec<u64> = crate::persist::Persist::load(r)?;
-        if words.len() != self.words.len() {
-            return Err(r.err(format_args!(
-                "SeqBitmap geometry mismatch: {} words != {}",
-                words.len(),
-                self.words.len()
-            )));
-        }
-        self.len = words.iter().map(|w| w.count_ones() as usize).sum();
-        self.words = words;
+        crate::persist::load_seq_into(r, &mut self.words, "SeqBitmap")?;
+        self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
         Ok(())
     }
 }
@@ -356,16 +348,7 @@ impl crate::persist::PersistState for EpochRing {
         &mut self,
         r: &mut crate::persist::Reader<'_>,
     ) -> Result<(), crate::persist::DecodeError> {
-        let epochs: Vec<u32> = crate::persist::Persist::load(r)?;
-        if epochs.len() != self.epochs.len() {
-            return Err(r.err(format_args!(
-                "EpochRing geometry mismatch: {} entries != {}",
-                epochs.len(),
-                self.epochs.len()
-            )));
-        }
-        self.epochs = epochs;
-        Ok(())
+        crate::persist::load_seq_into(r, &mut self.epochs, "EpochRing")
     }
 }
 
