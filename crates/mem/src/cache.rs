@@ -47,6 +47,7 @@ pub struct SetAssocCache {
     line_bytes: u64,
     set_mask: u64,
     set_shift: u32,
+    set_bits: u32,
 }
 
 impl SetAssocCache {
@@ -72,6 +73,7 @@ impl SetAssocCache {
             line_bytes: geom.line_bytes,
             set_mask: sets - 1,
             set_shift,
+            set_bits: sets.trailing_zeros(),
         }
     }
 
@@ -85,7 +87,7 @@ impl SetAssocCache {
     fn slot_and_key(&self, addr: Addr) -> (usize, u64) {
         let line = addr.get() >> self.set_shift;
         let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
+        let tag = line >> self.set_bits;
         (set * self.ways, tag << TAG_SHIFT | VALID)
     }
 
@@ -98,32 +100,17 @@ impl SetAssocCache {
     }
 
     /// The next recency stamp, renumbering first if the clock would wrap.
+    #[inline]
     fn next_stamp(&mut self) -> u32 {
         if self.clock == u32::MAX {
-            self.renumber();
+            self.clock = renumber(&self.tags, &mut self.stamps, self.ways);
         }
         self.clock += 1;
         self.clock
     }
 
-    /// Rewrites each set's valid stamps as `1..=k` in their current
-    /// order, and restarts the clock above the largest.
-    fn renumber(&mut self) {
-        let mut order: Vec<usize> = Vec::with_capacity(self.ways);
-        let mut top = 0;
-        for base in (0..self.tags.len()).step_by(self.ways) {
-            order.clear();
-            order.extend((base..base + self.ways).filter(|&i| self.tags[i] & VALID != 0));
-            order.sort_unstable_by_key(|&i| self.stamps[i]);
-            for (rank, &i) in order.iter().enumerate() {
-                self.stamps[i] = rank as u32 + 1;
-            }
-            top = top.max(order.len() as u32);
-        }
-        self.clock = top;
-    }
-
     /// Looks up `addr`, updating LRU on a hit.
+    #[inline]
     pub fn lookup(&mut self, addr: Addr) -> Lookup {
         let (base, key) = self.slot_and_key(addr);
         match self.find(base, key) {
@@ -144,6 +131,7 @@ impl SetAssocCache {
     }
 
     /// Installs the line containing `addr`, evicting LRU if needed.
+    #[inline]
     pub fn fill(&mut self, addr: Addr, prefetched: bool) {
         let (base, key) = self.slot_and_key(addr);
         let stamp = self.next_stamp();
@@ -171,6 +159,30 @@ impl SetAssocCache {
     fn set_clock(&mut self, clock: u32) {
         self.clock = clock;
     }
+}
+
+/// Rewrites each set's valid stamps as `1..=k` in their current order
+/// and returns the largest `k`, the clock to continue from. It picks
+/// the smallest stamp above the last one taken, `k` times per set: a
+/// stamp already rewritten to rank `r` never exceeds the `r`-th
+/// smallest distinct positive stamp, so it is not taken again. Runs once
+/// per 2^32 stamps; it allocates nothing, so neither does the hot loop.
+#[cold]
+fn renumber(tags: &[u64], stamps: &mut [u32], ways: usize) -> u32 {
+    let mut top = 0;
+    for (tags, stamps) in tags.chunks(ways).zip(stamps.chunks_mut(ways)) {
+        let (mut last, mut rank) = (0, 0);
+        while let Some(way) = (0..ways)
+            .filter(|&w| tags[w] & VALID != 0 && stamps[w] > last)
+            .min_by_key(|&w| stamps[w])
+        {
+            last = stamps[way];
+            rank += 1;
+            stamps[way] = rank;
+        }
+        top = top.max(rank);
+    }
+    top
 }
 
 impl PersistState for SetAssocCache {
