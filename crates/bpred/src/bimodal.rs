@@ -10,7 +10,7 @@ pub struct Bimodal {
 }
 
 /// Metadata for the (trivial) bimodal update.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BimodalMeta {
     index: u32,
 }

@@ -2,10 +2,16 @@
 //! and a return-address stack, behind a single pipeline-facing facade.
 //!
 //! The pipeline calls [`BranchPredictor::on_branch_fetch`] for every
-//! fetched branch (getting a redirect PC plus `Copy` metadata),
-//! [`BranchPredictor::on_mispredict`] when Execute discovers a wrong
-//! prediction (restores speculative history), and
-//! [`BranchPredictor::on_commit`] to train the tables in retirement order.
+//! correct-path branch (getting a redirect PC plus `Copy` direction
+//! metadata), [`BranchPredictor::on_mispredict`] when Execute discovers a
+//! wrong prediction, and [`BranchPredictor::on_commit`] to train the
+//! tables in retirement order.
+//!
+//! The wrong path never consults the predictor, so a mispredicted branch
+//! is always the last branch fetched when it resolves. The predictor
+//! therefore keeps one repair point — the speculative history and RAS as
+//! they stood before the last fetched branch — instead of a checkpoint
+//! per in-flight branch.
 //!
 //! # Example
 //!
@@ -37,7 +43,7 @@ pub use tage::{geometric_lengths, Tage, TageMeta};
 use ss_types::{BranchKind, Pc, PredictorConfig};
 
 /// Direction-predictor metadata, carried from fetch to commit.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirMeta {
     /// TAGE prediction metadata.
     Tage(TageMeta),
@@ -45,14 +51,16 @@ pub enum DirMeta {
     Bimodal(BimodalMeta),
 }
 
-/// Everything the pipeline must carry per in-flight branch to repair and
-/// train the predictor. Plain `Copy` data — no allocation per branch.
-#[derive(Debug, Clone, Copy)]
+/// What the pipeline carries per in-flight branch from fetch to commit
+/// to train the direction predictor. Plain `Copy` data — no allocation
+/// per branch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredMeta {
     dir: Option<DirMeta>,
-    hist_cp: Option<HistoryCheckpoint>,
-    ras_cp: RasCheckpoint,
 }
+
+// One per in-flight correct-path branch: direction metadata only.
+const _: () = assert!(std::mem::size_of::<PredMeta>() <= 120);
 
 /// The fetch-time prediction for one branch.
 #[derive(Debug, Clone, Copy)]
@@ -63,8 +71,17 @@ pub struct BranchPrediction {
     /// when the direction is not-taken *or* no target is known (cold
     /// BTB/RAS), which is what a real frontend does.
     pub next_pc: Pc,
-    /// Repair/training metadata.
+    /// Training metadata, handed back at commit.
     pub meta: PredMeta,
+}
+
+/// The speculative state as it stood before the last fetched branch:
+/// what a misprediction of that branch restores.
+#[derive(Debug, Clone, Copy)]
+struct RepairPoint {
+    pc: Pc,
+    hist: Option<HistoryCheckpoint>,
+    ras: RasCheckpoint,
 }
 
 enum Dir {
@@ -77,6 +94,9 @@ pub struct BranchPredictor {
     dir: Dir,
     btb: Btb,
     ras: Ras,
+    /// Taken by every [`BranchPredictor::on_branch_fetch`], read by
+    /// [`BranchPredictor::on_mispredict`].
+    repair: Option<RepairPoint>,
 }
 
 impl std::fmt::Debug for BranchPredictor {
@@ -105,10 +125,12 @@ impl BranchPredictor {
             dir,
             btb: Btb::new(cfg.btb_entries, cfg.btb_ways),
             ras: Ras::new(cfg.ras_entries),
+            repair: None,
         }
     }
 
-    /// Predicts a fetched branch and speculatively updates history/RAS.
+    /// Predicts a fetched branch and speculatively updates history/RAS,
+    /// first making the state before it the repair point.
     /// `fallthrough` is the PC of the next sequential instruction.
     pub fn on_branch_fetch(
         &mut self,
@@ -116,11 +138,14 @@ impl BranchPredictor {
         kind: BranchKind,
         fallthrough: Pc,
     ) -> BranchPrediction {
-        let hist_cp = match &self.dir {
-            Dir::Tage(t) => Some(t.checkpoint()),
-            Dir::Bimodal(_) => None,
-        };
-        let ras_cp = self.ras.checkpoint();
+        self.repair = Some(RepairPoint {
+            pc,
+            hist: match &self.dir {
+                Dir::Tage(t) => Some(t.checkpoint()),
+                Dir::Bimodal(_) => None,
+            },
+            ras: self.ras.checkpoint(),
+        });
 
         let (taken, dir_meta) = match kind {
             BranchKind::Conditional => match &mut self.dir {
@@ -163,30 +188,31 @@ impl BranchPredictor {
         BranchPrediction {
             taken,
             next_pc,
-            meta: PredMeta {
-                dir: dir_meta,
-                hist_cp,
-                ras_cp,
-            },
+            meta: PredMeta { dir: dir_meta },
         }
     }
 
     /// Repairs speculative state after Execute discovers a misprediction
-    /// of this branch, then redoes the branch's own correct speculative
-    /// action (history push, RAS push/pop). `fallthrough` is the branch's
-    /// sequential successor (the return address for calls).
-    pub fn on_mispredict(
-        &mut self,
-        pc: Pc,
-        kind: BranchKind,
-        actual_taken: bool,
-        fallthrough: Pc,
-        meta: &PredMeta,
-    ) {
-        if let (Dir::Tage(t), Some(cp)) = (&mut self.dir, &meta.hist_cp) {
+    /// of the last fetched branch, then redoes the branch's own correct
+    /// speculative action (history push, RAS push/pop). `fallthrough` is
+    /// the branch's sequential successor (the return address for calls).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `pc` is the last branch passed to
+    /// [`Self::on_branch_fetch`]: a caller that fetched a later branch
+    /// first has lost the state this repair needs.
+    pub fn on_mispredict(&mut self, pc: Pc, kind: BranchKind, actual_taken: bool, fallthrough: Pc) {
+        let rp = self.repair.expect("on_mispredict before any branch fetch");
+        assert_eq!(
+            rp.pc, pc,
+            "on_mispredict for {pc:?}, but the last fetched branch is {:?}",
+            rp.pc
+        );
+        if let (Dir::Tage(t), Some(cp)) = (&mut self.dir, &rp.hist) {
             t.restore(cp);
         }
-        self.ras.restore(&meta.ras_cp);
+        self.ras.restore(&rp.ras);
         match kind {
             BranchKind::Call => self.ras.push(fallthrough),
             BranchKind::Return => {
@@ -245,7 +271,7 @@ mod tests {
             let actual_next = if taken { tgt } else { ft };
             if pred.next_pc != actual_next {
                 wrong += 1;
-                p.on_mispredict(pc, BranchKind::Conditional, taken, ft, &pred.meta);
+                p.on_mispredict(pc, BranchKind::Conditional, taken, ft);
             }
             p.on_commit(pc, BranchKind::Conditional, taken, tgt, &pred.meta);
         }
@@ -288,16 +314,30 @@ mod tests {
     #[test]
     fn mispredict_repair_restores_ras() {
         let mut p = bp();
+        let outer = Pc::new(0x1000);
         let call_pc = Pc::new(0x4000);
-        // push a return address speculatively
+        let _ = p.on_branch_fetch(outer, BranchKind::Call, outer.step(4));
+        // Cold BTB: the call's target is unknown, so it is mispredicted.
         let pred = p.on_branch_fetch(call_pc, BranchKind::Call, call_pc.step(4));
-        // wrong path consumed the RAS entry
-        let _ = p.on_branch_fetch(Pc::new(0x9000), BranchKind::Return, Pc::new(0x9004));
-        // the call itself was mispredicted (target): repair
-        p.on_mispredict(call_pc, BranchKind::Call, true, call_pc.step(4), &pred.meta);
-        // RAS must again contain the call's return address
-        let rpred = p.on_branch_fetch(Pc::new(0xA000), BranchKind::Return, Pc::new(0xA004));
+        assert_eq!(pred.next_pc, call_pc.step(4));
+        // The wrong path never consults the predictor; the call resolves.
+        p.on_mispredict(call_pc, BranchKind::Call, true, call_pc.step(4));
+        // The call's return address is on the RAS once, above the outer one.
+        let ret = Pc::new(0x9000);
+        let rpred = p.on_branch_fetch(ret, BranchKind::Return, ret.step(4));
         assert_eq!(rpred.next_pc, call_pc.step(4));
+        let rpred = p.on_branch_fetch(ret, BranchKind::Return, ret.step(4));
+        assert_eq!(rpred.next_pc, outer.step(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "last fetched branch")]
+    fn mispredict_after_a_later_fetch_panics() {
+        let mut p = bp();
+        let call_pc = Pc::new(0x4000);
+        let _ = p.on_branch_fetch(call_pc, BranchKind::Call, call_pc.step(4));
+        let _ = p.on_branch_fetch(Pc::new(0x9000), BranchKind::Return, Pc::new(0x9004));
+        p.on_mispredict(call_pc, BranchKind::Call, true, call_pc.step(4));
     }
 
     #[test]
@@ -315,7 +355,7 @@ mod tests {
             let pred = p.on_branch_fetch(pc, BranchKind::Conditional, ft);
             if pred.taken != taken {
                 wrong += 1;
-                p.on_mispredict(pc, BranchKind::Conditional, taken, ft, &pred.meta);
+                p.on_mispredict(pc, BranchKind::Conditional, taken, ft);
             }
             p.on_commit(
                 pc,
@@ -348,7 +388,7 @@ mod tests {
                 let pred = p.on_branch_fetch(pc, BranchKind::Conditional, ft);
                 if pred.taken != taken {
                     wrong += 1;
-                    p.on_mispredict(pc, BranchKind::Conditional, taken, ft, &pred.meta);
+                    p.on_mispredict(pc, BranchKind::Conditional, taken, ft);
                 }
                 p.on_commit(pc, BranchKind::Conditional, taken, tgt, &pred.meta);
             }
@@ -387,16 +427,8 @@ impl Persist for DirMeta {
     }
 }
 
-ss_types::impl_persist!(PredMeta {
-    dir,
-    hist_cp,
-    ras_cp
-});
-ss_types::impl_persist!(BranchPrediction {
-    taken,
-    next_pc,
-    meta
-});
+ss_types::impl_persist!(PredMeta { dir });
+ss_types::impl_persist!(RepairPoint { pc, hist, ras });
 
 impl PersistState for BranchPredictor {
     fn save_state(&self, w: &mut Writer) {
@@ -412,6 +444,7 @@ impl PersistState for BranchPredictor {
         }
         self.btb.save_state(w);
         self.ras.save_state(w);
+        self.repair.save(w);
     }
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
         let tag = u8::load(r)?;
@@ -426,6 +459,8 @@ impl PersistState for BranchPredictor {
             (_, t) => return Err(r.err(format_args!("invalid direction-predictor tag {t}"))),
         }
         self.btb.restore_state(r)?;
-        self.ras.restore_state(r)
+        self.ras.restore_state(r)?;
+        self.repair = Persist::load(r)?;
+        Ok(())
     }
 }

@@ -21,7 +21,7 @@ struct TageEntry {
 
 /// Prediction metadata carried by the pipeline from fetch to retire so the
 /// update uses the indices/tags computed with fetch-time history.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TageMeta {
     indices: [u32; MAX_COMPONENTS],
     tags: [u16; MAX_COMPONENTS],

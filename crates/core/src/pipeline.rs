@@ -25,8 +25,8 @@ use crate::diff::DiffChecker;
 use crate::fault::FaultPlan;
 use crate::rename::{PhysRef, RenameUnit};
 use crate::schedq::SchedQueue;
-use crate::window::{FetchedUop, PredSlab, RobEntry, UopState};
-use ss_bpred::BranchPredictor;
+use crate::window::{FetchedUop, RobEntry, UopState};
+use ss_bpred::{BranchPredictor, PredMeta};
 use ss_isa::MicroOp;
 use ss_mem::{MemLevel, MemoryHierarchy};
 use ss_memdep::StoreSets;
@@ -99,9 +99,10 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
     rob: VecDeque<RobEntry>,
     frontend: VecDeque<FetchedUop>,
     frontend_cap: usize,
-    /// Fetch-time predictions of the branches in `frontend` and `rob`,
-    /// named by their entries' `pred` handles.
-    preds: PredSlab,
+    /// Direction metadata of the correct-path branches in `frontend` and
+    /// `rob`, in program order: fetch pushes, commit pops. A flush never
+    /// touches it, because everything a flush drops is wrong-path.
+    pred_metas: VecDeque<PredMeta>,
     /// Issue groups in the issue-to-execute pipe, keyed by issue cycle.
     inflight: VecDeque<(Cycle, Vec<SeqNum>)>,
     /// Replay groups, keyed by original issue cycle (head group replays
@@ -214,7 +215,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             rob: VecDeque::with_capacity(cfg.rob_entries as usize),
             frontend: VecDeque::with_capacity(frontend_cap),
             frontend_cap,
-            preds: PredSlab::default(),
+            pred_metas: VecDeque::new(),
             inflight: VecDeque::new(),
             recovery: VecDeque::new(),
             iq_used: 0,
@@ -762,20 +763,16 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         if let Err(what) = self.rename.audit(&held[0], &held[1]) {
             return fail(what);
         }
-        // Prediction-slab conservation: the live slots are exactly the
-        // handles the frontend and the ROB hold, and the slab never grew
-        // past the entries that can hold one.
-        let slab_bound = self.cfg.rob_entries as usize + self.frontend_cap;
-        if self.preds.len() > slab_bound {
+        // Branch-metadata conservation: one queued meta per correct-path
+        // branch in the frontend and the ROB.
+        let is_cp_branch = |wrong_path: bool, uop: &MicroOp| !wrong_path && uop.class.is_branch();
+        let branches = self.frontend.iter().filter(|f| is_cp_branch(f.wrong_path, &f.uop)).count()
+            + self.rob.iter().filter(|e| is_cp_branch(e.wrong_path, &e.uop)).count();
+        if branches != self.pred_metas.len() {
             return fail(format!(
-                "prediction slab grew to {} slots (bound {slab_bound})",
-                self.preds.len()
+                "{} queued branch metas for {branches} correct-path branches in flight",
+                self.pred_metas.len()
             ));
-        }
-        let handles = (self.frontend.iter().filter_map(|f| f.pred))
-            .chain(self.rob.iter().filter_map(|e| e.pred));
-        if let Err(what) = self.preds.audit(handles) {
-            return fail(what);
         }
         Ok(())
     }
@@ -1096,21 +1093,11 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         self.stats.target_mispredicts += 1;
                     }
                     let b = e.uop.branch.expect("branch payload");
-                    if let Some(slot) = e.pred {
-                        let target = if b.taken { b.target } else { e.uop.next_pc() };
-                        self.bpred.on_commit(
-                            e.uop.pc,
-                            kind,
-                            b.taken,
-                            target,
-                            &self.preds[slot].meta,
-                        );
-                    }
+                    let meta = self.pred_metas.pop_front().expect("committing branch has a meta");
+                    let target = if b.taken { b.target } else { e.uop.next_pc() };
+                    self.bpred.on_commit(e.uop.pc, kind, b.taken, target, &meta);
                 }
                 _ => {}
-            }
-            if let Some(slot) = e.pred {
-                self.preds.free(slot);
             }
             if let Some((_new, prev)) = e.dst {
                 self.rename.release(prev);
@@ -1267,8 +1254,8 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// Executes one verified µ-op (`state == InFlight`).
     fn execute_one(&mut self, seq: SeqNum) {
         // Copy out the (all-`Copy`) fields this stage reads rather than
-        // cloning the whole `RobEntry`; the prediction stays in the slab.
-        let (uop, wrong_path, dst, prf_delay, mispredicted, mispred_handled, pred) = {
+        // cloning the whole `RobEntry`.
+        let (uop, wrong_path, dst, prf_delay, mispredicted, mispred_handled) = {
             let e = self.entry(seq).expect("validated");
             (
                 e.uop,
@@ -1277,7 +1264,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 e.prf_delay,
                 e.mispredicted,
                 e.mispred_handled,
-                e.pred,
             )
         };
         let exec_start = self.now;
@@ -1417,17 +1403,11 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                     // predictor, resume correct-path fetch. A later
                     // memory-order squash may re-execute this branch;
                     // `mispred_handled` keeps the flush from repeating
-                    // (the refetched path is already correct).
+                    // (the refetched path is already correct). The wrong
+                    // path never consults the predictor, so this branch is
+                    // still its last fetched one.
                     let b = uop.branch.expect("branch payload");
-                    if let Some(slot) = pred {
-                        self.bpred.on_mispredict(
-                            uop.pc,
-                            kind,
-                            b.taken,
-                            uop.next_pc(),
-                            &self.preds[slot].meta,
-                        );
-                    }
+                    self.bpred.on_mispredict(uop.pc, kind, b.taken, uop.next_pc());
                     self.flush_younger_than(seq);
                     self.wrong_path_mode = false;
                     self.entry_mut(seq).expect("branch entry").mispred_handled = true;
@@ -2125,7 +2105,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             let seq = self.next_seq;
             self.next_seq = self.next_seq.next();
             let mut e = RobEntry::new(seq, f.uop, f.wrong_path);
-            e.pred = f.pred;
             e.mispredicted = f.mispredicted;
             e.dir_wrong = f.dir_wrong;
             // Rename sources then destination (true dependencies only).
@@ -2285,7 +2264,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 self.fetch_stall_until = self.now + icache_extra;
             }
 
-            let mut pred = None;
             let mut pred_next = None;
             let mut mispredicted = false;
             let mut dir_wrong = false;
@@ -2310,7 +2288,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         dir_wrong = p.taken != b.taken;
                     }
                     pred_next = Some(p.next_pc);
-                    pred = Some(self.preds.alloc(p));
+                    self.pred_metas.push_back(p.meta);
                 }
             }
 
@@ -2318,7 +2296,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 uop,
                 wrong_path,
                 ready_at: self.now + self.cfg.frontend_depth(),
-                pred,
                 mispredicted,
                 dir_wrong,
             });
@@ -2340,25 +2317,24 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         }
     }
 
-    /// Flushes every µ-op younger than `branch_seq`: frontend, ROB tail
-    /// (youngest-first rename unwind), recovery buffer, LSQ counters,
-    /// and the prediction slots of the flushed branches.
+    /// Flushes every µ-op younger than the mispredicted branch
+    /// `branch_seq`: frontend, ROB tail (youngest-first rename unwind),
+    /// recovery buffer and LSQ counters. All of it was fetched on the
+    /// branch's wrong path, so no queued branch meta goes with it.
     fn flush_younger_than(&mut self, branch_seq: SeqNum) {
         // Everything in the frontend was fetched after the branch.
-        for f in self.frontend.drain(..) {
-            if let Some(slot) = f.pred {
-                self.preds.free(slot);
-            }
-        }
+        debug_assert!(
+            self.frontend.iter().all(|f| f.wrong_path),
+            "flush drops a correct-path µ-op from the frontend"
+        );
+        self.frontend.clear();
         self.fetch_stall_until = Cycle::ZERO;
         while let Some(tail) = self.rob.back() {
             if tail.seq <= branch_seq {
                 break;
             }
             let e = self.rob.pop_back().expect("tail exists");
-            if let Some(slot) = e.pred {
-                self.preds.free(slot);
-            }
+            debug_assert!(e.wrong_path, "flush drops correct-path µ-op {}", e.seq);
             if Self::tracked_store_qw(&e).is_some() {
                 let back = self.store_ring.pop_back();
                 debug_assert_eq!(back.map(|(_, s)| s), Some(e.seq), "store ring out of sync");
@@ -2477,8 +2453,9 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
         let core = section_of(sections::CORE, |w| {
             self.now.save(w);
             self.next_seq.save(w);
-            self.preds.save_window(&self.rob, w);
-            self.preds.save_window(&self.frontend, w);
+            self.rob.save(w);
+            self.frontend.save(w);
+            self.pred_metas.save(w);
             self.inflight.save(w);
             self.recovery.save(w);
             self.iq_used.save(w);
@@ -2615,9 +2592,9 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
     fn restore_core(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
         self.now = Persist::load(r)?;
         self.next_seq = Persist::load(r)?;
-        self.preds.clear();
-        self.rob = self.preds.load_window(r)?;
-        self.frontend = self.preds.load_window(r)?;
+        self.rob = Persist::load(r)?;
+        self.frontend = Persist::load(r)?;
+        self.pred_metas = Persist::load(r)?;
         self.inflight = Persist::load(r)?;
         self.recovery = Persist::load(r)?;
         self.iq_used = Persist::load(r)?;
@@ -2747,12 +2724,11 @@ mod tests {
     }
 
     /// Branch-heavy kernels with flushes (branchy_int mispredicts
-    /// directions, call_ret_mix stresses the RAS) recycle prediction
-    /// slots: with the invariant check auditing the slab every few
-    /// hundred cycles, the slab never outgrows the window that can hold
-    /// a branch.
+    /// directions, call_ret_mix stresses the RAS): with the invariant
+    /// check run every few hundred cycles, the branch-meta queue holds
+    /// exactly one meta per correct-path branch in flight throughout.
     #[test]
-    fn prediction_slab_is_conserved_and_bounded() {
+    fn branch_meta_queue_matches_the_window() {
         for spec in [kernels::branchy_int(3), kernels::call_ret_mix(3)] {
             let cfg = SimConfig::builder()
                 .issue_to_execute_delay(4)
@@ -2763,15 +2739,10 @@ mod tests {
             let stats = sim.try_run_committed(30_000).unwrap();
             assert!(
                 stats.cond_mispredicts + stats.target_mispredicts > 10,
-                "no flushes to free slots on"
+                "no flushes to check the queue across"
             );
             sim.check_invariants().unwrap();
-            let bound = sim.cfg.rob_entries as usize + sim.frontend_cap;
-            assert!(
-                (1..=bound).contains(&sim.preds.len()),
-                "slab grew to {} slots (bound {bound})",
-                sim.preds.len()
-            );
+            assert!(!sim.pred_metas.is_empty(), "no branch in flight at the end");
         }
     }
 }

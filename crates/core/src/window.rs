@@ -1,141 +1,13 @@
 //! The instruction window: per-µ-op state carried from dispatch to commit.
 //!
-//! A branch's fetch-time [`BranchPrediction`] (folded-history and RAS
-//! repair checkpoints plus TAGE metadata, ~1.3 KB) lives in a
-//! `PredSlab`; window entries carry a 4-byte [`PredSlot`] handle, so
-//! moving a µ-op through the frontend and the ROB copies ~100 bytes
-//! instead of ~1.4 KB, branch or not.
+//! Entries carry no branch-prediction state: the direction metadata of
+//! in-flight correct-path branches waits, in program order, in the
+//! simulator's own queue, and the predictor keeps the one repair point a
+//! misprediction needs.
 
 use crate::rename::PhysRef;
-use ss_bpred::BranchPrediction;
 use ss_isa::MicroOp;
-use ss_types::persist::{DecodeError, Persist, Reader, Writer};
 use ss_types::{Cycle, SeqNum};
-use std::collections::VecDeque;
-use std::num::NonZeroU32;
-
-/// Handle to a prediction held in the simulator's slab.
-/// `Option<PredSlot>` is 4 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredSlot(NonZeroU32);
-
-impl PredSlot {
-    fn index(self) -> usize {
-        self.0.get() as usize - 1
-    }
-}
-
-/// Recycled storage for the predictions of in-flight branches. It grows
-/// to the most branches ever in flight at once and then reuses freed
-/// slots, so steady-state fetch allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct PredSlab {
-    slots: Vec<BranchPrediction>,
-    free: Vec<PredSlot>,
-}
-
-impl PredSlab {
-    /// Stores `pred` and returns its handle.
-    pub fn alloc(&mut self, pred: BranchPrediction) -> PredSlot {
-        if let Some(slot) = self.free.pop() {
-            self.slots[slot.index()] = pred;
-            return slot;
-        }
-        self.slots.push(pred);
-        let id = u32::try_from(self.slots.len()).expect("prediction slab overflow");
-        PredSlot(NonZeroU32::new(id).expect("slab length is at least 1"))
-    }
-
-    /// Returns `slot` to the free list. The handle must not be used
-    /// again.
-    pub fn free(&mut self, slot: PredSlot) {
-        debug_assert!(slot.index() < self.slots.len(), "foreign slot {slot:?}");
-        self.free.push(slot);
-    }
-
-    /// Frees every slot, keeping the storage.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-    }
-
-    /// Slots ever allocated (live plus free): the slab's high-water mark.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Checks that `held` — every handle the window holds — names
-    /// exactly the live slots: none free, none twice, none missing.
-    pub fn audit(&self, held: impl Iterator<Item = PredSlot>) -> Result<(), String> {
-        let mut owned = vec![false; self.slots.len()];
-        for slot in &self.free {
-            let Some(o) = owned.get_mut(slot.index()) else {
-                return Err(format!("free list holds foreign slot {slot:?}"));
-            };
-            if std::mem::replace(o, true) {
-                return Err(format!("prediction slot {slot:?} freed twice"));
-            }
-        }
-        for slot in held {
-            let Some(o) = owned.get_mut(slot.index()) else {
-                return Err(format!("window holds foreign slot {slot:?}"));
-            };
-            if std::mem::replace(o, true) {
-                return Err(format!(
-                    "prediction slot {slot:?} is free or held by two entries"
-                ));
-            }
-        }
-        match owned.iter().position(|o| !o) {
-            Some(i) => Err(format!("prediction slot {} leaked", i + 1)),
-            None => Ok(()),
-        }
-    }
-
-    /// Encodes `entries` as `Persist` encodes a `VecDeque`, each entry's
-    /// prediction inline.
-    pub fn save_window<E: WindowEntry>(&self, entries: &VecDeque<E>, w: &mut Writer) {
-        entries.len().save(w);
-        for e in entries {
-            e.save_with(self, w);
-        }
-    }
-
-    /// Decodes what [`Self::save_window`] wrote, storing each entry's
-    /// prediction in a fresh slot.
-    pub fn load_window<E: WindowEntry>(
-        &mut self,
-        r: &mut Reader<'_>,
-    ) -> Result<VecDeque<E>, DecodeError> {
-        let len = usize::load(r)?;
-        if len > r.remaining() {
-            return Err(r.err(format_args!(
-                "length {len} exceeds {} remaining bytes",
-                r.remaining()
-            )));
-        }
-        let mut out = VecDeque::with_capacity(len);
-        for _ in 0..len {
-            out.push_back(E::load_with(r, self)?);
-        }
-        Ok(out)
-    }
-
-    fn save_inline(&self, pred: Option<PredSlot>, w: &mut Writer) {
-        pred.map(|slot| self[slot]).save(w);
-    }
-
-    fn load_inline(&mut self, r: &mut Reader<'_>) -> Result<Option<PredSlot>, DecodeError> {
-        Ok(Option::<BranchPrediction>::load(r)?.map(|p| self.alloc(p)))
-    }
-}
-
-impl std::ops::Index<PredSlot> for PredSlab {
-    type Output = BranchPrediction;
-    fn index(&self, slot: PredSlot) -> &BranchPrediction {
-        &self.slots[slot.index()]
-    }
-}
 
 /// Scheduling state of a window entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,7 +21,7 @@ pub enum UopState {
 }
 
 /// One µ-op in the reorder buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobEntry {
     /// Dynamic sequence number (unique, program order).
     pub seq: SeqNum,
@@ -173,10 +45,6 @@ pub struct RobEntry {
     pub holds_iq: bool,
     /// Sits in the recovery buffer awaiting replay.
     pub in_recovery: bool,
-    /// Slab slot of the prediction made at fetch (correct-path branches
-    /// only), handed over from the frontend entry; freed at commit or
-    /// when a flush pops the entry.
-    pub pred: Option<PredSlot>,
     /// Fetch-time knowledge: this branch was mispredicted.
     pub mispredicted: bool,
     /// Direction (vs target) was the wrong part.
@@ -228,7 +96,6 @@ impl RobEntry {
             done_at: Cycle::NEVER,
             holds_iq: false,
             in_recovery: false,
-            pred: None,
             mispredicted: false,
             dir_wrong: false,
             mispred_handled: false,
@@ -242,7 +109,7 @@ impl RobEntry {
 }
 
 /// A µ-op sitting in the frontend pipe between fetch and dispatch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FetchedUop {
     /// The trace record.
     pub uop: MicroOp,
@@ -250,10 +117,6 @@ pub struct FetchedUop {
     pub wrong_path: bool,
     /// Cycle at which it reaches the dispatch stage.
     pub ready_at: Cycle,
-    /// Slab slot of the fetch-time prediction (correct-path branches
-    /// only); moves to the ROB entry at dispatch, freed if a flush
-    /// drains the frontend first.
-    pub pred: Option<PredSlot>,
     /// Fetch-time knowledge of a misprediction.
     pub mispredicted: bool,
     /// Direction (vs target) was the wrong part.
@@ -292,41 +155,6 @@ mod tests {
         e.state = UopState::InFlight;
         assert!(!e.is_iq_waiting() && !e.is_recovery_waiting());
     }
-
-    fn prediction() -> BranchPrediction {
-        let mut bp = ss_bpred::BranchPredictor::new(&ss_types::SimConfig::default().predictor);
-        bp.on_branch_fetch(Pc::new(0x40), ss_types::BranchKind::Call, Pc::new(0x44))
-    }
-
-    #[test]
-    fn slab_recycles_slots() {
-        let mut slab = PredSlab::default();
-        let a = slab.alloc(prediction());
-        let b = slab.alloc(prediction());
-        assert_ne!(a, b);
-        slab.free(a);
-        assert_eq!(slab.alloc(prediction()), a, "freed slot is reused");
-        assert_eq!(slab.len(), 2);
-        assert_eq!(std::mem::size_of::<Option<PredSlot>>(), 4);
-    }
-
-    #[test]
-    fn slab_audit_catches_leaks_and_double_frees() {
-        let mut slab = PredSlab::default();
-        let a = slab.alloc(prediction());
-        let b = slab.alloc(prediction());
-        assert_eq!(slab.audit([a, b].into_iter()), Ok(()));
-        let leak = slab.audit([a].into_iter()).unwrap_err();
-        assert!(leak.contains("leaked"), "{leak}");
-        let shared = slab.audit([a, b, b].into_iter()).unwrap_err();
-        assert!(shared.contains("two entries"), "{shared}");
-        slab.free(b);
-        let used_after_free = slab.audit([a, b].into_iter()).unwrap_err();
-        assert!(used_after_free.contains("two entries"), "{used_after_free}");
-        slab.free(b);
-        let double = slab.audit([a].into_iter()).unwrap_err();
-        assert!(double.contains("freed twice"), "{double}");
-    }
 }
 
 impl ss_types::Persist for UopState {
@@ -350,38 +178,7 @@ impl ss_types::Persist for UopState {
     }
 }
 
-/// A window entry whose snapshot encoding writes its `pred` handle
-/// inline, as the `Option<BranchPrediction>` it names. These are the
-/// bytes of the entry from when it embedded the prediction, so the
-/// snapshot format does not depend on the slab.
-pub(crate) trait WindowEntry: Sized {
-    fn save_with(&self, preds: &PredSlab, w: &mut Writer);
-    fn load_with(r: &mut Reader<'_>, preds: &mut PredSlab) -> Result<Self, DecodeError>;
-}
-
-/// Implements [`WindowEntry`] from the field order: the fields before
-/// `pred`, `pred` itself, then the fields after it.
-macro_rules! window_entry {
-    ($ty:ident { $($before:ident),* ; pred ; $($after:ident),* $(,)? }) => {
-        impl WindowEntry for $ty {
-            fn save_with(&self, preds: &PredSlab, w: &mut Writer) {
-                $( self.$before.save(w); )*
-                preds.save_inline(self.pred, w);
-                $( self.$after.save(w); )*
-            }
-            fn load_with(r: &mut Reader<'_>, preds: &mut PredSlab) -> Result<Self, DecodeError> {
-                // Struct fields evaluate in source order: the byte order.
-                Ok($ty {
-                    $( $before: Persist::load(r)?, )*
-                    pred: preds.load_inline(r)?,
-                    $( $after: Persist::load(r)?, )*
-                })
-            }
-        }
-    };
-}
-
-window_entry!(RobEntry {
+ss_types::impl_persist!(RobEntry {
     seq,
     uop,
     wrong_path,
@@ -392,8 +189,7 @@ window_entry!(RobEntry {
     times_issued,
     done_at,
     holds_iq,
-    in_recovery;
-    pred;
+    in_recovery,
     mispredicted,
     dir_wrong,
     mispred_handled,
@@ -404,17 +200,14 @@ window_entry!(RobEntry {
     prf_delay
 });
 
-window_entry!(FetchedUop {
+ss_types::impl_persist!(FetchedUop {
     uop,
     wrong_path,
-    ready_at;
-    pred;
+    ready_at,
     mispredicted,
     dir_wrong
 });
 
-// The window's working set: a 192-entry ROB is ~26 KB, not ~266 KB.
+// The window's working set: a 192-entry ROB is ~26 KB.
 const _: () = assert!(std::mem::size_of::<RobEntry>() <= 160);
 const _: () = assert!(std::mem::size_of::<FetchedUop>() <= 96);
-// A slab slot: the history checkpoint keeps fold values only.
-const _: () = assert!(std::mem::size_of::<BranchPrediction>() <= 872);

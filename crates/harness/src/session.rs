@@ -655,15 +655,15 @@ mod tests {
             Snapshot::from_bytes(&foreign).unwrap().config_fingerprint,
             fingerprint
         );
-        // * this machine's own warm state, stamped with format version 1,
-        //   2, 3 or 4, whose layouts this build no longer reads.
+        // * this machine's own warm state, stamped with any earlier format
+        //   version, whose layouts this build no longer reads.
         let current = format!(
             "{} v{} ",
             ss_snapshot::SNAPSHOT_MAGIC,
             ss_snapshot::SNAPSHOT_FORMAT_VERSION
         );
         let payload = warm_bytes(cfg.spec)[current.len()..].to_vec();
-        let [v1, v2, v3, v4] = [1, 2, 3, 4].map(|version| {
+        let older = (1..ss_snapshot::SNAPSHOT_FORMAT_VERSION).map(|version| {
             let mut old = format!("{} v{version} ", ss_snapshot::SNAPSHOT_MAGIC).into_bytes();
             old.extend_from_slice(&payload);
             assert!(matches!(
@@ -673,7 +673,7 @@ mod tests {
             old
         });
 
-        for stale in [foreign, v1, v2, v3, v4] {
+        for stale in std::iter::once(foreign).chain(older) {
             std::fs::write(&path, stale).unwrap();
             let mut sess = Session::new(LEN, None);
             sess.enable_warm_fork(dir.clone());

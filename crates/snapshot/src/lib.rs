@@ -45,8 +45,11 @@ pub const SNAPSHOT_MAGIC: &str = "ss-snapshot";
 /// (version 3 writes sequences as literal stretches and runs; version 4
 /// drops the degrade-mode fields from the CORE section and `SimStats`;
 /// version 5 writes each cache as flat tag-word and stamp arrays and the
-/// BTB as `sets × ways` entries with a packed LRU byte per set).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
+/// BTB as `sets × ways` entries with a packed LRU byte per set; version 6
+/// moves branch repair state out of the window: CORE queues each
+/// in-flight branch's direction metadata alone, and BPRED holds the one
+/// history/RAS repair point).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be used.
 #[derive(Debug, Clone, PartialEq, Eq)]
