@@ -229,9 +229,14 @@ fn seeded_corruption_campaign_yields_only_typed_errors() {
 /// registry kernel and every `rv:` program, 1K µ-ops into `SpecSched_4`.
 /// Largest measured (format 3): BPRED 3,478 B (`branchy_int`), MEM
 /// 40,168 B (`rand_medium`); the bounds are about twice that. Format 2
-/// wrote 288 KB and 329 KB on every cell.
+/// wrote 288 KB and 329 KB on every cell. CORE holds the in-flight
+/// window: largest 27,564 B (`crafty_like`, format 6), bounded with 19%
+/// headroom; format 5 wrote each in-flight branch's 851 B repair
+/// checkpoint into it, up to 98,286 B (`call_ret_mix`), and fails the
+/// bound on 15 of the 24 captures.
 #[test]
 fn warm_sections_stay_small_on_every_kernel_and_program() {
+    const CORE_BOUND: usize = 32 << 10;
     const BPRED_BOUND: usize = 7 << 10;
     const MEM_BOUND: usize = 80 << 10;
     let cfg = configs::spec_sched(4, true);
@@ -260,7 +265,9 @@ fn warm_sections_stay_small_on_every_kernel_and_program() {
             .expect("capture produces a snapshot");
         let size = |tag| snap.section(tag).expect("section present").len();
         let (bpred, mem) = (size(sections::BPRED), size(sections::MEM));
-        eprintln!("{name}: bpred {bpred} B, mem {mem} B");
+        let core = size(sections::CORE);
+        eprintln!("{name}: core {core} B, bpred {bpred} B, mem {mem} B");
+        assert!(core < CORE_BOUND, "{name}: CORE section {core} B");
         assert!(bpred < BPRED_BOUND, "{name}: BPRED section {bpred} B");
         assert!(mem < MEM_BOUND, "{name}: MEM section {mem} B");
     }
