@@ -557,8 +557,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 event = event.min(f.ready_at);
             }
         }
-        let wp_parked = self.wrong_path_mode && !self.cfg.wrong_path;
-        if self.frontend.len() < self.frontend_cap && !wp_parked {
+        if self.frontend.len() < self.frontend_cap {
             if self.fetch_stall_until <= c {
                 return None;
             }
@@ -766,8 +765,16 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         // Branch-metadata conservation: one queued meta per correct-path
         // branch in the frontend and the ROB.
         let is_cp_branch = |wrong_path: bool, uop: &MicroOp| !wrong_path && uop.class.is_branch();
-        let branches = self.frontend.iter().filter(|f| is_cp_branch(f.wrong_path, &f.uop)).count()
-            + self.rob.iter().filter(|e| is_cp_branch(e.wrong_path, &e.uop)).count();
+        let branches = self
+            .frontend
+            .iter()
+            .filter(|f| is_cp_branch(f.wrong_path, &f.uop))
+            .count()
+            + self
+                .rob
+                .iter()
+                .filter(|e| is_cp_branch(e.wrong_path, &e.uop))
+                .count();
         if branches != self.pred_metas.len() {
             return fail(format!(
                 "{} queued branch metas for {branches} correct-path branches in flight",
@@ -1093,7 +1100,10 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         self.stats.target_mispredicts += 1;
                     }
                     let b = e.uop.branch.expect("branch payload");
-                    let meta = self.pred_metas.pop_front().expect("committing branch has a meta");
+                    let meta = self
+                        .pred_metas
+                        .pop_front()
+                        .expect("committing branch has a meta");
                     let target = if b.taken { b.target } else { e.uop.next_pc() };
                     self.bpred.on_commit(e.uop.pc, kind, b.taken, target, &meta);
                 }
@@ -1407,7 +1417,8 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                     // path never consults the predictor, so this branch is
                     // still its last fetched one.
                     let b = uop.branch.expect("branch payload");
-                    self.bpred.on_mispredict(uop.pc, kind, b.taken, uop.next_pc());
+                    self.bpred
+                        .on_mispredict(uop.pc, kind, b.taken, uop.next_pc());
                     self.flush_younger_than(seq);
                     self.wrong_path_mode = false;
                     self.entry_mut(seq).expect("branch entry").mispred_handled = true;
@@ -2200,9 +2211,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         while fetched < self.cfg.frontend_width && self.frontend.len() < self.frontend_cap {
             // Obtain the next µ-op on the (predicted) fetch path.
             let (mut uop, wrong_path) = if self.wrong_path_mode {
-                if !self.cfg.wrong_path {
-                    break; // model without wrong-path fetch: just stall
-                }
                 (self.wp_gen.next_uop(), true)
             } else {
                 let u = self.next_correct_uop();

@@ -76,7 +76,6 @@ fn cfg(delay: u64) -> SimConfig {
         .issue_to_execute_delay(delay)
         .sched_policy(SchedPolicyKind::AlwaysHit)
         .banked_l1d(false)
-        .wrong_path(false)
         .build()
 }
 

@@ -406,12 +406,6 @@ pub struct SimConfig {
     /// Criticality counter width in bits (4).
     pub crit_counter_bits: u32,
 
-    // ---- modeling switches ----
-    /// Model wrong-path µ-ops after branch mispredictions (they issue,
-    /// consume resources and are squashed at resolve). Needed to reproduce
-    /// the paper's `Unique` issued-µ-op effects.
-    pub wrong_path: bool,
-
     // ---- robustness ----
     /// Cycles without a commit before the watchdog declares a deadlock
     /// (200 000 by default; tests shrink it to trigger the path cheaply).
@@ -633,7 +627,6 @@ impl Default for SimConfig {
             global_counter_bits: 4,
             crit_entries: 8192,
             crit_counter_bits: 4,
-            wrong_path: true,
             watchdog_cycles: 200_000,
             invariant_check_interval: 0,
             commit_log_window: 0,
@@ -717,12 +710,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables or disables wrong-path modeling.
-    pub fn wrong_path(mut self, on: bool) -> Self {
-        self.cfg.wrong_path = on;
-        self
-    }
-
     /// Overrides the branch predictor sizing.
     pub fn predictor(mut self, p: PredictorConfig) -> Self {
         self.cfg.predictor = p;
@@ -732,30 +719,6 @@ impl SimConfigBuilder {
     /// Overrides the L2 stride-prefetcher degree (0 disables).
     pub fn prefetch_degree(mut self, degree: u32) -> Self {
         self.cfg.prefetch_degree = degree;
-        self
-    }
-
-    /// Overrides the reorder-buffer size.
-    pub fn rob_entries(mut self, n: u32) -> Self {
-        self.cfg.rob_entries = n;
-        self
-    }
-
-    /// Overrides the issue-queue size.
-    pub fn iq_entries(mut self, n: u32) -> Self {
-        self.cfg.iq_entries = n;
-        self
-    }
-
-    /// Overrides the hit/miss filter size (power of two).
-    pub fn filter_entries(mut self, n: u32) -> Self {
-        self.cfg.filter_entries = n;
-        self
-    }
-
-    /// Overrides the DRAM timing model.
-    pub fn dram(mut self, dram: DramConfig) -> Self {
-        self.cfg.dram = dram;
         self
     }
 

@@ -75,30 +75,6 @@ fn full_policy_matrix_smoke() {
 }
 
 #[test]
-fn wrong_path_toggle_works() {
-    let len = RunLength {
-        warmup: 0,
-        measure: 10_000,
-    };
-    let with_wp = SimConfig::builder().issue_to_execute_delay(4).build();
-    let without_wp = SimConfig::builder()
-        .issue_to_execute_delay(4)
-        .wrong_path(false)
-        .build();
-    let a = run_kernel(with_wp, kernels::branchy_int(1), len);
-    let b = run_kernel(without_wp, kernels::branchy_int(1), len);
-    assert!(
-        a.wrong_path_issued > 1_000,
-        "branchy code must issue wrong-path µ-ops"
-    );
-    assert_eq!(b.wrong_path_issued, 0, "disabled wrong path issues nothing");
-    assert_eq!(
-        a.committed_uops,
-        b.committed_uops.max(10_000).min(a.committed_uops)
-    );
-}
-
-#[test]
 fn delay_sweep_is_monotone_for_conservative_chains() {
     let len = RunLength {
         warmup: 2_000,
