@@ -764,17 +764,10 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         }
         // Branch-metadata conservation: one queued meta per correct-path
         // branch in the frontend and the ROB.
-        let is_cp_branch = |wrong_path: bool, uop: &MicroOp| !wrong_path && uop.class.is_branch();
-        let branches = self
-            .frontend
-            .iter()
-            .filter(|f| is_cp_branch(f.wrong_path, &f.uop))
-            .count()
-            + self
-                .rob
-                .iter()
-                .filter(|e| is_cp_branch(e.wrong_path, &e.uop))
-                .count();
+        let branches = (self.frontend.iter().map(|f| (f.wrong_path, f.uop.class)))
+            .chain(self.rob.iter().map(|e| (e.wrong_path, e.uop.class)))
+            .filter(|&(wrong_path, class)| !wrong_path && class.is_branch())
+            .count();
         if branches != self.pred_metas.len() {
             return fail(format!(
                 "{} queued branch metas for {branches} correct-path branches in flight",
