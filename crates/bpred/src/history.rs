@@ -6,7 +6,7 @@
 //! are updated in O(1) per inserted bit (Seznec's circular-shift-register
 //! technique). Speculative fetch-time updates are repaired on a squash by
 //! restoring a [`HistoryCheckpoint`]; checkpoints are plain `Copy` data so
-//! taking one per in-flight branch costs no allocation.
+//! taking one per fetched branch costs no allocation.
 
 /// Capacity of the raw history ring in bits. Must comfortably exceed the
 /// longest geometric history plus the deepest speculative window so that
@@ -49,8 +49,7 @@ impl Folded {
 }
 
 /// Snapshot of the history state taken at prediction time; restoring it
-/// rewinds all speculative updates made since. `Copy`, so it can live in
-/// per-branch pipeline state without allocation. It keeps only the fold
+/// rewinds all speculative updates made since. It keeps only the fold
 /// values: widths and rotations are fixed by the configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryCheckpoint {

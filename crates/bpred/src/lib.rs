@@ -8,10 +8,8 @@
 //! tables in retirement order.
 //!
 //! The wrong path never consults the predictor, so a mispredicted branch
-//! is always the last branch fetched when it resolves. The predictor
-//! therefore keeps one repair point — the speculative history and RAS as
-//! they stood before the last fetched branch — instead of a checkpoint
-//! per in-flight branch.
+//! is the last branch fetched when it resolves: one repair point, not a
+//! checkpoint per in-flight branch, undoes its speculative updates.
 //!
 //! # Example
 //!
@@ -94,8 +92,7 @@ pub struct BranchPredictor {
     dir: Dir,
     btb: Btb,
     ras: Ras,
-    /// Taken by every [`BranchPredictor::on_branch_fetch`], read by
-    /// [`BranchPredictor::on_mispredict`].
+    /// Set by every fetch, restored by a misprediction.
     repair: Option<RepairPoint>,
 }
 
@@ -161,35 +158,30 @@ impl BranchPredictor {
             _ => (true, None),
         };
 
-        // Target selection.
+        let popped = self.speculate(pc, kind, taken, fallthrough);
         let target = if taken {
-            match kind {
-                BranchKind::Return => self.ras.pop().or_else(|| self.btb.lookup(pc)),
-                _ => self.btb.lookup(pc),
-            }
+            popped.or_else(|| self.btb.lookup(pc))
         } else {
             None
         };
-        if matches!(kind, BranchKind::Call) {
-            self.ras.push(fallthrough);
-        }
-        // Speculative history insertion for conditional branches.
-        if matches!(kind, BranchKind::Conditional) {
-            if let Dir::Tage(t) = &mut self.dir {
-                t.push_history(taken, pc);
-            }
-        }
-
-        let next_pc = if taken {
-            target.unwrap_or(fallthrough)
-        } else {
-            fallthrough
-        };
         BranchPrediction {
             taken,
-            next_pc,
+            next_pc: target.unwrap_or(fallthrough),
             meta: PredMeta { dir: dir_meta },
         }
+    }
+
+    /// A branch's own speculative update, given its direction: a call
+    /// pushes its return address, a return pops the RAS (returning the
+    /// popped address) and a conditional shifts into the TAGE history.
+    fn speculate(&mut self, pc: Pc, kind: BranchKind, taken: bool, fallthrough: Pc) -> Option<Pc> {
+        match (kind, &mut self.dir) {
+            (BranchKind::Call, _) => self.ras.push(fallthrough),
+            (BranchKind::Return, _) => return self.ras.pop(),
+            (BranchKind::Conditional, Dir::Tage(t)) => t.push_history(taken, pc),
+            _ => {}
+        }
+        None
     }
 
     /// Repairs speculative state after Execute discovers a misprediction
@@ -203,28 +195,14 @@ impl BranchPredictor {
     /// [`Self::on_branch_fetch`]: a caller that fetched a later branch
     /// first has lost the state this repair needs.
     pub fn on_mispredict(&mut self, pc: Pc, kind: BranchKind, actual_taken: bool, fallthrough: Pc) {
-        let rp = self.repair.expect("on_mispredict before any branch fetch");
-        assert_eq!(
-            rp.pc, pc,
-            "on_mispredict for {pc:?}, but the last fetched branch is {:?}",
-            rp.pc
-        );
+        let Some(rp) = self.repair.filter(|rp| rp.pc == pc) else {
+            panic!("on_mispredict for {pc:?}, which is not the last fetched branch");
+        };
         if let (Dir::Tage(t), Some(cp)) = (&mut self.dir, &rp.hist) {
             t.restore(cp);
         }
         self.ras.restore(&rp.ras);
-        match kind {
-            BranchKind::Call => self.ras.push(fallthrough),
-            BranchKind::Return => {
-                let _ = self.ras.pop();
-            }
-            _ => {}
-        }
-        if matches!(kind, BranchKind::Conditional) {
-            if let Dir::Tage(t) = &mut self.dir {
-                t.push_history(actual_taken, pc);
-            }
-        }
+        self.speculate(pc, kind, actual_taken, fallthrough);
     }
 
     /// Trains the direction tables and the BTB with the resolved outcome,

@@ -3,8 +3,7 @@
 
 use ss_types::Pc;
 
-/// Maximum supported RAS capacity (checkpoints are full copies, kept
-/// `Copy` to avoid per-branch allocation).
+/// Maximum supported RAS capacity (checkpoints are full `Copy` copies).
 const MAX_RAS: usize = 64;
 
 /// A full-copy RAS checkpoint; restoring undoes all speculative

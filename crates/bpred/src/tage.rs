@@ -100,11 +100,6 @@ impl Tage {
         }
     }
 
-    /// History lengths in use (exposed for tests/diagnostics).
-    pub fn history_lengths(&self) -> &[usize] {
-        &self.lengths
-    }
-
     fn index(&self, pc: Pc, c: usize) -> u32 {
         let mask = (1u32 << self.index_bits) - 1;
         let pc_bits = (pc.get() >> 2) as u32;
