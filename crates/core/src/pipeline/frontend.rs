@@ -106,9 +106,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     }
 
     pub(super) fn fetch(&mut self) {
-        if self.now < self.fetch_stall_until {
-            return;
-        }
         let mut fetched = 0;
         let mut taken_branches = 0;
         let mut cur_block: Option<u64> = None;

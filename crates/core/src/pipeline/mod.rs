@@ -71,6 +71,30 @@ pub struct WorkCounts {
     pub registrations: u64,
 }
 
+/// The pipeline stages [`Simulator::tick`] steps, in order. Each has one
+/// gate, [`Simulator::due`]: the earliest cycle it has work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Wake revisions whose hit/miss signal has arrived.
+    DeferredWakes,
+    Commit,
+    Execute,
+    Issue,
+    Dispatch,
+    Fetch,
+}
+
+impl Stage {
+    const ALL: [Stage; 6] = [
+        Stage::DeferredWakes,
+        Stage::Commit,
+        Stage::Execute,
+        Stage::Issue,
+        Stage::Dispatch,
+        Stage::Fetch,
+    ];
+}
+
 /// The simulator: one out-of-order core running one trace.
 ///
 /// Generic over a [`TraceSink`] so observability is a compile-time
@@ -391,69 +415,94 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         Ok(self.stats())
     }
 
-    /// Advances the machine one cycle, calling each stage in order:
+    /// Advances the machine one cycle, stepping each [`Stage`] in order:
     /// deferred wakes, commit, execute, issue, dispatch, fetch.
     ///
-    /// The first four are *gated*: a stage is called only when its
-    /// no-op condition does not hold. Each gate is checked immediately
-    /// before its stage, so it sees exactly the state the stage would
-    /// (a stage that runs can arm the next — commit firing a store
-    /// release, execute pushing a squash into recovery). Gates are
-    /// conservative: a false positive calls a stage that early-exits;
-    /// the no-op conditions make false negatives impossible:
-    ///
-    /// * deferred wakes — nothing due (`min apply_at > now`);
-    /// * commit — ROB head absent, not `Done`, or `done_at > now`;
-    /// * execute — no in-flight group due (`issue_cycle + delay + 1`);
-    /// * issue — no drainable scheduler event (due timer, woken
-    ///   watcher, store release) and both ready sets empty: IQ µ-ops and
-    ///   recovery-buffer members register with the same event-driven
-    ///   scheduler, so one set of checks covers both.
-    ///
-    /// Dispatch and fetch exit on their first check when they have
-    /// nothing to do. Debug builds assert on every tick, once the
-    /// cycle's scheduler events are drained, that no selectable recovery
-    /// member lacks its ready bit.
+    /// A stage runs when its gate, [`Self::due`], says its work has come.
+    /// Each gate is read immediately before its stage, so it sees exactly
+    /// the state the stage would (a stage that runs can arm the next:
+    /// commit firing a store release, execute pushing a squash into
+    /// recovery). Gates are conservative: an open gate may run a stage
+    /// that then finds nothing to do, but a closed one never skips work.
+    /// Debug builds assert on every tick, once the cycle's scheduler
+    /// events are drained, that no selectable recovery member lacks its
+    /// ready bit.
     pub fn tick(&mut self) {
         self.work.ticks += 1;
         self.now += 1;
         self.stats.cycles += 1;
-        let now = self.now;
-
-        if self.deferred_wakes.iter().any(|&(at, _, _)| at <= now) {
-            self.apply_deferred_wakes();
+        for stage in Stage::ALL {
+            if self.due(stage) > self.now {
+                #[cfg(debug_assertions)]
+                if stage == Stage::Issue {
+                    self.assert_no_stranded_recovery();
+                }
+                continue;
+            }
+            match stage {
+                Stage::DeferredWakes => self.apply_deferred_wakes(),
+                Stage::Commit => self.commit(),
+                Stage::Execute => self.execute(),
+                Stage::Issue => {
+                    self.work.issue_calls += 1;
+                    self.issue();
+                }
+                Stage::Dispatch => self.dispatch(),
+                Stage::Fetch => self.fetch(),
+            }
         }
-        if self
-            .rob
-            .front()
-            .is_some_and(|h| h.state == UopState::Done && h.done_at <= now)
-        {
-            self.commit();
-        }
-        if self
-            .inflight
-            .front()
-            .is_some_and(|&(c, _)| c + self.delay < now)
-        {
-            self.execute();
-        }
-        let issue_needed = self.sched.recovery_ready_len() > 0
-            || self.sched.ready_len() > 0
-            || self.rename.has_woken()
-            || self.sched.has_store_woken()
-            || self.sched.next_due().is_some_and(|d| d <= now);
-        if issue_needed {
-            self.work.issue_calls += 1;
-            self.issue();
-        } else {
-            #[cfg(debug_assertions)]
-            self.assert_no_stranded_recovery();
-        }
-
-        self.dispatch();
-        self.fetch();
         if S::ENABLED {
             self.record_occupancy();
+        }
+    }
+
+    /// The earliest cycle `stage` has work: the one gate both
+    /// [`Self::tick`] and quiet skip read. [`Cycle::NEVER`] means no
+    /// work until another stage acts; [`Cycle::ZERO`] means work is
+    /// pending now.
+    ///
+    /// * deferred wakes — the first revision's `apply_at`;
+    /// * commit — a `Done` ROB head's `done_at`;
+    /// * execute — the oldest in-flight group's `issue_cycle + delay + 1`;
+    /// * issue — now if a scheduler event is pending (a marked ready set,
+    ///   woken watcher or store release), else the next timer: IQ µ-ops
+    ///   and recovery-buffer members register with the same event-driven
+    ///   scheduler, so one gate covers both;
+    /// * dispatch — the frontend head's `ready_at`;
+    /// * fetch — `fetch_stall_until` while the frontend has room.
+    ///
+    /// `&mut` because reading the next timer drops stale heap heads.
+    #[inline]
+    fn due(&mut self, stage: Stage) -> Cycle {
+        match stage {
+            Stage::DeferredWakes => {
+                (self.deferred_wakes.iter().map(|&(at, _, _)| at).min()).unwrap_or(Cycle::NEVER)
+            }
+            Stage::Commit => match self.rob.front() {
+                Some(head) if head.state == UopState::Done => head.done_at,
+                _ => Cycle::NEVER,
+            },
+            Stage::Execute => (self.inflight.front())
+                .map_or(Cycle::NEVER, |&(issued_at, _)| issued_at + self.delay + 1),
+            Stage::Issue => {
+                if self.sched.ready_len() > 0
+                    || self.sched.recovery_ready_len() > 0
+                    || self.rename.has_woken()
+                    || self.sched.has_store_woken()
+                {
+                    Cycle::ZERO
+                } else {
+                    self.sched.next_due().unwrap_or(Cycle::NEVER)
+                }
+            }
+            Stage::Dispatch => self.frontend.front().map_or(Cycle::NEVER, |f| f.ready_at),
+            Stage::Fetch => {
+                if self.frontend.len() < self.frontend_cap {
+                    self.fetch_stall_until
+                } else {
+                    Cycle::NEVER
+                }
+            }
         }
     }
 
@@ -481,67 +530,30 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// Returns `Some((n, dispatch_stall))` when cycles `now+1 ..= now+n`
     /// are all quiet (`dispatch_stall` reports whether each of them
     /// would have counted a dispatch stall), `None` when the next cycle
-    /// is (or may be) busy. The per-stage no-op conditions are those of
-    /// [`Self::tick`]; everything else the stages consult
-    /// (scoreboard wake/avail times, memory hierarchy, predictors,
-    /// fault windows) is only read when one of them fires, so the
-    /// earliest stage event bounds the skip. Conservative by
+    /// is (or may be) busy. The skip ends before the earliest stage gate
+    /// ([`Self::due`]); everything else the stages consult (scoreboard
+    /// wake/avail times, memory hierarchy, predictors, fault windows) is
+    /// only read when one of them runs. The one exception is a ready
+    /// frontend head blocked on a structural resource: dispatch only
+    /// counts a stall cycle until another stage frees the resource, so
+    /// the probe counts it and reads the gate as closed. Conservative by
     /// construction: anything this cannot bound (e.g. a ready-but-port-
     /// blocked µ-op) reports busy and falls back to a real cycle.
     fn quiet_skip(&mut self) -> Option<(u64, bool)> {
         let c = self.now + 1;
-        // Cheapest busy checks first: scheduler events pending this cycle.
-        if self.sched.ready_len() > 0
-            || self.sched.recovery_ready_len() > 0
-            || self.rename.has_woken()
-            || self.sched.has_store_woken()
-        {
-            return None;
-        }
         let mut event = Cycle::NEVER;
-        if let Some(head) = self.rob.front() {
-            if head.state == UopState::Done {
-                if head.done_at <= c {
-                    return None;
-                }
-                event = event.min(head.done_at);
-            }
-        }
-        if let Some((issued_at, _)) = self.inflight.front() {
-            let due = *issued_at + self.delay + 1;
-            if due <= c {
-                return None;
-            }
-            event = event.min(due);
-        }
-        for &(apply_at, _, _) in &self.deferred_wakes {
-            if apply_at <= c {
-                return None;
-            }
-            event = event.min(apply_at);
-        }
-        if let Some(due) = self.sched.next_due() {
-            if due <= c {
-                return None;
-            }
-            event = event.min(due);
-        }
         let mut dispatch_stall = false;
-        if let Some(f) = self.frontend.front() {
-            if f.ready_at <= c {
-                if !self.dispatch_blocked(&f.uop) {
-                    return None;
-                }
+        for stage in Stage::ALL {
+            let due = self.due(stage);
+            if due > c {
+                event = event.min(due);
+            } else if stage == Stage::Dispatch
+                && (self.frontend.front()).is_some_and(|f| self.dispatch_blocked(&f.uop))
+            {
                 dispatch_stall = true;
             } else {
-                event = event.min(f.ready_at);
-            }
-        }
-        if self.frontend.len() < self.frontend_cap {
-            if self.fetch_stall_until <= c {
                 return None;
             }
-            event = event.min(self.fetch_stall_until);
         }
         if event == Cycle::NEVER {
             // Nothing will ever happen again; the caller's watchdog clamp

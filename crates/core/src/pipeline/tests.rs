@@ -58,11 +58,10 @@ fn restore_mid_replay_storm_matches_an_uninterrupted_run() {
     let snap = loop {
         assert!(src.stats.committed_uops < TARGET, "no restore point found");
         let c = src.now + 1;
-        let wakes_due = src.deferred_wakes.iter().any(|&(at, _, _)| at <= c);
-        let commit_due =
-            (src.rob.front()).is_some_and(|h| h.state == UopState::Done && h.done_at <= c);
-        let execute_due = (src.inflight.front()).is_some_and(|&(at, _)| at + src.delay < c);
-        if src.sched.recovery_ready_len() > 0 && !(wakes_due || commit_due || execute_due) {
+        let others_due = [Stage::DeferredWakes, Stage::Commit, Stage::Execute]
+            .into_iter()
+            .any(|stage| src.due(stage) <= c);
+        if src.sched.recovery_ready_len() > 0 && !others_due {
             break src.capture();
         }
         src.tick();
