@@ -2,22 +2,50 @@
 //! selection, port arbitration and wakeup speculation.
 
 use super::Simulator;
-use crate::window::{RobEntry, UopState};
+use crate::window::UopState;
 use ss_sched::WakeupDecision;
 use ss_types::trace::{TraceEvent, TraceSink};
-use ss_types::{Cycle, OpClass, ReplayCause, SeqNum, ShiftPolicy};
+use ss_types::{Cycle, OpClass, ReplayCause, SeqNum, ShiftPolicy, SimConfig};
 use ss_workloads::TraceSource;
 
-/// Per-cycle issue-stage context shared by the replay and scheduler
-/// selection loops (drives Schedule Shifting decisions).
-#[derive(Debug, Default)]
-struct IssueCycleState {
+/// One cycle's issue-stage budget and context, shared by the recovery
+/// and IQ selection loops: the issue slots and ports left (the Table 1
+/// mix), and what drives Schedule Shifting and the banked-PRF model.
+#[derive(Debug)]
+struct IssueCycle {
+    width: u32,
+    alu: u32,
+    muldiv: u32,
+    fp: u32,
+    /// FP multiply/divide ports.
+    fpmd: u32,
+    /// Load/store and store-only port slots.
+    mem: u32,
+    /// Load slots (two with dual load issue).
+    loads: u32,
     loads_issued: u32,
     /// Predicted bank of the first load issued this cycle (only tracked
     /// under [`ShiftPolicy::Predicted`]).
     first_load_bank: Option<u8>,
     /// PRF reads per (register class, bank) this cycle (banked-PRF model).
     prf_reads: [[u8; 16]; 2],
+}
+
+impl IssueCycle {
+    fn new(cfg: &SimConfig) -> Self {
+        IssueCycle {
+            width: cfg.issue_width,
+            alu: cfg.alu_ports,
+            muldiv: cfg.muldiv_ports,
+            fp: cfg.fp_ports,
+            fpmd: cfg.fpmuldiv_ports,
+            mem: cfg.ldst_ports + cfg.store_only_ports,
+            loads: cfg.max_loads_per_cycle(),
+            loads_issued: 0,
+            first_load_bank: None,
+            prf_reads: [[0; 16]; 2],
+        }
+    }
 }
 
 impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
@@ -206,14 +234,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             // A replay squashed this cycle: selection is suppressed.
             return;
         }
-        let mut width = self.cfg.issue_width;
-        let mut alu = self.cfg.alu_ports;
-        let mut muldiv = self.cfg.muldiv_ports;
-        let mut fp = self.cfg.fp_ports;
-        let mut fpmd = self.cfg.fpmuldiv_ports;
-        let mut mem_slots = self.cfg.ldst_ports + self.cfg.store_only_ports;
-        let mut load_slots = self.cfg.max_loads_per_cycle();
-        let mut cycle_state = IssueCycleState::default();
+        let mut cycle = IssueCycle::new(&self.cfg);
         let mut issued_group: Vec<SeqNum> = self.group_pool.get();
 
         // Recovery buffer first (Morancho-style): oldest group first,
@@ -235,32 +256,14 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             }
         }
         for &seq in &candidates {
-            if width == 0 {
+            if cycle.width == 0 {
                 break;
             }
             self.work.recovery_visits += 1;
-            if !self.ready_to_issue(seq) {
-                self.sched_register(seq);
-                continue;
+            if self.try_issue(seq, &mut cycle) {
+                self.stats.recovery_buffer_replays += 1;
+                issued_group.push(seq);
             }
-            if !Self::take_ports(
-                self.entry(seq).expect("entry").uop.class,
-                self.now,
-                &mut width,
-                &mut alu,
-                &mut muldiv,
-                &mut fp,
-                &mut fpmd,
-                &mut mem_slots,
-                &mut load_slots,
-                &mut self.muldiv_free,
-                &mut self.fpdiv_free,
-            ) {
-                continue;
-            }
-            self.do_issue(seq, &mut cycle_state);
-            self.stats.recovery_buffer_replays += 1;
-            issued_group.push(seq);
         }
         // Only replays are in the issue group so far.
         if !issued_group.is_empty() {
@@ -277,7 +280,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         // candidate re-parks it; issue clears bits), so resuming after
         // the last processed age sees exactly the survivors a single
         // full collection would have. Batches reuse the scratch buffer.
-        if width > 0 {
+        if cycle.width > 0 {
             /// Ready entries pulled per batch: comfortably above the
             /// 6-wide issue width, small enough to keep the common case
             /// at one batch.
@@ -304,38 +307,13 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                     break;
                 };
                 for &seq in &candidates {
-                    if width == 0 {
+                    if cycle.width == 0 {
                         break 'select;
                     }
                     self.work.select_checks += 1;
-                    // Lazy invalidation: a ready bit may have gone stale
-                    // since it was set (producer squashed, wakeup revised
-                    // later, store dependence re-armed). Re-verify and
-                    // re-park on mismatch — `sched_register` re-derives
-                    // the same conditions `ready_to_issue` checks, so a
-                    // not-ready entry can never re-mark itself ready.
-                    let live = self.entry(seq).is_some_and(RobEntry::is_iq_waiting);
-                    debug_assert!(live, "ready bit on non-IQ-waiting µ-op {seq}");
-                    if !live || !self.ready_to_issue(seq) {
-                        self.sched_register(seq);
+                    if !self.try_issue(seq, &mut cycle) {
                         continue;
                     }
-                    if !Self::take_ports(
-                        self.entry(seq).expect("entry").uop.class,
-                        self.now,
-                        &mut width,
-                        &mut alu,
-                        &mut muldiv,
-                        &mut fp,
-                        &mut fpmd,
-                        &mut mem_slots,
-                        &mut load_slots,
-                        &mut self.muldiv_free,
-                        &mut self.fpdiv_free,
-                    ) {
-                        continue;
-                    }
-                    self.do_issue(seq, &mut cycle_state);
                     if first_iq_issue {
                         // The oldest ready IQ entry this cycle:
                         // QOLD-critical.
@@ -411,77 +389,93 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         true
     }
 
-    /// Port/unit arbitration. Returns false if the µ-op cannot issue this
-    /// cycle for structural reasons.
-    #[allow(clippy::too_many_arguments)]
-    fn take_ports(
-        class: OpClass,
-        now: Cycle,
-        width: &mut u32,
-        alu: &mut u32,
-        muldiv: &mut u32,
-        fp: &mut u32,
-        fpmd: &mut u32,
-        mem_slots: &mut u32,
-        load_slots: &mut u32,
-        muldiv_free: &mut Cycle,
-        fpdiv_free: &mut [Cycle; 2],
-    ) -> bool {
-        debug_assert!(*width > 0);
+    /// The selection step both loops share. Re-verifies `seq` and, on a
+    /// mismatch, re-registers it (lazy invalidation: a ready bit may
+    /// have gone stale since it was set — producer squashed, wakeup
+    /// revised later, store dependence re-armed — and `sched_register`
+    /// re-derives the conditions `ready_to_issue` checks, so a not-ready
+    /// entry never re-marks itself ready). Then takes its ports and
+    /// issues it. Returns whether it issued.
+    #[inline]
+    fn try_issue(&mut self, seq: SeqNum, cycle: &mut IssueCycle) -> bool {
+        let live = (self.entry(seq)).is_some_and(|e| e.is_iq_waiting() || e.is_recovery_waiting());
+        debug_assert!(
+            live,
+            "ready bit on µ-op {seq}, which is not waiting to issue"
+        );
+        if !live || !self.ready_to_issue(seq) {
+            self.sched_register(seq);
+            return false;
+        }
+        let class = self.entry(seq).expect("entry").uop.class;
+        if !self.take_ports(class, cycle) {
+            return false;
+        }
+        self.do_issue(seq, cycle);
+        true
+    }
+
+    /// Port/unit arbitration: takes an issue slot and the port `class`
+    /// needs from `cycle`, or returns false, taking nothing, when one is
+    /// spent or the class's unpipelined divider is still busy.
+    #[inline]
+    fn take_ports(&mut self, class: OpClass, cycle: &mut IssueCycle) -> bool {
+        debug_assert!(cycle.width > 0);
+        let now = self.now;
         match class {
             OpClass::IntAlu | OpClass::Branch(_) => {
-                if *alu == 0 {
+                if cycle.alu == 0 {
                     return false;
                 }
-                *alu -= 1;
+                cycle.alu -= 1;
             }
             OpClass::IntMul | OpClass::IntDiv => {
-                if *muldiv == 0 || *muldiv_free > now {
+                if cycle.muldiv == 0 || self.muldiv_free > now {
                     return false;
                 }
-                *muldiv -= 1;
+                cycle.muldiv -= 1;
                 if class == OpClass::IntDiv {
-                    *muldiv_free = now + class.base_latency();
+                    self.muldiv_free = now + class.base_latency();
                 }
             }
             OpClass::FpAlu => {
-                if *fp == 0 {
+                if cycle.fp == 0 {
                     return false;
                 }
-                *fp -= 1;
+                cycle.fp -= 1;
             }
             OpClass::FpMul | OpClass::FpDiv => {
-                if *fpmd == 0 {
+                if cycle.fpmd == 0 {
                     return false;
                 }
-                let Some(port) = fpdiv_free.iter().position(|&f| f <= now) else {
+                let Some(port) = self.fpdiv_free.iter().position(|&f| f <= now) else {
                     return false;
                 };
-                *fpmd -= 1;
+                cycle.fpmd -= 1;
                 if class == OpClass::FpDiv {
-                    fpdiv_free[port] = now + class.base_latency();
+                    self.fpdiv_free[port] = now + class.base_latency();
                 }
             }
             OpClass::Load => {
-                if *mem_slots == 0 || *load_slots == 0 {
+                if cycle.mem == 0 || cycle.loads == 0 {
                     return false;
                 }
-                *mem_slots -= 1;
-                *load_slots -= 1;
+                cycle.mem -= 1;
+                cycle.loads -= 1;
             }
             OpClass::Store => {
-                if *mem_slots == 0 {
+                if cycle.mem == 0 {
                     return false;
                 }
-                *mem_slots -= 1;
+                cycle.mem -= 1;
             }
         }
-        *width -= 1;
+        cycle.width -= 1;
         true
     }
 
     /// Issues one µ-op: bookkeeping, wakeup speculation, stats.
-    fn do_issue(&mut self, seq: SeqNum, cycle_state: &mut IssueCycleState) {
+    fn do_issue(&mut self, seq: SeqNum, cycle: &mut IssueCycle) {
         let delay = self.delay;
         let now = self.now;
         let load_to_use = self.cfg.l1d_load_to_use;
@@ -523,7 +517,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         if let Some(pb) = self.cfg.prf_banking {
             for src in srcs.iter().flatten() {
                 let bank = src.reg.index() % pb.banks as usize;
-                let reads = &mut cycle_state.prf_reads[src.class.index()][bank];
+                let reads = &mut cycle.prf_reads[src.class.index()][bank];
                 *reads += 1;
                 if u32::from(*reads) > pb.read_ports_per_bank {
                     prf_delay = 1;
@@ -535,22 +529,22 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             match uop.class {
                 OpClass::Load => {
                     let decision = self.engine.decide(uop.pc);
-                    cycle_state.loads_issued += 1;
+                    cycle.loads_issued += 1;
                     let shifted = match self.cfg.shift_policy {
                         ShiftPolicy::Off => false,
-                        ShiftPolicy::Always => cycle_state.loads_issued == 2,
+                        ShiftPolicy::Always => cycle.loads_issued == 2,
                         ShiftPolicy::Predicted => {
                             // Shift only if this load and the group's
                             // first load are confidently predicted to hit
                             // the same bank (Yoaz-style).
                             let my_pred = self.bank_pred.predict(uop.pc);
-                            let conflict = cycle_state.loads_issued == 2
-                                && match (cycle_state.first_load_bank, my_pred) {
+                            let conflict = cycle.loads_issued == 2
+                                && match (cycle.first_load_bank, my_pred) {
                                     (Some(a), Some(b)) => a == b,
                                     _ => false,
                                 };
-                            if cycle_state.loads_issued == 1 {
-                                cycle_state.first_load_bank = my_pred;
+                            if cycle.loads_issued == 1 {
+                                cycle.first_load_bank = my_pred;
                             }
                             conflict
                         }
