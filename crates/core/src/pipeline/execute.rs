@@ -119,15 +119,8 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         self.stats.add_replay_event(cause);
                         self.stats.add_replayed(cause, 1);
                         let mut group = self.group_pool.get();
-                        self.squash_one(seq, &mut group);
-                        if S::ENABLED {
-                            self.record_squash(seq, trigger, cause);
-                        }
-                        if !group.is_empty() {
-                            self.recovery.push_back((self.now, group));
-                        } else {
-                            self.group_pool.put(group);
-                        }
+                        self.squash_one(seq, &mut group, trigger, cause);
+                        self.enqueue_recovery(self.now, group, false);
                     }
                     ReplayScheme::Refetch => {
                         // Branch-misprediction-style recovery: squash from
@@ -170,6 +163,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// Trace helper: records a replay squash for `seq`, plus its
     /// recovery-buffer reinsertion when the squash routed it there.
     /// Callers guard with `S::ENABLED`.
+    #[inline]
     fn record_squash(&mut self, seq: SeqNum, trigger: SeqNum, cause: ReplayCause) {
         self.sink.record(TraceEvent::ReplaySquash {
             cycle: self.now,
@@ -460,17 +454,10 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                     continue;
                 }
                 squashed += 1;
-                self.squash_one(seq, &mut recovery_group);
-                if S::ENABLED {
-                    self.record_squash(seq, trigger, cause);
-                }
+                self.squash_one(seq, &mut recovery_group, trigger, cause);
             }
             self.group_pool.put(group);
-            if !recovery_group.is_empty() {
-                self.recovery.push_back((issue_cycle, recovery_group));
-            } else {
-                self.group_pool.put(recovery_group);
-            }
+            self.enqueue_recovery(issue_cycle, recovery_group, false);
         }
         // The µ-op that detected the misspeculation is part of the
         // squashed window too (its group was popped before this call);
@@ -489,25 +476,38 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         let mut recovery_group = self.group_pool.get();
         for &seq in &stragglers {
             squashed += 1;
-            self.squash_one(seq, &mut recovery_group);
-            if S::ENABLED {
-                self.record_squash(seq, trigger, cause);
-            }
+            self.squash_one(seq, &mut recovery_group, trigger, cause);
         }
         stragglers.clear();
         self.scratch_squash = stragglers;
-        if !recovery_group.is_empty() {
-            self.recovery.push_front((exec_cycle, recovery_group));
-        } else {
-            self.group_pool.put(recovery_group);
-        }
+        self.enqueue_recovery(exec_cycle, recovery_group, true);
         self.stats.add_replayed(cause, squashed);
     }
 
+    /// Queues a recovery group a squash filled, keyed by `cycle`, behind
+    /// the buffer's others (at its head when `oldest`), or returns it to
+    /// the pool when the squash routed nothing to the buffer.
+    fn enqueue_recovery(&mut self, cycle: Cycle, group: Vec<SeqNum>, oldest: bool) {
+        if group.is_empty() {
+            self.group_pool.put(group);
+        } else if oldest {
+            self.recovery.push_front((cycle, group));
+        } else {
+            self.recovery.push_back((cycle, group));
+        }
+    }
+
     /// Squashes one issued-but-unexecuted µ-op back to a re-issuable
-    /// state. Memory µ-ops still hold their IQ entry and re-issue from
-    /// the scheduler; others go to the recovery buffer.
-    fn squash_one(&mut self, seq: SeqNum, recovery_group: &mut Vec<SeqNum>) {
+    /// state, tracing it against `trigger` and `cause`. Memory µ-ops
+    /// still hold their IQ entry and re-issue from the scheduler; others
+    /// go to the recovery buffer.
+    fn squash_one(
+        &mut self,
+        seq: SeqNum,
+        recovery_group: &mut Vec<SeqNum>,
+        trigger: SeqNum,
+        cause: ReplayCause,
+    ) {
         let e = self.entry_mut(seq).expect("squash target");
         e.state = UopState::Waiting;
         let is_mem = e.uop.class.is_mem();
@@ -522,6 +522,9 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         // Memory µ-ops went back to IQ-waiting, the rest to the recovery
         // buffer; both register with the scheduler.
         self.sched_register(seq);
+        if S::ENABLED {
+            self.record_squash(seq, trigger, cause);
+        }
     }
 
     /// Squashes `from` and everything younger back to re-issue (memory-
@@ -551,7 +554,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             let pc = e.uop.pc;
             let dst = e.dst;
             let mut reacquire_iq = false;
-            let mut entered_recovery = false;
             if is_mem {
                 // Re-acquire the IQ entry it released at execute.
                 if was_done && !e.holds_iq {
@@ -564,7 +566,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             } else if !e.in_recovery {
                 e.in_recovery = true;
                 recovery_group.push(seq);
-                entered_recovery = true;
             }
             if reacquire_iq {
                 self.iq_used += 1;
@@ -579,29 +580,13 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             self.sched_register(seq);
             if S::ENABLED {
                 if let Some((trigger, cause)) = traced {
-                    self.sink.record(TraceEvent::ReplaySquash {
-                        cycle: self.now,
-                        seq,
-                        trigger,
-                        cause,
-                    });
-                    if entered_recovery {
-                        self.sink.record(TraceEvent::RecoveryEnter {
-                            cycle: self.now,
-                            seq,
-                        });
-                    }
+                    self.record_squash(seq, trigger, cause);
                 }
             }
         }
         seqs.clear();
         self.scratch_squash = seqs;
-        // Drop stale in-flight bookkeeping; entries re-validate by state.
-        if !recovery_group.is_empty() {
-            self.recovery.push_back((self.now, recovery_group));
-        } else {
-            self.group_pool.put(recovery_group);
-        }
+        self.enqueue_recovery(self.now, recovery_group, false);
         n_squashed
     }
 }
