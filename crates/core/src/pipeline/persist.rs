@@ -50,6 +50,21 @@ fn corrupt(reason: impl Into<String>) -> SimError {
     }
 }
 
+/// Generates `save_core` and `restore_core` from one list of the CORE
+/// section's fields, in on-disk order.
+macro_rules! core_fields {
+    ($($field:ident),* $(,)?) => {
+        fn save_core(&self, w: &mut Writer) {
+            $(self.$field.save(w);)*
+        }
+
+        fn restore_core(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+            $(self.$field = Persist::load(r)?;)*
+            Ok(())
+        }
+    };
+}
+
 impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
     /// Serializes the complete architectural and microarchitectural state
     /// of the machine into a versioned snapshot. A [`Simulator`] built
@@ -61,36 +76,7 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
     /// Capture at a quiescent point — after a `try_run_committed` call —
     /// never mid-`tick`.
     pub fn capture(&self) -> ss_snapshot::Snapshot {
-        let core = section_of(sections::CORE, |w| {
-            self.now.save(w);
-            self.next_seq.save(w);
-            self.rob.save(w);
-            self.frontend.save(w);
-            self.pred_metas.save(w);
-            self.inflight.save(w);
-            self.recovery.save(w);
-            self.iq_used.save(w);
-            self.lq_used.save(w);
-            self.sq_used.save(w);
-            self.store_ring.save(w);
-            self.muldiv_free.save(w);
-            self.fpdiv_free.save(w);
-            self.issue_blocked_at.save(w);
-            self.wrong_path_mode.save(w);
-            self.pending_correct.save(w);
-            self.fetch_stall_until.save(w);
-            self.last_commit_at.save(w);
-            self.deferred_wakes.save(w);
-            self.recent_load_addrs.save(w);
-            self.recent_load_idx.save(w);
-            self.wp_rng.save(w);
-            self.fault_plan.save(w);
-            self.commit_ring.save(w);
-            self.wakeup_bug_armed.save(w);
-            self.wakeup_bug_fired.save(w);
-            self.stats.save(w);
-            self.memdep_violations.save(w);
-        });
+        let core = section_of(sections::CORE, |w| self.save_core(w));
         let trace = section_of(sections::TRACE, |w| {
             self.trace.save_state(w);
             self.wp_gen.save_state(w);
@@ -200,36 +186,13 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
         }
     }
 
-    fn restore_core(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.now = Persist::load(r)?;
-        self.next_seq = Persist::load(r)?;
-        self.rob = Persist::load(r)?;
-        self.frontend = Persist::load(r)?;
-        self.pred_metas = Persist::load(r)?;
-        self.inflight = Persist::load(r)?;
-        self.recovery = Persist::load(r)?;
-        self.iq_used = Persist::load(r)?;
-        self.lq_used = Persist::load(r)?;
-        self.sq_used = Persist::load(r)?;
-        self.store_ring = Persist::load(r)?;
-        self.muldiv_free = Persist::load(r)?;
-        self.fpdiv_free = Persist::load(r)?;
-        self.issue_blocked_at = Persist::load(r)?;
-        self.wrong_path_mode = Persist::load(r)?;
-        self.pending_correct = Persist::load(r)?;
-        self.fetch_stall_until = Persist::load(r)?;
-        self.last_commit_at = Persist::load(r)?;
-        self.deferred_wakes = Persist::load(r)?;
-        self.recent_load_addrs = Persist::load(r)?;
-        self.recent_load_idx = Persist::load(r)?;
-        self.wp_rng = Persist::load(r)?;
-        self.fault_plan = Persist::load(r)?;
-        self.commit_ring = Persist::load(r)?;
-        self.wakeup_bug_armed = Persist::load(r)?;
-        self.wakeup_bug_fired = Persist::load(r)?;
-        self.stats = Persist::load(r)?;
-        self.memdep_violations = Persist::load(r)?;
-        Ok(())
+    // The CORE section, in on-disk order.
+    core_fields! {
+        now, next_seq, rob, frontend, pred_metas, inflight, recovery, iq_used, lq_used,
+        sq_used, store_ring, muldiv_free, fpdiv_free, issue_blocked_at, wrong_path_mode,
+        pending_correct, fetch_stall_until, last_commit_at, deferred_wakes,
+        recent_load_addrs, recent_load_idx, wp_rng, fault_plan, commit_ring,
+        wakeup_bug_armed, wakeup_bug_fired, stats, memdep_violations,
     }
 }
 
