@@ -599,27 +599,15 @@ impl Drive<'_> {
         checker: Option<DiffChecker>,
     ) -> Result<RunOutcome, SimError> {
         match std::mem::replace(&mut self.fork, Fork::Fresh) {
-            Fork::Fresh => {
+            fork @ (Fork::Fresh | Fork::Capture) => {
                 self.prepare(&mut sim, checker)?;
                 let total = self.len.warmup + self.len.measure;
                 let warm = self.run_chunked(&mut sim, self.len.warmup, 0, total)?;
+                let snapshot = matches!(fork, Fork::Capture).then(|| sim.capture());
                 let end = self.run_chunked(&mut sim, self.len.measure, self.len.warmup, total)?;
                 Ok(RunOutcome {
                     stats: end.delta(&warm),
-                    snapshot: None,
-                    work: sim.work(),
-                    trace: sim.sink().recent(),
-                })
-            }
-            Fork::Capture => {
-                self.prepare(&mut sim, checker)?;
-                let total = self.len.warmup + self.len.measure;
-                let warm = self.run_chunked(&mut sim, self.len.warmup, 0, total)?;
-                let snapshot = sim.capture();
-                let end = self.run_chunked(&mut sim, self.len.measure, self.len.warmup, total)?;
-                Ok(RunOutcome {
-                    stats: end.delta(&warm),
-                    snapshot: Some(snapshot),
+                    snapshot,
                     work: sim.work(),
                     trace: sim.sink().recent(),
                 })
