@@ -6,34 +6,19 @@ use crate::rename::PhysRef;
 use crate::window::{RobEntry, UopState};
 use ss_mem::MemLevel;
 use ss_types::trace::{TraceEvent, TraceSink};
-use ss_types::{BankInterleaving, Cycle, OpClass, ReplayCause, ReplayScheme, SeqNum};
+use ss_types::{Cycle, OpClass, ReplayCause, ReplayScheme, SeqNum};
 use ss_workloads::TraceSource;
 
 impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
-    /// Applies a pending wake revision for `reg` immediately (a replay
-    /// event observed the late source before its signal-time reschedule).
-    fn force_deferred_wake(&mut self, reg: PhysRef) {
-        let rename = &mut self.rename;
-        self.deferred_wakes.retain(|&(_, r, wake)| {
-            if r == reg {
-                if rename.avail_at(r) != Cycle::NEVER {
-                    rename.set_wake(r, wake);
-                }
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Applies wake revisions whose hit/miss signal has now arrived. A
-    /// revision is dropped if the producing load was squashed since (its
-    /// availability was reset; the re-execution schedules a fresh one).
-    pub(super) fn apply_deferred_wakes(&mut self) {
-        let now = self.now;
+    /// Applies the pending wake revisions `due` selects by signal cycle
+    /// and register: those whose hit/miss signal has arrived, or the late
+    /// source a replay just observed. A revision is dropped unapplied if
+    /// the producing load was squashed since (its availability was reset;
+    /// the re-execution schedules a fresh one).
+    pub(super) fn apply_deferred_wakes(&mut self, due: impl Fn(Cycle, PhysRef) -> bool) {
         let rename = &mut self.rename;
         self.deferred_wakes.retain(|&(apply_at, reg, wake)| {
-            if apply_at > now {
+            if !due(apply_at, reg) {
                 return true;
             }
             if rename.avail_at(reg) != Cycle::NEVER {
@@ -43,31 +28,16 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         });
     }
 
+    /// Executes the issue group that reaches Execute this cycle (the
+    /// stage's gate has opened, so the oldest in-flight group is due).
     pub(super) fn execute(&mut self) {
-        // Pop the group that reaches Execute this cycle.
-        let exec_issue_cycle = match self.now.get().checked_sub(self.delay + 1) {
-            Some(c) => Cycle::new(c),
-            None => return,
-        };
-        let group = match self.inflight.front() {
-            Some((c, _)) if *c == exec_issue_cycle => self
-                .inflight
-                .pop_front()
-                .map(|(_, g)| g)
-                .unwrap_or_default(),
-            Some((c, _)) => {
-                assert!(
-                    *c > exec_issue_cycle,
-                    "missed issue group: front {c:?} vs exec {exec_issue_cycle:?} at {}",
-                    self.now
-                );
-                return;
-            }
-            None => return,
-        };
-
-        #[cfg(debug_assertions)]
-        let processed_cycle = exec_issue_cycle;
+        let exec_issue_cycle = Cycle::new(self.now.get() - self.delay - 1);
+        let (issued_at, group) = self.inflight.pop_front().expect("an issue group is due");
+        assert_eq!(
+            issued_at, exec_issue_cycle,
+            "missed issue group at {}",
+            self.now
+        );
         let mut replayed = false;
         for &seq in &group {
             // Validate membership: the entry may have been flushed or
@@ -93,7 +63,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 // that the source is late: apply its pending reschedule
                 // now so squashed dependents wait for the residue instead
                 // of recirculating blindly every few cycles.
-                self.force_deferred_wake(src);
+                self.apply_deferred_wakes(|_, reg| reg == src);
                 let cause = self.rename.late_cause(src).unwrap_or(ReplayCause::L1Miss);
                 // For the trace: the replay's trigger is the µ-op
                 // producing the late source (typically the missing load);
@@ -150,11 +120,11 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             if let Some(e) = self
                 .rob
                 .iter()
-                .find(|e| e.state == UopState::InFlight && e.issue_cycle <= processed_cycle)
+                .find(|e| e.state == UopState::InFlight && e.issue_cycle <= exec_issue_cycle)
             {
                 panic!(
                     "orphaned in-flight µ-op {} (issued @{:?}, exec target {:?}, now {})",
-                    e.seq, e.issue_cycle, processed_cycle, self.now
+                    e.seq, e.issue_cycle, exec_issue_cycle, self.now
                 );
             }
         }
@@ -248,17 +218,8 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 }
                 // Train the bank predictor with the actual bank.
                 if !wrong_path {
-                    if let Some(banking) = &self.cfg.l1d_banking {
-                        let bank_bits = banking.banks.trailing_zeros();
-                        let actual = match banking.interleaving {
-                            BankInterleaving::Word => {
-                                addr.bits(banking.interleave_bytes.trailing_zeros(), bank_bits)
-                            }
-                            BankInterleaving::Set => {
-                                addr.bits(self.cfg.l1d.line_bytes.trailing_zeros(), bank_bits)
-                            }
-                        };
-                        self.bank_pred.train(uop.pc, actual as u8);
+                    if let Some(bank) = self.mem.l1d_bank(addr) {
+                        self.bank_pred.train(uop.pc, bank as u8);
                     }
                 }
                 let v = exec_start + self.cfg.l1d_load_to_use + extra;

@@ -176,32 +176,23 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 self.fetch_stall_until = self.now + icache_extra;
             }
 
-            let mut pred_next = None;
             let mut mispredicted = false;
             let mut dir_wrong = false;
             let mut predicted_taken = false;
-            if uop.class.is_branch() {
-                if wrong_path {
-                    // Wrong-path branches are synthesized never-taken and
-                    // do not consult or pollute the predictor tables (the
-                    // history they would have inserted is restored at
-                    // resolve anyway).
-                    predicted_taken = false;
-                } else {
-                    let OpClass::Branch(kind) = uop.class else {
-                        unreachable!()
-                    };
-                    let b = uop.branch.expect("branch payload");
-                    let p = self.bpred.on_branch_fetch(uop.pc, kind, uop.next_pc());
-                    predicted_taken = p.taken;
-                    let actual_next = uop.successor_pc();
-                    if p.next_pc != actual_next {
-                        mispredicted = true;
-                        dir_wrong = p.taken != b.taken;
-                    }
-                    pred_next = Some(p.next_pc);
-                    self.pred_metas.push_back(p.meta);
+            // Wrong-path branches are synthesized never-taken and do not
+            // consult or pollute the predictor tables.
+            if let (OpClass::Branch(kind), false) = (uop.class, wrong_path) {
+                let b = uop.branch.expect("branch payload");
+                let p = self.bpred.on_branch_fetch(uop.pc, kind, uop.next_pc());
+                predicted_taken = p.taken;
+                if p.next_pc != uop.successor_pc() {
+                    // Fetch diverges: follow the *predicted* path.
+                    mispredicted = true;
+                    dir_wrong = p.taken != b.taken;
+                    self.wrong_path_mode = true;
+                    self.wp_gen.redirect(p.next_pc);
                 }
+                self.pred_metas.push_back(p.meta);
             }
 
             self.frontend.push_back(FetchedUop {
@@ -212,15 +203,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 dir_wrong,
             });
             fetched += 1;
-
-            if mispredicted {
-                // Fetch diverges: follow the *predicted* path.
-                self.wrong_path_mode = true;
-                self.wp_gen
-                    .redirect(pred_next.expect("mispredicted branch has prediction"));
-                // `diverged` is recorded at dispatch (needs the seq).
-            }
-            if uop.class.is_branch() && predicted_taken {
+            if predicted_taken {
                 taken_branches += 1;
                 if taken_branches > 1 {
                     break; // at most one taken branch per fetch cycle
@@ -269,7 +252,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             }
             // The refetched path reuses this sequence number: clear its
             // ready bit and stale every parked reference now.
-            self.sched_forget(e.seq);
+            self.sched.invalidate(e.seq);
             if S::ENABLED {
                 self.sink.record(TraceEvent::Flush {
                     cycle: self.now,

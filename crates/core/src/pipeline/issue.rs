@@ -138,12 +138,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         }
     }
 
-    /// Drops `seq` from the scheduler (issued or flushed): clears its
-    /// ready bits and stales every parked reference.
-    pub(super) fn sched_forget(&mut self, seq: SeqNum) {
-        self.sched.invalidate(seq);
-    }
-
     /// Releases every µ-op parked on `store` (it executed or committed)
     /// and re-registers them immediately.
     pub(super) fn sched_fire_store_event(&mut self, store: SeqNum) {
@@ -481,7 +475,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         let load_to_use = self.cfg.l1d_load_to_use;
 
         // Issued µ-ops leave the ready set; any parked reference is stale.
-        self.sched_forget(seq);
+        self.sched.invalidate(seq);
         // Copy out the (all-`Copy`) fields issue reads — no `RobEntry`
         // clone on the hot path.
         let (uop, wrong_path, dst, srcs, in_recovery, times_issued) = {

@@ -431,8 +431,9 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         self.work.ticks += 1;
         self.now += 1;
         self.stats.cycles += 1;
+        let now = self.now;
         for stage in Stage::ALL {
-            if self.due(stage) > self.now {
+            if self.due(stage) > now {
                 #[cfg(debug_assertions)]
                 if stage == Stage::Issue {
                     self.assert_no_stranded_recovery();
@@ -440,7 +441,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                 continue;
             }
             match stage {
-                Stage::DeferredWakes => self.apply_deferred_wakes(),
+                Stage::DeferredWakes => self.apply_deferred_wakes(|apply_at, _| apply_at <= now),
                 Stage::Commit => self.commit(),
                 Stage::Execute => self.execute(),
                 Stage::Issue => {
@@ -459,19 +460,9 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// The earliest cycle `stage` has work: the one gate both
     /// [`Self::tick`] and quiet skip read. [`Cycle::NEVER`] means no
     /// work until another stage acts; [`Cycle::ZERO`] means work is
-    /// pending now.
-    ///
-    /// * deferred wakes — the first revision's `apply_at`;
-    /// * commit — a `Done` ROB head's `done_at`;
-    /// * execute — the oldest in-flight group's `issue_cycle + delay + 1`;
-    /// * issue — now if a scheduler event is pending (a marked ready set,
-    ///   woken watcher or store release), else the next timer: IQ µ-ops
-    ///   and recovery-buffer members register with the same event-driven
-    ///   scheduler, so one gate covers both;
-    /// * dispatch — the frontend head's `ready_at`;
-    /// * fetch — `fetch_stall_until` while the frontend has room.
-    ///
-    /// `&mut` because reading the next timer drops stale heap heads.
+    /// pending now. Issue's gate covers the IQ and the recovery buffer:
+    /// both register with the same event-driven scheduler. `&mut`
+    /// because reading the next timer drops stale heap heads.
     #[inline]
     fn due(&mut self, stage: Stage) -> Cycle {
         match stage {

@@ -43,6 +43,24 @@ fn section_of(tag: u32, fill: impl FnOnce(&mut Writer)) -> ss_snapshot::Section 
     }
 }
 
+/// Reads section `tag` of `snap` with `load`, which must consume all of
+/// it; `name` labels the error.
+fn read_section(
+    snap: &ss_snapshot::Snapshot,
+    tag: u32,
+    name: &str,
+    load: impl FnOnce(&mut Reader<'_>) -> Result<(), DecodeError>,
+) -> Result<(), SimError> {
+    let bytes = snap.section(tag);
+    let mut r = Reader::new(bytes.ok_or_else(|| corrupt(format!("missing section {tag}")))?);
+    load(&mut r)
+        .and_then(|()| match r.remaining() {
+            0 => Ok(()),
+            n => Err(r.err(format_args!("{n} trailing bytes"))),
+        })
+        .map_err(|e| corrupt(format!("{name} section: {e}")))
+}
+
 fn corrupt(reason: impl Into<String>) -> SimError {
     SimError::SnapshotCorrupt {
         path: "<memory>".into(),
@@ -115,49 +133,26 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
                 snap.config_fingerprint
             )));
         }
-        let mut r = self.section_reader(snap, sections::CORE)?;
-        self.restore_core(&mut r)
-            .and_then(|()| Self::finish(r))
-            .map_err(|e| corrupt(format!("core section: {e}")))?;
-
-        let mut r = self.section_reader(snap, sections::TRACE)?;
-        self.trace
-            .restore_state(&mut r)
-            .and_then(|()| self.wp_gen.restore_state(&mut r))
-            .and_then(|()| Self::finish(r))
-            .map_err(|e| corrupt(format!("trace section: {e}")))?;
-
-        let mut r = self.section_reader(snap, sections::BPRED)?;
-        self.bpred
-            .restore_state(&mut r)
-            .and_then(|()| Self::finish(r))
-            .map_err(|e| corrupt(format!("branch-predictor section: {e}")))?;
-
-        let mut r = self.section_reader(snap, sections::MEM)?;
-        self.mem
-            .restore_state(&mut r)
-            .and_then(|()| Self::finish(r))
-            .map_err(|e| corrupt(format!("memory section: {e}")))?;
-
-        let mut r = self.section_reader(snap, sections::MEMDEP)?;
-        self.store_sets
-            .restore_state(&mut r)
-            .and_then(|()| Self::finish(r))
-            .map_err(|e| corrupt(format!("memdep section: {e}")))?;
-
-        let mut r = self.section_reader(snap, sections::SCHED)?;
-        self.engine
-            .restore_state(&mut r)
-            .and_then(|()| self.bank_pred.restore_state(&mut r))
-            .and_then(|()| Self::finish(r))
-            .map_err(|e| corrupt(format!("scheduler section: {e}")))?;
-
-        let mut r = self.section_reader(snap, sections::RENAME)?;
-        self.rename
-            .restore_state(&mut r)
-            .and_then(|()| self.sched.restore_state(&mut r))
-            .and_then(|()| Self::finish(r))
-            .map_err(|e| corrupt(format!("rename section: {e}")))?;
+        read_section(snap, sections::CORE, "core", |r| self.restore_core(r))?;
+        read_section(snap, sections::TRACE, "trace", |r| {
+            self.trace.restore_state(r)?;
+            self.wp_gen.restore_state(r)
+        })?;
+        read_section(snap, sections::BPRED, "branch-predictor", |r| {
+            self.bpred.restore_state(r)
+        })?;
+        read_section(snap, sections::MEM, "memory", |r| self.mem.restore_state(r))?;
+        read_section(snap, sections::MEMDEP, "memdep", |r| {
+            self.store_sets.restore_state(r)
+        })?;
+        read_section(snap, sections::SCHED, "scheduler", |r| {
+            self.engine.restore_state(r)?;
+            self.bank_pred.restore_state(r)
+        })?;
+        read_section(snap, sections::RENAME, "rename", |r| {
+            self.rename.restore_state(r)?;
+            self.sched.restore_state(r)
+        })?;
 
         // Per-cycle scratch is empty between ticks by construction; clear
         // it so a restore into a used simulator matches a fresh one.
@@ -166,24 +161,6 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
         self.scratch_squash.clear();
         self.pending_error = None;
         Ok(())
-    }
-
-    fn section_reader<'s>(
-        &self,
-        snap: &'s ss_snapshot::Snapshot,
-        tag: u32,
-    ) -> Result<Reader<'s>, SimError> {
-        snap.section(tag)
-            .map(Reader::new)
-            .ok_or_else(|| corrupt(format!("missing section {tag}")))
-    }
-
-    fn finish(r: Reader<'_>) -> Result<(), DecodeError> {
-        if r.is_finished() {
-            Ok(())
-        } else {
-            Err(r.err(format_args!("{} trailing bytes", r.remaining())))
-        }
     }
 
     // The CORE section, in on-disk order.

@@ -89,6 +89,11 @@ impl BankArbiter {
         Target { bank, set }
     }
 
+    /// The bank `addr` maps to.
+    pub fn bank_of(&self, addr: Addr) -> u32 {
+        self.target(addr).bank
+    }
+
     /// Whether `t` may share a service cycle with already-granted `others`.
     fn compatible(&self, t: Target, others: &[Target]) -> bool {
         if others.len() >= SLOTS_PER_CYCLE as usize {

@@ -275,6 +275,11 @@ impl MemoryHierarchy {
         self.l1d.probe(addr)
     }
 
+    /// The L1D bank `addr` maps to, when the L1D is banked.
+    pub fn l1d_bank(&self, addr: Addr) -> Option<u32> {
+        self.bank.as_ref().map(|b| b.bank_of(addr))
+    }
+
     /// Number of prefetches the stride prefetcher has issued.
     pub fn prefetches_issued(&self) -> u64 {
         self.prefetcher.issued
