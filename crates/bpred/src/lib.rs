@@ -9,7 +9,9 @@
 //!
 //! The wrong path never consults the predictor, so a mispredicted branch
 //! is the last branch fetched when it resolves: one repair point, not a
-//! checkpoint per in-flight branch, undoes its speculative updates.
+//! checkpoint per in-flight branch, undoes its speculative history
+//! update. The RAS needs no repair (see
+//! [`BranchPredictor::on_mispredict`]).
 //!
 //! # Example
 //!
@@ -35,7 +37,7 @@ pub mod tage;
 pub use bimodal::{Bimodal, BimodalMeta};
 pub use btb::Btb;
 pub use history::{GlobalHistory, HistoryCheckpoint};
-pub use ras::{Ras, RasCheckpoint};
+pub use ras::Ras;
 pub use tage::{geometric_lengths, Tage, TageMeta};
 
 use ss_types::{BranchKind, Pc, PredictorConfig};
@@ -73,13 +75,12 @@ pub struct BranchPrediction {
     pub meta: PredMeta,
 }
 
-/// The speculative state as it stood before the last fetched branch:
+/// The direction history as it stood before the last fetched branch:
 /// what a misprediction of that branch restores.
 #[derive(Debug, Clone, Copy)]
 struct RepairPoint {
     pc: Pc,
     hist: Option<HistoryCheckpoint>,
-    ras: RasCheckpoint,
 }
 
 enum Dir {
@@ -127,7 +128,7 @@ impl BranchPredictor {
     }
 
     /// Predicts a fetched branch and speculatively updates history/RAS,
-    /// first making the state before it the repair point.
+    /// first making the history before it the repair point.
     /// `fallthrough` is the PC of the next sequential instruction.
     pub fn on_branch_fetch(
         &mut self,
@@ -141,7 +142,6 @@ impl BranchPredictor {
                 Dir::Tage(t) => Some(t.checkpoint()),
                 Dir::Bimodal(_) => None,
             },
-            ras: self.ras.checkpoint(),
         });
 
         let (taken, dir_meta) = match kind {
@@ -158,7 +158,18 @@ impl BranchPredictor {
             _ => (true, None),
         };
 
-        let popped = self.speculate(pc, kind, taken, fallthrough);
+        let popped = match (kind, &mut self.dir) {
+            (BranchKind::Call, _) => {
+                self.ras.push(fallthrough);
+                None
+            }
+            (BranchKind::Return, _) => self.ras.pop(),
+            (BranchKind::Conditional, Dir::Tage(t)) => {
+                t.push_history(taken, pc);
+                None
+            }
+            _ => None,
+        };
         let target = if taken {
             popped.or_else(|| self.btb.lookup(pc))
         } else {
@@ -171,38 +182,36 @@ impl BranchPredictor {
         }
     }
 
-    /// A branch's own speculative update, given its direction: a call
-    /// pushes its return address, a return pops the RAS (returning the
-    /// popped address) and a conditional shifts into the TAGE history.
-    fn speculate(&mut self, pc: Pc, kind: BranchKind, taken: bool, fallthrough: Pc) -> Option<Pc> {
-        match (kind, &mut self.dir) {
-            (BranchKind::Call, _) => self.ras.push(fallthrough),
-            (BranchKind::Return, _) => return self.ras.pop(),
-            (BranchKind::Conditional, Dir::Tage(t)) => t.push_history(taken, pc),
-            _ => {}
-        }
-        None
-    }
-
-    /// Repairs speculative state after Execute discovers a misprediction
-    /// of the last fetched branch, then redoes the branch's own correct
-    /// speculative action (history push, RAS push/pop). `fallthrough` is
-    /// the branch's sequential successor (the return address for calls).
+    /// Repairs the direction history after Execute discovers a
+    /// misprediction of the last fetched branch: restores the history
+    /// from before it and shifts in the actual direction.
+    ///
+    /// The RAS needs no repair. Nothing touches it between the branch's
+    /// fetch and this call (the wrong path never consults the predictor),
+    /// and the push or pop fetch made for a call or return does not
+    /// depend on the prediction, so the RAS already holds what the
+    /// correct path leaves.
     ///
     /// # Panics
     ///
     /// Panics unless `pc` is the last branch passed to
     /// [`Self::on_branch_fetch`]: a caller that fetched a later branch
     /// first has lost the state this repair needs.
-    pub fn on_mispredict(&mut self, pc: Pc, kind: BranchKind, actual_taken: bool, fallthrough: Pc) {
+    pub fn on_mispredict(&mut self, pc: Pc, kind: BranchKind, actual_taken: bool) {
         let Some(rp) = self.repair.filter(|rp| rp.pc == pc) else {
             panic!("on_mispredict for {pc:?}, which is not the last fetched branch");
         };
         if let (Dir::Tage(t), Some(cp)) = (&mut self.dir, &rp.hist) {
             t.restore(cp);
+            if kind == BranchKind::Conditional {
+                t.push_history(actual_taken, pc);
+            }
         }
-        self.ras.restore(&rp.ras);
-        self.speculate(pc, kind, actual_taken, fallthrough);
+    }
+
+    /// The return-address stack.
+    pub fn ras(&self) -> &Ras {
+        &self.ras
     }
 
     /// Trains the direction tables and the BTB with the resolved outcome,
@@ -249,7 +258,7 @@ mod tests {
             let actual_next = if taken { tgt } else { ft };
             if pred.next_pc != actual_next {
                 wrong += 1;
-                p.on_mispredict(pc, BranchKind::Conditional, taken, ft);
+                p.on_mispredict(pc, BranchKind::Conditional, taken);
             }
             p.on_commit(pc, BranchKind::Conditional, taken, tgt, &pred.meta);
         }
@@ -299,7 +308,7 @@ mod tests {
         let pred = p.on_branch_fetch(call_pc, BranchKind::Call, call_pc.step(4));
         assert_eq!(pred.next_pc, call_pc.step(4));
         // The wrong path never consults the predictor; the call resolves.
-        p.on_mispredict(call_pc, BranchKind::Call, true, call_pc.step(4));
+        p.on_mispredict(call_pc, BranchKind::Call, true);
         // The call's return address is on the RAS once, above the outer one.
         let ret = Pc::new(0x9000);
         let rpred = p.on_branch_fetch(ret, BranchKind::Return, ret.step(4));
@@ -315,7 +324,7 @@ mod tests {
         let call_pc = Pc::new(0x4000);
         let _ = p.on_branch_fetch(call_pc, BranchKind::Call, call_pc.step(4));
         let _ = p.on_branch_fetch(Pc::new(0x9000), BranchKind::Return, Pc::new(0x9004));
-        p.on_mispredict(call_pc, BranchKind::Call, true, call_pc.step(4));
+        p.on_mispredict(call_pc, BranchKind::Call, true);
     }
 
     #[test]
@@ -333,7 +342,7 @@ mod tests {
             let pred = p.on_branch_fetch(pc, BranchKind::Conditional, ft);
             if pred.taken != taken {
                 wrong += 1;
-                p.on_mispredict(pc, BranchKind::Conditional, taken, ft);
+                p.on_mispredict(pc, BranchKind::Conditional, taken);
             }
             p.on_commit(
                 pc,
@@ -366,7 +375,7 @@ mod tests {
                 let pred = p.on_branch_fetch(pc, BranchKind::Conditional, ft);
                 if pred.taken != taken {
                     wrong += 1;
-                    p.on_mispredict(pc, BranchKind::Conditional, taken, ft);
+                    p.on_mispredict(pc, BranchKind::Conditional, taken);
                 }
                 p.on_commit(pc, BranchKind::Conditional, taken, tgt, &pred.meta);
             }
@@ -406,7 +415,7 @@ impl Persist for DirMeta {
 }
 
 ss_types::impl_persist!(PredMeta { dir });
-ss_types::impl_persist!(RepairPoint { pc, hist, ras });
+ss_types::impl_persist!(RepairPoint { pc, hist });
 
 impl PersistState for BranchPredictor {
     fn save_state(&self, w: &mut Writer) {

@@ -1,22 +1,12 @@
-//! The return-address stack (32 entries, Table 1) with checkpoint-based
-//! misprediction repair.
+//! The return-address stack (32 entries, Table 1).
 
 use ss_types::Pc;
 
-/// Maximum supported RAS capacity (checkpoints are full `Copy` copies).
+/// Maximum supported RAS capacity.
 const MAX_RAS: usize = 64;
 
-/// A full-copy RAS checkpoint; restoring undoes all speculative
-/// pushes/pops since it was taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RasCheckpoint {
-    stack: [Pc; MAX_RAS],
-    top: usize,
-    depth: usize,
-}
-
 /// Circular return-address stack.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ras {
     stack: [Pc; MAX_RAS],
     /// Index of the current top entry (valid when `depth > 0`).
@@ -67,22 +57,6 @@ impl Ras {
     pub fn peek(&self) -> Option<Pc> {
         (self.depth > 0).then(|| self.stack[self.top])
     }
-
-    /// Takes a checkpoint for squash repair.
-    pub fn checkpoint(&self) -> RasCheckpoint {
-        RasCheckpoint {
-            stack: self.stack,
-            top: self.top,
-            depth: self.depth,
-        }
-    }
-
-    /// Restores to a checkpoint.
-    pub fn restore(&mut self, cp: &RasCheckpoint) {
-        self.stack = cp.stack;
-        self.top = cp.top;
-        self.depth = cp.depth;
-    }
 }
 
 #[cfg(test)]
@@ -114,21 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restores_speculative_damage() {
-        let mut r = Ras::new(8);
-        r.push(Pc::new(0x1));
-        r.push(Pc::new(0x2));
-        let cp = r.checkpoint();
-        // wrong path: pop both, push junk
-        let _ = r.pop();
-        let _ = r.pop();
-        r.push(Pc::new(0xBAD));
-        r.restore(&cp);
-        assert_eq!(r.pop(), Some(Pc::new(0x2)));
-        assert_eq!(r.pop(), Some(Pc::new(0x1)));
-    }
-
-    #[test]
     fn peek_does_not_pop() {
         let mut r = Ras::new(8);
         r.push(Pc::new(0x7));
@@ -144,5 +103,4 @@ mod tests {
     }
 }
 
-ss_types::impl_persist!(RasCheckpoint { stack, top, depth });
 ss_types::impl_persist_state!(Ras { stack, top, depth });

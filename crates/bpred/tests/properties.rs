@@ -4,9 +4,9 @@
 //! speculation. Formerly proptest properties; now plain loops over the
 //! vendored [`Xoshiro256`] generator so the crate builds offline.
 
-use ss_bpred::{Btb, Ras, Tage};
+use ss_bpred::{BranchPredictor, Btb, Ras, Tage};
 use ss_types::rng::Xoshiro256;
-use ss_types::{Pc, PredictorConfig};
+use ss_types::{BranchKind, Pc, PredictorConfig};
 
 /// `Some(push value)` or `None` (pop), like the old proptest strategy.
 fn gen_op(rng: &mut Xoshiro256) -> Option<u16> {
@@ -51,42 +51,50 @@ fn ras_matches_bounded_stack() {
     }
 }
 
-/// Checkpoint/restore makes the RAS exactly forget the speculation.
+/// A mispredict repair leaves the RAS as fetch left it: equal to a
+/// clone taken before the branch's fetch, with the branch's own push or
+/// pop redone. Random call/return/conditional sequences on small stacks
+/// (so they wrap and underflow), driven as the pipeline drives the
+/// predictor: the wrong path never fetches through it, so each repair
+/// follows its branch's fetch, and every branch then commits.
 #[test]
-fn ras_checkpoint_is_exact() {
-    let mut rng = Xoshiro256::seed_from_u64(0xC4EC);
+fn mispredict_repair_leaves_the_ras_as_fetch_left_it() {
+    let mut rng = Xoshiro256::seed_from_u64(0x4A5_C4EC);
+    let mut repairs = 0;
     for case in 0..64 {
-        let mut a = Ras::new(16);
-        let mut b = Ras::new(16);
-        let before_len = rng.next_below(40) as usize;
-        for _ in 0..before_len {
-            match gen_op(&mut rng) {
-                Some(v) => {
-                    a.push(Pc::new(v as u64));
-                    b.push(Pc::new(v as u64));
+        let cfg = PredictorConfig {
+            ras_entries: 2 + rng.next_below(15) as u32,
+            ..Default::default()
+        };
+        let mut bp = BranchPredictor::new(&cfg);
+        for step in 0..200 {
+            let pc = Pc::new(0x1000 + 4 * rng.next_below(64));
+            let fallthrough = pc.step(4);
+            let mut expected = bp.ras().clone();
+            let kind = match rng.next_below(3) {
+                0 => {
+                    expected.push(fallthrough);
+                    BranchKind::Call
                 }
-                None => {
-                    let _ = a.pop();
-                    let _ = b.pop();
+                1 => {
+                    let _ = expected.pop();
+                    BranchKind::Return
                 }
+                _ => BranchKind::Conditional,
+            };
+            let pred = bp.on_branch_fetch(pc, kind, fallthrough);
+            let taken = kind != BranchKind::Conditional || rng.next_bool();
+            let target = Pc::new(0x8000 + 4 * rng.next_below(64));
+            let actual_next = if taken { target } else { fallthrough };
+            if pred.next_pc != actual_next {
+                bp.on_mispredict(pc, kind, taken);
+                repairs += 1;
             }
-        }
-        let cp = a.checkpoint();
-        let spec_len = rng.next_below(40) as usize;
-        for _ in 0..spec_len {
-            match gen_op(&mut rng) {
-                Some(v) => a.push(Pc::new(v as u64)),
-                None => {
-                    let _ = a.pop();
-                }
-            }
-        }
-        a.restore(&cp);
-        // both stacks must now behave identically
-        for _ in 0..20 {
-            assert_eq!(a.pop(), b.pop(), "case {case}");
+            assert_eq!(bp.ras(), &expected, "case {case} step {step}");
+            bp.on_commit(pc, kind, taken, target, &pred.meta);
         }
     }
+    assert!(repairs > 1_000, "only {repairs} repairs exercised");
 }
 
 /// The BTB always returns the most recently installed target for a PC

@@ -296,8 +296,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                     // path never consults the predictor, so this branch is
                     // still its last fetched one.
                     let b = uop.branch.expect("branch payload");
-                    self.bpred
-                        .on_mispredict(uop.pc, kind, b.taken, uop.next_pc());
+                    self.bpred.on_mispredict(uop.pc, kind, b.taken);
                     self.flush_younger_than(seq);
                     self.wrong_path_mode = false;
                     self.entry_mut(seq).expect("branch entry").mispred_handled = true;

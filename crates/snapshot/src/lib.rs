@@ -48,8 +48,9 @@ pub const SNAPSHOT_MAGIC: &str = "ss-snapshot";
 /// BTB as `sets × ways` entries with a packed LRU byte per set; version 6
 /// moves branch repair state out of the window: CORE queues each
 /// in-flight branch's direction metadata alone, and BPRED holds the one
-/// history/RAS repair point).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
+/// history/RAS repair point; version 7 drops the RAS copy from that
+/// repair point).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 7;
 
 /// Why a snapshot could not be used.
 #[derive(Debug, Clone, PartialEq, Eq)]
