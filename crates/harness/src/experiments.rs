@@ -57,22 +57,7 @@ fn baseline0(sess: &mut Session) -> Result<Vec<(&'static str, SimStats)>, SimErr
 fn suite_totals(sess: &mut Session, cfg: &NamedConfig) -> Result<SimStats, SimError> {
     let mut total = SimStats::default();
     for b in &BENCHMARKS {
-        let s = sess.try_run(cfg, b)?;
-        total.unique_issued += s.unique_issued;
-        total.issued_total += s.issued_total;
-        total.replayed_miss += s.replayed_miss;
-        total.replayed_bank += s.replayed_bank;
-        total.replayed_prf += s.replayed_prf;
-        total.committed_uops += s.committed_uops;
-        total.cycles += s.cycles;
-        total.wrong_path_issued += s.wrong_path_issued;
-        total.l1d.accesses += s.l1d.accesses;
-        total.l1d.hits += s.l1d.hits;
-        total.l1d.misses += s.l1d.misses;
-        total.l2.accesses += s.l2.accesses;
-        total.l2.hits += s.l2.hits;
-        total.l2.misses += s.l2.misses;
-        total.l2.prefetches += s.l2.prefetches;
+        total += &sess.try_run(cfg, b)?;
     }
     Ok(total)
 }
@@ -246,7 +231,7 @@ pub fn fig4(sess: &mut Session) -> Result<Report, SimError> {
             format!("{}", tot.unique_issued),
             format!("{}", tot.replayed_miss),
             format!("{}", tot.replayed_bank),
-            fmt3(tot.issued_total as f64 / tot.committed_uops as f64),
+            fmt3(tot.issued_per_committed()),
         ]);
     }
 
@@ -492,12 +477,8 @@ pub fn fig8(sess: &mut Session) -> Result<Report, SimError> {
             format!(
                 "Issued µ-ops per committed — Combined: paper −11.6%, measured {}; \
                  Crit: paper −13.4%, measured {}.",
-                pct(1.0
-                    - (totco.issued_total as f64 / totco.committed_uops as f64)
-                        / (tot4.issued_total as f64 / tot4.committed_uops as f64)),
-                pct(1.0
-                    - (totcr.issued_total as f64 / totcr.committed_uops as f64)
-                        / (tot4.issued_total as f64 / tot4.committed_uops as f64))
+                pct(1.0 - totco.issued_per_committed() / tot4.issued_per_committed()),
+                pct(1.0 - totcr.issued_per_committed() / tot4.issued_per_committed())
             ),
         ],
     })
@@ -529,9 +510,7 @@ pub fn sweep(sess: &mut Session) -> Result<Report, SimError> {
                 tot.replayed_miss + tot.replayed_bank,
                 totc.replayed_miss + totc.replayed_bank,
             )),
-            pct(1.0
-                - (totc.issued_total as f64 / totc.committed_uops as f64)
-                    / (tot.issued_total as f64 / tot.committed_uops as f64)),
+            pct(1.0 - totc.issued_per_committed() / tot.issued_per_committed()),
             pct(g_cr / g_ss - 1.0),
         ]);
     }
@@ -587,9 +566,7 @@ pub fn headline(sess: &mut Session) -> Result<Report, SimError> {
         "-13.4%".into(),
         format!(
             "{}",
-            pct((totcr.issued_total as f64 / totcr.committed_uops as f64)
-                / (tot4.issued_total as f64 / tot4.committed_uops as f64)
-                - 1.0)
+            pct(totcr.issued_per_committed() / tot4.issued_per_committed() - 1.0)
         ),
     ]);
     t.row(vec![
@@ -602,9 +579,7 @@ pub fn headline(sess: &mut Session) -> Result<Report, SimError> {
         "-15.6%".into(),
         format!(
             "{}",
-            pct((totb4.issued_total as f64 / totb4.committed_uops as f64)
-                / (tot4.issued_total as f64 / tot4.committed_uops as f64)
-                - 1.0)
+            pct(totb4.issued_per_committed() / tot4.issued_per_committed() - 1.0)
         ),
     ]);
     Ok(Report {

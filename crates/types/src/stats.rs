@@ -240,6 +240,16 @@ pub fn stats_from_wire(line: &str) -> Option<SimStats> {
     (line.split_whitespace().count() == SimStats::COUNTERS).then_some(s)
 }
 
+/// Counter-wise sum, for totals over several runs: the sibling of
+/// [`SimStats::delta`].
+impl std::ops::AddAssign<&SimStats> for SimStats {
+    fn add_assign(&mut self, other: &SimStats) {
+        for ((_, a), (_, b)) in self.counters_mut().into_iter().zip(other.counters()) {
+            *a += b;
+        }
+    }
+}
+
 impl SimStats {
     /// Committed µ-ops per cycle.
     pub fn ipc(&self) -> f64 {
@@ -434,6 +444,20 @@ mod tests {
         assert_eq!(d.committed_uops, 150);
         assert_eq!(d.replayed_bank, 7);
         assert!((d.ipc() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn add_assign_sums_every_counter() {
+        let mut a = SimStats::default();
+        for (i, (_, c)) in a.counters_mut().into_iter().enumerate() {
+            *c = i as u64;
+        }
+        let mut total = a.clone();
+        total += &a;
+        for (i, (name, c)) in total.counters().into_iter().enumerate() {
+            assert_eq!(c, 2 * i as u64, "{name}");
+        }
+        assert_eq!(total.delta(&a), a);
     }
 
     #[test]
