@@ -39,7 +39,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 // Library code must surface failures as `SimError`, never `unwrap()`.
-// The remaining `expect()` sites in `pipeline.rs` assert internal
+// The remaining `expect()` sites in `pipeline/` assert internal
 // invariants that `FetchedUop::validate` guarantees at the fetch
 // boundary (malformed traces become `SimError::TraceInvalid` there).
 #![deny(clippy::unwrap_used)]

@@ -1,25 +1,28 @@
 //! The cycle-level out-of-order pipeline with speculative scheduling and
 //! Alpha-21264-style replay.
 //!
-//! Stage order within [`Simulator::tick`] (one call = one cycle):
+//! Stage order within [`Simulator::tick`] (one call = one cycle), each
+//! stage in its own file behind one gate (`Simulator::due`):
 //!
-//! 1. **Commit** — retire up to 8 completed µ-ops from the ROB head;
-//!    train the branch predictor, hit/miss filter, and criticality table.
-//! 2. **Execute** — the issue group from `now − delay − 1` reaches the
-//!    execution stage. Every µ-op verifies its operands against the
-//!    physical-register scoreboard; a missing operand is a *schedule
-//!    misspeculation*: all µ-ops in flight between Issue and Execute are
-//!    squashed into the recovery buffer (or back to their retained IQ
-//!    entries for loads/stores) and one issue cycle is lost (§3.1).
-//! 3. **Issue** — the recovery buffer's head group has priority; the
-//!    scheduler fills the holes (Morancho-style). Up to 6 µ-ops across
-//!    the Table 1 port mix; loads consult the wakeup-policy engine and
-//!    (optionally) Schedule Shifting decides the wakeup of the second
-//!    load of the group.
-//! 4. **Dispatch** — rename and insert into ROB/IQ/LSQ.
-//! 5. **Fetch** — up to 8 µ-ops from two 16-byte blocks over at most one
-//!    taken branch; wrong-path µ-ops are synthesized past a mispredicted
-//!    branch until it resolves.
+//! 1. **Commit** (`commit.rs`) — retire up to 8 completed µ-ops from the
+//!    ROB head; train the branch predictor, filter and criticality table.
+//! 2. **Execute** (`execute.rs`) — the issue group from `now − delay − 1`
+//!    reaches the execution stage. Every µ-op verifies its operands
+//!    against the physical-register scoreboard; a missing operand is a
+//!    *schedule misspeculation*: all µ-ops in flight between Issue and
+//!    Execute are squashed into the recovery buffer (or back to their
+//!    retained IQ entries for loads/stores) and one issue cycle is lost.
+//! 3. **Issue** (`issue.rs`) — the recovery buffer's head group has
+//!    priority; the scheduler fills the holes (Morancho-style). Up to 6
+//!    µ-ops across the Table 1 port mix; loads consult the wakeup-policy
+//!    engine and (optionally) Schedule Shifting decides the wakeup of the
+//!    second load of the group.
+//! 4. **Dispatch** (`frontend.rs`) — rename and insert into ROB/IQ/LSQ.
+//! 5. **Fetch** (`frontend.rs`) — up to 8 µ-ops from two 16-byte blocks
+//!    over at most one taken branch; wrong-path µ-ops are synthesized
+//!    past a mispredicted branch until it resolves.
+//!
+//! Capture and restore live in `persist.rs`.
 
 mod commit;
 mod execute;
@@ -335,8 +338,8 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
 
     /// Records the filesystem path of the nearest checkpoint this run
     /// relates to (last captured to, or restored from). The note rides
-    /// along on [`DeadlockReport`]/[`DivergenceReport`] so failures name
-    /// the warm state they can be reproduced from.
+    /// along on [`DeadlockReport`]/[`ss_types::DivergenceReport`] so
+    /// failures name the warm state they can be reproduced from.
     pub fn set_checkpoint_note(&mut self, note: impl Into<String>) {
         self.checkpoint_note = Some(note.into());
     }
@@ -415,18 +418,14 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         Ok(self.stats())
     }
 
-    /// Advances the machine one cycle, stepping each [`Stage`] in order:
-    /// deferred wakes, commit, execute, issue, dispatch, fetch.
-    ///
-    /// A stage runs when its gate, [`Self::due`], says its work has come.
-    /// Each gate is read immediately before its stage, so it sees exactly
-    /// the state the stage would (a stage that runs can arm the next:
-    /// commit firing a store release, execute pushing a squash into
-    /// recovery). Gates are conservative: an open gate may run a stage
-    /// that then finds nothing to do, but a closed one never skips work.
-    /// Debug builds assert on every tick, once the cycle's scheduler
-    /// events are drained, that no selectable recovery member lacks its
-    /// ready bit.
+    /// Advances the machine one cycle, stepping each stage in order:
+    /// deferred wakes, commit, execute, issue, dispatch, fetch. A stage
+    /// runs once its gate (the cycle its work is due) has come; each gate
+    /// is read right before its stage, so a stage that runs can arm the
+    /// next. An open gate may run a stage that finds nothing to do; a
+    /// closed one never skips work. Debug builds assert on every tick,
+    /// once the cycle's scheduler events are drained, that no selectable
+    /// recovery member lacks its ready bit.
     pub fn tick(&mut self) {
         self.work.ticks += 1;
         self.now += 1;

@@ -227,8 +227,9 @@ fn seeded_corruption_campaign_yields_only_typed_errors() {
 
 /// A warm snapshot writes what the run touched, not whole tables: every
 /// registry kernel and every `rv:` program, 1K µ-ops into `SpecSched_4`.
-/// Largest measured (format 3): BPRED 3,478 B (`branchy_int`), MEM
-/// 40,168 B (`rand_medium`); the bounds are about twice that. Format 2
+/// Largest measured (format 3): BPRED 3,478 B (`branchy_int`; 3,360 B
+/// at format 7), MEM 40,168 B (`rand_medium`); the bounds are about
+/// twice that. Format 2
 /// wrote 288 KB and 329 KB on every cell. CORE holds the in-flight
 /// window: largest 27,564 B (`crafty_like`, format 6), bounded with 19%
 /// headroom; format 5 wrote each in-flight branch's 851 B repair
