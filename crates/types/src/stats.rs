@@ -208,21 +208,27 @@ impl SimStats {
 
     /// Parses `name=value` tokens back into statistics, a counter absent
     /// from `text` being 0 (so it reads [`Self::sparse_text`] and the
-    /// wire line alike). `None` if a token is malformed, names no
-    /// counter, or repeats one.
-    pub fn parse_text(text: &str) -> Option<SimStats> {
+    /// wire line alike).
+    ///
+    /// # Errors
+    ///
+    /// The first bad token, saying whether it names no counter, repeats
+    /// one, or holds no number.
+    pub fn parse_text(text: &str) -> Result<SimStats, String> {
         let mut s = SimStats::default();
         let mut seen = [false; Self::COUNTERS];
         let fields = s.counters_mut();
         for token in text.split_whitespace() {
-            let (k, v) = token.split_once('=')?;
-            let i = fields.iter().position(|(name, _)| *name == k)?;
+            let (k, v) = token.split_once('=').unwrap_or((token, ""));
+            let Some(i) = fields.iter().position(|(name, _)| *name == k) else {
+                return Err(format!("unknown counter `{token}`"));
+            };
             if std::mem::replace(&mut seen[i], true) {
-                return None;
+                return Err(format!("repeated counter `{token}`"));
             }
-            *fields[i].1 = v.parse().ok()?;
+            *fields[i].1 = v.parse().map_err(|_| format!("no number in `{token}`"))?;
         }
-        Some(s)
+        Ok(s)
     }
 }
 
@@ -236,7 +242,7 @@ pub fn stats_to_wire(s: &SimStats) -> String {
 /// Parses a wire line back into statistics. `None` unless the line holds
 /// every counter exactly once and nothing else.
 pub fn stats_from_wire(line: &str) -> Option<SimStats> {
-    let s = SimStats::parse_text(line)?;
+    let s = SimStats::parse_text(line).ok()?;
     (line.split_whitespace().count() == SimStats::COUNTERS).then_some(s)
 }
 
@@ -597,10 +603,17 @@ mod tests {
         };
         t.l2.hits = 3;
         assert_eq!(t.sparse_text(), "cycles=7 l2.hits=3");
-        assert_eq!(SimStats::parse_text(&t.sparse_text()), Some(t));
-        assert_eq!(SimStats::parse_text(""), Some(SimStats::default()));
-        assert_eq!(SimStats::parse_text("cycles=1 cycles=1"), None);
-        assert_eq!(SimStats::parse_text("bogus=1"), None);
+        assert_eq!(SimStats::parse_text(&t.sparse_text()), Ok(t));
+        assert_eq!(SimStats::parse_text(""), Ok(SimStats::default()));
+        for (text, err) in [
+            ("cycles=1 bogus=1", "unknown counter `bogus=1`"),
+            ("cycles", "no number in `cycles`"),
+            ("cycles=1 l2.hits=2 cycles=1", "repeated counter `cycles=1`"),
+            ("cycles=1 l2.hits=x", "no number in `l2.hits=x`"),
+            ("cycles=-1", "no number in `cycles=-1`"),
+        ] {
+            assert_eq!(SimStats::parse_text(text), Err(err.to_string()), "{text}");
+        }
         assert_eq!(stats_from_wire("cycles=7 l2.hits=3"), None);
     }
 }

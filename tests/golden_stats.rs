@@ -125,9 +125,12 @@ impl Pinned {
                 outcome.as_deref().unwrap_or("-")
             ));
         }
-        let Some(blessed) = SimStats::parse_text(counters) else {
-            out.push(format!("unreadable counters `{counters}`"));
-            return out;
+        let blessed = match SimStats::parse_text(counters) {
+            Ok(blessed) => blessed,
+            Err(bad) => {
+                out.push(format!("blessed line: {bad}"));
+                return out;
+            }
         };
         for ((name, was), (_, now)) in blessed.counters().into_iter().zip(stats.counters()) {
             if was != now {
