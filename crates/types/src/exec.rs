@@ -121,11 +121,6 @@ impl WorkQueue {
     pub fn total(&self) -> usize {
         self.total
     }
-
-    /// The cancellation flag this queue observes.
-    pub fn cancel_flag(&self) -> &CancelFlag {
-        &self.cancel
-    }
 }
 
 /// Spawns `n` scoped worker threads running `worker(worker_index)` and
