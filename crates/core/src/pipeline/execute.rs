@@ -370,7 +370,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// everything younger back to re-issue, and make the load wait for
     /// the store.
     fn handle_violation(&mut self, load_seq: SeqNum, store_seq: SeqNum) {
-        self.memdep_violations += 1;
+        self.stats.memdep_violations += 1;
         let load_pc = self.entry(load_seq).expect("load").uop.pc;
         let store_pc = self.entry(store_seq).expect("store").uop.pc;
         self.store_sets.on_violation(load_pc, store_pc);

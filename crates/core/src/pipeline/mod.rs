@@ -205,9 +205,8 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
 
     /// Work counters (see [`WorkCounts`]); never read by the machine.
     work: WorkCounts,
+    /// The core's own counters; [`Self::stats`] adds the components'.
     stats: SimStats,
-    /// Memory-order violations (Store Sets training events).
-    pub memdep_violations: u64,
 }
 
 impl<T: TraceSource> Simulator<T> {
@@ -270,7 +269,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             checkpoint_note: None,
             work: WorkCounts::default(),
             stats: SimStats::default(),
-            memdep_violations: 0,
             wp_gen: WrongPathGen::new(0x57A7_5EED),
             sink,
             cfg,
@@ -299,19 +297,21 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         self.work
     }
 
-    /// Current statistics (memory counters freshly exported).
-    pub fn stats(&mut self) -> SimStats {
-        self.mem.export_into(&mut self.stats);
+    /// Current statistics, each counter read from its owner: the core's
+    /// own counters, the memory hierarchy's, and the scheduling-policy
+    /// engine's decision counts.
+    pub fn stats(&self) -> SimStats {
+        let mut s = self.stats.clone();
+        self.mem.export_into(&mut s);
         let es = self.engine.stats;
-        self.stats.loads_spec_woken = es.speculative;
-        self.stats.loads_conservative = es.conservative;
-        self.stats.filter_sure_hit = es.sure_hit;
-        self.stats.filter_sure_miss = es.sure_miss;
-        self.stats.filter_unstable = es.unstable;
-        self.stats.crit_predicted_critical = es.critical;
-        self.stats.crit_predicted_noncritical = es.noncritical;
-        self.stats.memdep_violations = self.memdep_violations;
-        self.stats.clone()
+        s.loads_spec_woken = es.speculative;
+        s.loads_conservative = es.conservative;
+        s.filter_sure_hit = es.sure_hit;
+        s.filter_sure_miss = es.sure_miss;
+        s.filter_unstable = es.unstable;
+        s.crit_predicted_critical = es.critical;
+        s.crit_predicted_noncritical = es.noncritical;
+        s
     }
 
     /// Installs a fault-injection schedule (see [`FaultPlan`]) after

@@ -11,7 +11,8 @@ use ss_workloads::TraceSource;
 /// [`ss_snapshot::SNAPSHOT_FORMAT_VERSION`].
 pub mod sections {
     /// Core pipeline state: ROB, frontend, in-flight/recovery groups,
-    /// occupancy counters, cycle/seq clocks, fault plan, and statistics.
+    /// occupancy counters, cycle/seq clocks, fault plan, and the core's
+    /// own statistics (each component's counters are in its section).
     pub const CORE: u32 = 1;
     /// Workload engine position plus the wrong-path generator.
     pub const TRACE: u32 = 2;
@@ -169,7 +170,7 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
         sq_used, store_ring, muldiv_free, fpdiv_free, issue_blocked_at, wrong_path_mode,
         pending_correct, fetch_stall_until, last_commit_at, deferred_wakes,
         recent_load_addrs, recent_load_idx, wp_rng, fault_plan, commit_ring,
-        wakeup_bug_armed, wakeup_bug_fired, stats, memdep_violations,
+        wakeup_bug_armed, wakeup_bug_fired, stats,
     }
 }
 

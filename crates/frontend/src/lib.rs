@@ -376,7 +376,6 @@ pub struct RvTraceSource {
     pending: VecDeque<MicroOp>,
     restarts: u64,
     traps: u64,
-    retired: u64,
     out: Vec<u8>,
 }
 
@@ -390,7 +389,6 @@ impl RvTraceSource {
             pending: VecDeque::new(),
             restarts: 0,
             traps: 0,
-            retired: 0,
             out: Vec::new(),
         }
     }
@@ -403,12 +401,6 @@ impl RvTraceSource {
     /// Executions that ended in a trap rather than a clean exit.
     pub fn traps(&self) -> u64 {
         self.traps
-    }
-
-    /// Instructions retired by the functional machine (µ-ops emitted can
-    /// be slightly higher: link-writing jumps crack into two).
-    pub fn retired_insts(&self) -> u64 {
-        self.retired
     }
 
     /// Bytes written through the putchar ecall, across restarts (capped).
@@ -446,10 +438,7 @@ impl TraceSource for RvTraceSource {
                 return u;
             }
             match self.interp.step() {
-                Step::Retired(r) => {
-                    self.retired += 1;
-                    crack(&r, &mut self.pending);
-                }
+                Step::Retired(r) => crack(&r, &mut self.pending),
                 Step::Stop(Stop::Exit { pc, .. }) => self.restart(pc),
                 Step::Stop(Stop::Trap { pc, .. }) => {
                     self.traps += 1;
@@ -478,7 +467,6 @@ impl PersistState for RvTraceSource {
         self.pending.save(w);
         self.restarts.save(w);
         self.traps.save(w);
-        self.retired.save(w);
         self.out.save(w);
     }
 
@@ -497,7 +485,6 @@ impl PersistState for RvTraceSource {
         self.pending = Persist::load(r)?;
         self.restarts = Persist::load(r)?;
         self.traps = Persist::load(r)?;
-        self.retired = Persist::load(r)?;
         self.out = Persist::load(r)?;
         Ok(())
     }
@@ -607,7 +594,6 @@ mod tests {
             assert_eq!(src.next_uop(), restored.next_uop(), "diverged at {i}");
         }
         assert_eq!(src.restarts(), restored.restarts());
-        assert_eq!(src.retired_insts(), restored.retired_insts());
     }
 
     #[test]

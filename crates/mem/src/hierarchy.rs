@@ -60,12 +60,6 @@ pub struct MemoryHierarchy {
     pub l1d_stats: CacheStats,
     /// Demand statistics for the L2 (loads that missed the L1D).
     pub l2_stats: CacheStats,
-    /// Committed-store accesses (tracked separately from demand loads).
-    pub store_accesses: u64,
-    /// Committed stores that missed the L1D.
-    pub store_misses: u64,
-    /// L1I fetch misses.
-    pub l1i_misses: u64,
 }
 
 impl MemoryHierarchy {
@@ -87,9 +81,6 @@ impl MemoryHierarchy {
             l2_latency: cfg.l2_latency,
             l1d_stats: CacheStats::default(),
             l2_stats: CacheStats::default(),
-            store_accesses: 0,
-            store_misses: 0,
-            l1i_misses: 0,
         }
     }
 
@@ -242,9 +233,7 @@ impl MemoryHierarchy {
     /// Table 1 provisions 2R/2W ports).
     pub fn store_commit(&mut self, addr: Addr, now: Cycle) {
         self.drain_fills(now);
-        self.store_accesses += 1;
         if !self.l1d.probe(addr) {
-            self.store_misses += 1;
             if !self.l2.probe(addr) {
                 self.l2.fill(addr, false);
             }
@@ -262,7 +251,6 @@ impl MemoryHierarchy {
         match self.l1i.lookup(addr) {
             Lookup::Hit { .. } => 0,
             Lookup::Miss => {
-                self.l1i_misses += 1;
                 self.l1i.fill(addr, false);
                 self.l2_latency
             }
@@ -293,7 +281,6 @@ impl MemoryHierarchy {
             stats.bank_delayed_loads = b.delayed_accesses;
             stats.bank_delay_cycles = b.delay_cycles;
         }
-        stats.loads_merged_into_mshr = self.l1d_stats.mshr_merges;
         stats.dram_row_hits = self.dram.row_hits;
         stats.dram_row_misses = self.dram.row_misses;
     }
@@ -315,9 +302,6 @@ impl ss_types::persist::PersistState for MemoryHierarchy {
         self.dram.save_state(w);
         self.l1d_stats.save(w);
         self.l2_stats.save(w);
-        self.store_accesses.save(w);
-        self.store_misses.save(w);
-        self.l1i_misses.save(w);
     }
     fn restore_state(
         &mut self,
@@ -341,9 +325,6 @@ impl ss_types::persist::PersistState for MemoryHierarchy {
         self.dram.restore_state(r)?;
         self.l1d_stats = ss_types::CacheStats::load(r)?;
         self.l2_stats = ss_types::CacheStats::load(r)?;
-        self.store_accesses = u64::load(r)?;
-        self.store_misses = u64::load(r)?;
-        self.l1i_misses = u64::load(r)?;
         Ok(())
     }
 }
@@ -518,8 +499,6 @@ mod tests {
         let a = Addr::new(0x6_0000);
         m.store_commit(a, Cycle::new(0));
         assert!(m.l1d_contains(a));
-        assert_eq!(m.store_accesses, 1);
-        assert_eq!(m.store_misses, 1);
         let r = m.load(pc(), a, Cycle::new(1), false);
         assert_eq!(r.level, MemLevel::L1);
     }
@@ -533,7 +512,6 @@ mod tests {
             0,
             "same line"
         );
-        assert_eq!(m.l1i_misses, 1);
     }
 
     #[test]

@@ -43,8 +43,6 @@ pub struct StoreSets {
     /// Cyclic-clearing interval (accesses); keeps stale sets from
     /// serializing forever.
     clear_interval: u64,
-    /// Memory-order violations observed (predictor training events).
-    pub violations: u64,
 }
 
 impl StoreSets {
@@ -61,7 +59,6 @@ impl StoreSets {
             lfst: vec![None; entries as usize],
             accesses: 0,
             clear_interval,
-            violations: 0,
         }
     }
 
@@ -114,7 +111,6 @@ impl StoreSets {
     /// `store_pc`, merging their store sets (Chrysos & Emer's assignment
     /// rules).
     pub fn on_violation(&mut self, load_pc: Pc, store_pc: Pc) {
-        self.violations += 1;
         let li = self.index(load_pc);
         let si = self.index(store_pc);
         match (self.ssit[li], self.ssit[si]) {
@@ -157,7 +153,6 @@ mod tests {
         s.on_violation(Pc::new(0x100), Pc::new(0x200));
         assert_eq!(s.on_store_dispatch(Pc::new(0x200), SeqNum::new(5)), None);
         assert_eq!(s.load_dependence(Pc::new(0x100)), Some(SeqNum::new(5)));
-        assert_eq!(s.violations, 1);
     }
 
     #[test]
@@ -235,6 +230,5 @@ mod tests {
 ss_types::impl_persist_state!(StoreSets {
     ssit,
     lfst,
-    accesses,
-    violations
+    accesses
 });

@@ -29,12 +29,6 @@ const BANKS: u8 = 8;
 #[derive(Debug, Clone)]
 pub struct BankPredictor {
     entries: Vec<Entry>,
-    /// Predictions made (confident or not).
-    pub lookups: u64,
-    /// Confident predictions that matched the actual bank.
-    pub correct: u64,
-    /// Confident predictions that missed.
-    pub wrong: u64,
 }
 
 impl BankPredictor {
@@ -54,9 +48,6 @@ impl BankPredictor {
                 };
                 entries as usize
             ],
-            lookups: 0,
-            correct: 0,
-            wrong: 0,
         }
     }
 
@@ -66,14 +57,12 @@ impl BankPredictor {
 
     /// Predicts the bank of the *next* dynamic instance of the load at
     /// `pc`; `None` while not confident.
-    pub fn predict(&mut self, pc: Pc) -> Option<u8> {
-        self.lookups += 1;
+    pub fn predict(&self, pc: Pc) -> Option<u8> {
         let e = self.entries[self.index(pc)];
         (e.confidence >= 2).then_some((e.bank + e.stride) % BANKS)
     }
 
-    /// Trains with the actual bank the load accessed; also updates the
-    /// accuracy counters for a prior confident prediction.
+    /// Trains with the actual bank the load accessed.
     pub fn train(&mut self, pc: Pc, actual_bank: u8) {
         let idx = self.index(pc);
         let e = &mut self.entries[idx];
@@ -81,20 +70,12 @@ impl BankPredictor {
         let expected = (e.bank + e.stride) % BANKS;
         let new_stride = (actual_bank + BANKS - e.bank) % BANKS;
         if expected == actual_bank {
-            if e.confidence >= 2 {
-                self.correct += 1;
-            }
             e.confidence = (e.confidence + 1).min(3);
+        } else if e.confidence == 0 {
+            e.stride = new_stride;
+            e.confidence = 1;
         } else {
-            if e.confidence >= 2 {
-                self.wrong += 1;
-            }
-            if e.confidence == 0 {
-                e.stride = new_stride;
-                e.confidence = 1;
-            } else {
-                e.confidence -= 1;
-            }
+            e.confidence -= 1;
         }
         e.bank = actual_bank;
     }
@@ -106,7 +87,7 @@ mod tests {
 
     #[test]
     fn cold_predictor_is_unconfident() {
-        let mut p = BankPredictor::new(2048);
+        let p = BankPredictor::new(2048);
         assert_eq!(p.predict(Pc::new(0x100)), None);
     }
 
@@ -121,7 +102,7 @@ mod tests {
         }
         assert_eq!(p.predict(pc), Some(3));
         p.train(pc, 3);
-        assert!(p.correct >= 1);
+        assert_eq!(p.predict(pc), Some(3), "still confident");
     }
 
     #[test]
@@ -135,7 +116,7 @@ mod tests {
         }
         assert_eq!(p.predict(pc), Some(10 % 8));
         p.train(pc, 10 % 8);
-        assert!(p.correct >= 1);
+        assert_eq!(p.predict(pc), Some(11 % 8));
     }
 
     #[test]
@@ -154,7 +135,6 @@ mod tests {
         p.train(pc, 1);
         p.train(pc, 2);
         assert_eq!(p.predict(pc), Some(3), "stride 1 relearned");
-        assert!(p.wrong >= 1);
     }
 
     #[test]
@@ -180,9 +160,4 @@ ss_types::impl_persist!(Entry {
     stride,
     confidence
 });
-ss_types::impl_persist_state!(BankPredictor {
-    entries,
-    lookups,
-    correct,
-    wrong
-});
+ss_types::impl_persist_state!(BankPredictor { entries });

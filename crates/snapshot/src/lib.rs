@@ -49,8 +49,12 @@ pub const SNAPSHOT_MAGIC: &str = "ss-snapshot";
 /// moves branch repair state out of the window: CORE queues each
 /// in-flight branch's direction metadata alone, and BPRED holds the one
 /// history/RAS repair point; version 7 drops the RAS copy from that
-/// repair point).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 7;
+/// repair point; version 8 drops the counters nothing reports: the
+/// violation copy and the stale component counters from CORE, the store
+/// and L1I miss counts from MEM, the bank predictor's accuracy counts
+/// from SCHED, the Store Sets violation count from MEMDEP and the
+/// retired-instruction count of an `rv:` source from TRACE).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 8;
 
 /// Why a snapshot could not be used.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -89,8 +89,6 @@ pub struct SimStats {
     pub bank_delayed_loads: u64,
     /// Total cycles of bank-conflict queueing across all loads.
     pub bank_delay_cycles: u64,
-    /// Accesses that found the target line's MSHR already allocated.
-    pub loads_merged_into_mshr: u64,
     /// DRAM row-buffer hits.
     pub dram_row_hits: u64,
     /// DRAM row-buffer misses/conflicts.
@@ -176,9 +174,9 @@ counters! {
         cycles, committed_uops, committed_loads, unique_issued, issued_total, replayed_miss,
         replayed_bank, replayed_prf, replay_events_miss, replay_events_bank, replay_events_prf,
         wrong_path_issued, cond_branches, cond_mispredicts, target_mispredicts,
-        bank_delayed_loads, bank_delay_cycles, loads_merged_into_mshr, dram_row_hits,
-        dram_row_misses, loads_spec_woken, loads_conservative, filter_sure_hit, filter_sure_miss,
-        filter_unstable, crit_predicted_critical, crit_predicted_noncritical, memdep_violations,
+        bank_delayed_loads, bank_delay_cycles, dram_row_hits, dram_row_misses, loads_spec_woken,
+        loads_conservative, filter_sure_hit, filter_sure_miss, filter_unstable,
+        crit_predicted_critical, crit_predicted_noncritical, memdep_violations,
         dispatch_stall_cycles, recovery_buffer_replays, faults_injected,
     }
     cache { accesses, hits, misses, mshr_merges, prefetches, prefetch_hits }
@@ -515,20 +513,19 @@ mod tests {
             target_mispredicts: 15,
             bank_delayed_loads: 16,
             bank_delay_cycles: 17,
-            loads_merged_into_mshr: 18,
-            dram_row_hits: 19,
-            dram_row_misses: 20,
-            loads_spec_woken: 21,
-            loads_conservative: 22,
-            filter_sure_hit: 23,
-            filter_sure_miss: 24,
-            filter_unstable: 25,
-            crit_predicted_critical: 26,
-            crit_predicted_noncritical: 27,
-            memdep_violations: 28,
-            dispatch_stall_cycles: 29,
-            recovery_buffer_replays: 30,
-            faults_injected: 31,
+            dram_row_hits: 18,
+            dram_row_misses: 19,
+            loads_spec_woken: 20,
+            loads_conservative: 21,
+            filter_sure_hit: 22,
+            filter_sure_miss: 23,
+            filter_unstable: 24,
+            crit_predicted_critical: 25,
+            crit_predicted_noncritical: 26,
+            memdep_violations: 27,
+            dispatch_stall_cycles: 28,
+            recovery_buffer_replays: 29,
+            faults_injected: 30,
             l1d: CacheStats {
                 accesses: 101,
                 hits: 102,
@@ -551,11 +548,12 @@ mod tests {
             replay_events_miss=9 replay_events_bank=10 replay_events_prf=11 \
             wrong_path_issued=12 cond_branches=13 cond_mispredicts=14 \
             target_mispredicts=15 bank_delayed_loads=16 bank_delay_cycles=17 \
-            loads_merged_into_mshr=18 dram_row_hits=19 dram_row_misses=20 \
-            loads_spec_woken=21 loads_conservative=22 filter_sure_hit=23 \
-            filter_sure_miss=24 filter_unstable=25 crit_predicted_critical=26 \
-            crit_predicted_noncritical=27 memdep_violations=28 \
-            dispatch_stall_cycles=29 recovery_buffer_replays=30 faults_injected=31 \
+            dram_row_hits=18 dram_row_misses=19 loads_spec_woken=20 \
+            loads_conservative=21 filter_sure_hit=22 filter_sure_miss=23 \
+            filter_unstable=24 crit_predicted_critical=25 \
+            crit_predicted_noncritical=26 memdep_violations=27 \
+            dispatch_stall_cycles=28 recovery_buffer_replays=29 \
+            faults_injected=30 \
             l1d.accesses=101 l2.accesses=201 \
             l1d.hits=102 l2.hits=202 l1d.misses=103 l2.misses=203 \
             l1d.mshr_merges=104 l2.mshr_merges=204 l1d.prefetches=105 \
@@ -590,7 +588,7 @@ mod tests {
         }
         assert_eq!(stats_from_wire(&format!("{line} bogus=1")), None);
         assert_eq!(stats_from_wire("cycles=1 committed_uops=2"), None);
-        assert_eq!(stats_from_wire(&line.replace("=31", "=x")), None);
+        assert_eq!(stats_from_wire(&line.replace("=30", "=x")), None);
     }
 
     #[test]
