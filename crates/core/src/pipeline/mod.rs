@@ -43,7 +43,7 @@ use ss_mem::MemoryHierarchy;
 use ss_memdep::StoreSets;
 use ss_sched::{BankPredictor, SchedEngine};
 use ss_types::commit::CommitRecord;
-use ss_types::trace::{NullSink, TraceEvent, TraceSink};
+use ss_types::trace::{NullSink, TraceSink};
 use ss_types::{
     Cycle, DeadlockReport, InvariantReport, SeqNum, SimConfig, SimError, SimStats, VecPool,
 };
@@ -496,19 +496,10 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         }
     }
 
-    /// Emits this cycle's `Occupancy` trace event.
+    /// Emits this cycle's `Occupancy` trace event: the occupancy counts
+    /// of [`Self::snapshot`].
     fn record_occupancy(&mut self) {
-        self.sink.record(TraceEvent::Occupancy {
-            cycle: self.now,
-            rob: self.rob.len() as u32,
-            iq: self.iq_used,
-            lq: self.lq_used,
-            sq: self.sq_used,
-            frontend: self.frontend.len() as u32,
-            recovery: self.recovery.iter().map(|(_, g)| g.len() as u32).sum(),
-            inflight: self.inflight.iter().map(|(_, g)| g.len() as u32).sum(),
-            wrong_path: self.wrong_path_mode,
-        });
+        self.sink.record(self.snapshot().occupancy());
     }
 
     /// Probes whether the upcoming cycles are *quiet* — provably free of
@@ -579,7 +570,8 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     }
 
     /// Captures the current pipeline occupancy (cheap; no simulation
-    /// side effects).
+    /// side effects). The one definition of the occupancy counts: the
+    /// traced `Occupancy` event and the `Debug` view read it.
     pub fn snapshot(&self) -> PipelineSnapshot {
         PipelineSnapshot {
             cycle: self.now,
@@ -788,11 +780,12 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
 
 impl<T: TraceSource, S: TraceSink> std::fmt::Debug for Simulator<T, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = self.snapshot();
         f.debug_struct("Simulator")
-            .field("now", &self.now)
-            .field("rob", &self.rob.len())
-            .field("iq_used", &self.iq_used)
-            .field("committed", &self.stats.committed_uops)
+            .field("now", &s.cycle)
+            .field("rob", &s.rob)
+            .field("iq_used", &s.iq)
+            .field("committed", &s.committed)
             .finish_non_exhaustive()
     }
 }

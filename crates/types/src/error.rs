@@ -42,7 +42,8 @@ fn fmt_trace_window(f: &mut fmt::Formatter<'_>, trace: &[TraceEvent]) -> fmt::Re
 }
 
 /// A point-in-time view of pipeline occupancy, attached to deadlock and
-/// invariant reports (and used by tracing/debugging tools).
+/// invariant reports; the traced per-cycle `Occupancy` event is
+/// [`PipelineSnapshot::occupancy`] of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineSnapshot {
     /// Current cycle.
@@ -69,6 +70,23 @@ pub struct PipelineSnapshot {
     pub issued: u64,
     /// Replayed µ-ops so far.
     pub replayed: u64,
+}
+
+impl PipelineSnapshot {
+    /// The per-cycle [`TraceEvent::Occupancy`] sample of this view.
+    pub fn occupancy(&self) -> TraceEvent {
+        TraceEvent::Occupancy {
+            cycle: self.cycle,
+            rob: self.rob as u32,
+            iq: self.iq,
+            lq: self.lq,
+            sq: self.sq,
+            frontend: self.frontend as u32,
+            recovery: self.recovery as u32,
+            inflight: self.inflight as u32,
+            wrong_path: self.wrong_path,
+        }
+    }
 }
 
 impl fmt::Display for PipelineSnapshot {

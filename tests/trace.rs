@@ -10,7 +10,9 @@ use speculative_scheduling::core::{DiffChecker, RunLength, Simulator};
 use speculative_scheduling::harness::fuzz::{error_trace, run_campaign, FuzzOptions};
 use speculative_scheduling::oracle::InOrderModel;
 use speculative_scheduling::prelude::*;
-use speculative_scheduling::trace::{json, perfetto, pipeview, CaptureSink, NullSink, TraceEvent};
+use speculative_scheduling::trace::{
+    json, perfetto, pipeview, CaptureSink, NullSink, TraceEvent, TraceSink,
+};
 use speculative_scheduling::types::SimError;
 use speculative_scheduling::workloads::{kernels, KernelSpec, KernelTrace};
 
@@ -32,7 +34,7 @@ const LEN: RunLength = RunLength {
     measure: 10_000,
 };
 
-fn stats_with<S: speculative_scheduling::trace::TraceSink>(sink: S) -> SimStats {
+fn stats_with<S: TraceSink>(sink: S) -> SimStats {
     let mut sim = Simulator::with_sink(missy_cfg(), KernelTrace::new(missy_kernel()), sink);
     let warm = sim.try_run_committed(LEN.warmup).expect("warmup");
     let end = sim.try_run_committed(LEN.measure).expect("measure");
@@ -64,6 +66,57 @@ fn capture_window(window: std::ops::Range<u64>) -> Vec<TraceEvent> {
     );
     sim.try_run_committed(window.end).expect("runs");
     sim.into_sink().into_events()
+}
+
+/// The traced `Occupancy` samples and `Simulator::snapshot` are one view
+/// of the pipeline: wherever a window-traced run stops, the last sample
+/// equals the snapshot on every field the two share.
+#[test]
+fn last_occupancy_sample_equals_the_snapshot() {
+    let mut sim = Simulator::with_sink(
+        missy_cfg(),
+        KernelTrace::new(missy_kernel()),
+        CaptureSink::with_window(100..300),
+    );
+    let mut committed = 0;
+    for stop in [1, 150, 299, 1_000, 2_500, 6_000] {
+        sim.try_run_committed(stop - committed).expect("runs");
+        committed = stop;
+        let events = sim.sink().recent();
+        let last = events
+            .iter()
+            .rev()
+            .find(|e| matches!(e, TraceEvent::Occupancy { .. }));
+        let Some(&TraceEvent::Occupancy {
+            cycle,
+            rob,
+            iq,
+            lq,
+            sq,
+            frontend,
+            recovery,
+            inflight,
+            wrong_path,
+        }) = last
+        else {
+            panic!("no occupancy sample by commit {stop}");
+        };
+        let snap = sim.snapshot();
+        let sample = (cycle, rob as usize, iq, lq, sq, frontend as usize);
+        let view = (
+            snap.cycle,
+            snap.rob,
+            snap.iq,
+            snap.lq,
+            snap.sq,
+            snap.frontend,
+        );
+        assert_eq!(sample, view, "commit {stop}: cycle/rob/iq/lq/sq/frontend");
+        let sample = (recovery as usize, inflight as usize, wrong_path);
+        let view = (snap.recovery, snap.inflight, snap.wrong_path);
+        assert_eq!(sample, view, "commit {stop}: recovery/inflight/wrong_path");
+        assert!(snap.committed >= stop, "commit {stop}: {snap}");
+    }
 }
 
 /// The same (config × kernel × window) capture is bit-identical across
