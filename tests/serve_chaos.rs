@@ -10,89 +10,22 @@
 //!   the grace bound and every casualty gets a typed error, never a
 //!   silent close.
 
+mod common;
+
+use common::Client;
 use speculative_scheduling::core::RunRequest;
 use speculative_scheduling::harness::serve::{stats_from_wire, ServeOptions, Server};
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// How long a read may wait before the test fails instead of hanging.
+const TIMEOUT: Option<Duration> = Some(Duration::from_secs(30));
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ss-chaos-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
-}
-
-/// A line-oriented client connection.
-struct Client {
-    stream: UnixStream,
-    reader: BufReader<UnixStream>,
-}
-
-impl Client {
-    fn connect(socket: &Path) -> Client {
-        let stream = UnixStream::connect(socket).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        Client { stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("send");
-        self.stream.write_all(b"\n").expect("send");
-        self.stream.flush().expect("flush");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("recv");
-        assert!(n > 0, "server closed the connection unexpectedly");
-        line.trim_end().to_string()
-    }
-
-    /// Reads lines until the connection closes, up to `max`.
-    fn drain_lines(&mut self, max: usize) -> Vec<String> {
-        let mut out = Vec::new();
-        for _ in 0..max {
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => out.push(line.trim_end().to_string()),
-            }
-        }
-        out
-    }
-
-    /// Reads until the terminal reply for `id`, skipping progress lines.
-    fn terminal(&mut self, id: &str) -> String {
-        loop {
-            let line = self.recv();
-            if line.starts_with("progress ") {
-                continue;
-            }
-            assert!(
-                line.split(' ').nth(1) == Some(id),
-                "reply for a different request: {line}"
-            );
-            return line;
-        }
-    }
-
-    /// Issues `metrics` and parses the `k=v` payload.
-    fn metrics(&mut self) -> HashMap<String, u64> {
-        self.send("metrics");
-        let line = self.recv();
-        let payload = line.strip_prefix("metrics ").expect("metrics reply");
-        payload
-            .split(' ')
-            .filter_map(|kv| kv.split_once('='))
-            .map(|(k, v)| (k.to_string(), v.parse().expect("metrics value")))
-            .collect()
-    }
 }
 
 /// The offline reference a served `done` payload must match bytewise.
@@ -114,7 +47,7 @@ fn poisoned_workers_are_respawned_and_results_stay_byte_identical() {
         ..ServeOptions::default()
     })
     .expect("server starts");
-    let mut c = Client::connect(server.socket());
+    let mut c = Client::connect(server.socket(), TIMEOUT);
 
     // Kill both workers, one after the other. The ack is guaranteed to
     // precede the dying worker's reply (admission holds the writer lock
@@ -193,7 +126,7 @@ fn deadline_exceeded_is_typed_with_evidence_while_neighbors_finish() {
     .expect("server starts");
 
     // One request that cannot possibly finish inside its 25ms budget...
-    let mut doomed = Client::connect(server.socket());
+    let mut doomed = Client::connect(server.socket(), TIMEOUT);
     doomed.send(
         "run d1 src=bench:stream_hi_ilp@0x7 cfg=SpecSched_4 \
          len=w1000m400000000 deadline=25",
@@ -201,7 +134,7 @@ fn deadline_exceeded_is_typed_with_evidence_while_neighbors_finish() {
     assert!(doomed.recv().starts_with("ack d1 "));
 
     // ...while a neighbor on the second worker finishes normally.
-    let mut fine = Client::connect(server.socket());
+    let mut fine = Client::connect(server.socket(), TIMEOUT);
     let req = "src=bench:mix_int@0xb5 cfg=Baseline_4 len=w200m2000";
     fine.send(&format!("run n1 {req}"));
     assert!(fine.recv().starts_with("ack n1 "));
@@ -246,7 +179,7 @@ fn drain_grace_bounds_shutdown_and_types_every_casualty() {
         ..ServeOptions::default()
     })
     .expect("server starts");
-    let mut c = Client::connect(server.socket());
+    let mut c = Client::connect(server.socket(), TIMEOUT);
 
     // One run occupying the lone worker indefinitely...
     c.send("run r1 src=bench:stream_hi_ilp@0x3 cfg=SpecSched_4 len=w1000m400000000");

@@ -12,13 +12,14 @@
 //!   typed [`SimError::Cancelled`] rendering, and admission control
 //!   answers `overloaded` instead of queueing without bound.
 
+mod common;
+
+use common::Client;
 use speculative_scheduling::core::RunRequest;
 use speculative_scheduling::harness::serve::{stats_from_wire, ServeOptions, Server};
 use speculative_scheduling::types::Priority;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -26,61 +27,6 @@ fn scratch(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
-}
-
-/// A line-oriented client connection.
-struct Client {
-    stream: UnixStream,
-    reader: BufReader<UnixStream>,
-}
-
-impl Client {
-    fn connect(socket: &Path) -> Client {
-        let stream = UnixStream::connect(socket).expect("connect");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        Client { stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("send");
-        self.stream.write_all(b"\n").expect("send");
-        self.stream.flush().expect("flush");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("recv");
-        assert!(n > 0, "server closed the connection unexpectedly");
-        line.trim_end().to_string()
-    }
-
-    /// Reads until the terminal reply for `id`, returning it. Progress
-    /// lines (for any request on this connection) are skipped.
-    fn terminal(&mut self, id: &str) -> String {
-        loop {
-            let line = self.recv();
-            if line.starts_with("progress ") {
-                continue;
-            }
-            assert!(
-                line.split(' ').nth(1) == Some(id),
-                "reply for a different request: {line}"
-            );
-            return line;
-        }
-    }
-
-    /// Issues `metrics` and parses the `k=v` payload.
-    fn metrics(&mut self) -> HashMap<String, u64> {
-        self.send("metrics");
-        let line = self.recv();
-        let payload = line.strip_prefix("metrics ").expect("metrics reply");
-        payload
-            .split(' ')
-            .filter_map(|kv| kv.split_once('='))
-            .map(|(k, v)| (k.to_string(), v.parse().expect("metrics value")))
-            .collect()
-    }
 }
 
 /// Runs one request to completion and returns the `done` payload.
@@ -120,7 +66,7 @@ fn saturated_mixed_workload_is_byte_identical_and_prioritized() {
     // is admitted while the worker is busy and measures *queue* latency
     // under saturation. The plug is long relative to admission (~100ms
     // of simulation vs ~ms of socket writes).
-    let mut plug = Client::connect(&socket);
+    let mut plug = Client::connect(&socket, None);
     plug.send("run plug prio=bulk src=bench:stream_hi_ilp@0x1 cfg=Baseline_2 len=w0m600000");
     assert_eq!(plug.recv(), "ack plug queued prio=bulk");
     // The first progress line proves the worker is busy.
@@ -136,7 +82,7 @@ fn saturated_mixed_workload_is_byte_identical_and_prioritized() {
         let results = Arc::clone(&results);
         let bench = benches[t % benches.len()].to_string();
         threads.push(std::thread::spawn(move || {
-            let mut c = Client::connect(&socket);
+            let mut c = Client::connect(&socket, None);
             let req = format!("src=bench:{bench}@0x{t} cfg=SpecSched_4 len=w200m12000");
             let done = run_to_done(&mut c, &format!("b{t}"), "bulk", &req);
             results.lock().unwrap().insert(req, done);
@@ -147,7 +93,7 @@ fn saturated_mixed_workload_is_byte_identical_and_prioritized() {
         let results = Arc::clone(&results);
         let bench = benches[t % benches.len()].to_string();
         threads.push(std::thread::spawn(move || {
-            let mut c = Client::connect(&socket);
+            let mut c = Client::connect(&socket, None);
             let req = format!("src=bench:{bench}@0xa{t} cfg=Baseline_2 len=w100m1500");
             let done = run_to_done(&mut c, &format!("i{t}"), "interactive", &req);
             results.lock().unwrap().insert(req, done);
@@ -208,7 +154,7 @@ fn saturated_mixed_workload_is_byte_identical_and_prioritized() {
     );
 
     // And the queue-wait distributions agree: interactive p99 < bulk p99.
-    let m = Client::connect(&socket).metrics();
+    let m = Client::connect(&socket, None).metrics();
     assert_eq!(m["wait.interactive.n"], 6);
     assert_eq!(m["wait.bulk.n"], 10);
     assert!(
@@ -235,7 +181,7 @@ fn cancellation_interrupts_and_admission_control_rejects() {
     })
     .expect("server starts");
     let socket = server.socket().to_path_buf();
-    let mut c = Client::connect(&socket);
+    let mut c = Client::connect(&socket, None);
 
     // A long bulk cell occupies the worker...
     c.send("run victim prio=bulk src=bench:stream_hi_ilp@0x9 cfg=SpecSched_4 len=w0m800000");
