@@ -345,8 +345,8 @@ fn run_sweep(args: SweepArgs) -> i32 {
         }
     }
     sess.sort_failures();
-    for note in sess.failure_notes() {
-        eprintln!("{note}");
+    for f in &sess.failures {
+        eprintln!("{}", f.note());
     }
     eprintln!(
         "[{} simulations run, {} cache entries rejected, {} quarantined, {} warm forks, {} cell failures, {:.1}s, run length {}+{} µ-ops, CSVs in {}]",

@@ -12,11 +12,11 @@
 //! `experiments` binary reports it and keeps regenerating the rest.
 //!
 //! The [`EXPERIMENTS`] registry pairs every regenerator with its *plan* —
-//! the configurations it will ask the session for. The parallel execution
-//! engine ([`crate::exec`]) prewarms the (plan × benchmark) matrix across
-//! workers before the regenerators run; a plan that under-reports merely
-//! loses parallelism (the regenerator falls back to simulating in-line),
-//! never correctness.
+//! the configurations it will ask the session for. A plan is derived,
+//! not kept by hand: [`Session::plan_of`] runs the regenerator once on a
+//! planning session that records what it asks for and simulates
+//! nothing. The parallel execution engine ([`crate::exec`]) prewarms the
+//! (plan × benchmark) matrix across workers before the regenerators run.
 
 use crate::configs::{self, NamedConfig};
 use crate::energy::EnergyModel;
@@ -937,226 +937,41 @@ pub struct Experiment {
     pub id: &'static str,
     /// The regenerator.
     pub run: fn(&mut Session) -> Result<Report, SimError>,
-    /// The configurations the regenerator will ask the session for.
+    /// The configurations the regenerator will ask the session for, in
+    /// first-asked order ([`Session::plan_of`] of `run`).
     pub plan: fn() -> Vec<NamedConfig>,
 }
 
-fn plan_table2() -> Vec<NamedConfig> {
-    vec![configs::baseline(0)]
-}
-
-fn plan_fig3() -> Vec<NamedConfig> {
-    vec![
-        configs::baseline(0),
-        configs::baseline_single_load(),
-        configs::baseline(2),
-        configs::baseline(4),
-        configs::baseline(6),
-    ]
-}
-
-fn plan_fig4() -> Vec<NamedConfig> {
-    let mut v = vec![configs::baseline(0)];
-    for banked in [false, true] {
-        for d in [0u64, 2, 4, 6] {
-            v.push(configs::spec_sched(d, banked));
+/// A registry entry: the experiment `$id` runs the regenerator of that
+/// name, and its plan is what that regenerator asks the session for.
+macro_rules! experiment {
+    ($id:ident) => {
+        Experiment {
+            id: stringify!($id),
+            run: $id,
+            plan: || Session::plan_of($id),
         }
-    }
-    v
-}
-
-fn plan_fig5() -> Vec<NamedConfig> {
-    vec![
-        configs::baseline(0),
-        configs::spec_sched(4, true),
-        configs::spec_sched_shift(4),
-    ]
-}
-
-fn plan_fig7() -> Vec<NamedConfig> {
-    vec![
-        configs::baseline(0),
-        configs::spec_sched(4, true),
-        configs::spec_sched_ctr(4),
-        configs::spec_sched_filter(4),
-    ]
-}
-
-fn plan_fig8() -> Vec<NamedConfig> {
-    vec![
-        configs::baseline(0),
-        configs::spec_sched(4, true),
-        configs::spec_sched_combined(4),
-        configs::spec_sched_crit(4),
-    ]
-}
-
-fn plan_sweep() -> Vec<NamedConfig> {
-    let mut v = vec![configs::baseline(0)];
-    for d in [2u64, 4, 6] {
-        v.push(configs::spec_sched(d, true));
-        v.push(configs::spec_sched_crit(d));
-    }
-    v
-}
-
-fn plan_headline() -> Vec<NamedConfig> {
-    vec![
-        configs::baseline(0),
-        configs::spec_sched(4, true),
-        configs::spec_sched_crit(4),
-        configs::baseline(4),
-    ]
-}
-
-fn plan_ablations() -> Vec<NamedConfig> {
-    vec![
-        configs::baseline(0),
-        configs::spec_sched_filter(4),
-        configs::ablation_no_silence(4),
-        configs::spec_sched(4, true),
-        configs::ablation_no_line_buffer(4),
-        configs::ablation_bimodal(4),
-    ]
-}
-
-fn plan_replay_schemes() -> Vec<NamedConfig> {
-    let mut v = vec![configs::baseline(0)];
-    for scheme in [
-        ReplayScheme::Squash,
-        ReplayScheme::Selective,
-        ReplayScheme::Refetch,
-    ] {
-        v.push(configs::with_replay_scheme(4, scheme, false));
-        v.push(configs::with_replay_scheme(4, scheme, true));
-    }
-    v
-}
-
-fn plan_bank_prediction() -> Vec<NamedConfig> {
-    vec![
-        configs::baseline(0),
-        configs::spec_sched(4, true),
-        configs::spec_sched_shift(4),
-        configs::spec_sched_shift_predicted(4),
-    ]
-}
-
-fn plan_criticality_criteria() -> Vec<NamedConfig> {
-    vec![
-        configs::baseline(0),
-        configs::spec_sched(4, true),
-        configs::spec_sched_crit(4),
-        configs::spec_sched_crit_qold(4),
-    ]
-}
-
-fn plan_interleaving() -> Vec<NamedConfig> {
-    vec![
-        configs::baseline(0),
-        configs::spec_sched(4, true),
-        configs::ablation_set_interleaved(4),
-    ]
-}
-
-fn plan_energy() -> Vec<NamedConfig> {
-    vec![
-        configs::spec_sched(4, true),
-        configs::baseline(4),
-        configs::spec_sched_shift(4),
-        configs::spec_sched_filter(4),
-        configs::spec_sched_combined(4),
-        configs::spec_sched_crit(4),
-    ]
-}
-
-fn plan_prf_banking() -> Vec<NamedConfig> {
-    vec![
-        configs::baseline(0),
-        configs::spec_sched(4, true),
-        configs::with_prf_banking(4, 4, 2),
-        configs::with_prf_banking(4, 2, 1),
-    ]
+    };
 }
 
 /// Every experiment, in paper order, then the extensions. The ids double
 /// as the `experiments` binary's CLI arguments.
 pub const EXPERIMENTS: &[Experiment] = &[
-    Experiment {
-        id: "table2",
-        run: table2,
-        plan: plan_table2,
-    },
-    Experiment {
-        id: "fig3",
-        run: fig3,
-        plan: plan_fig3,
-    },
-    Experiment {
-        id: "fig4",
-        run: fig4,
-        plan: plan_fig4,
-    },
-    Experiment {
-        id: "fig5",
-        run: fig5,
-        plan: plan_fig5,
-    },
-    Experiment {
-        id: "fig7",
-        run: fig7,
-        plan: plan_fig7,
-    },
-    Experiment {
-        id: "fig8",
-        run: fig8,
-        plan: plan_fig8,
-    },
-    Experiment {
-        id: "sweep",
-        run: sweep,
-        plan: plan_sweep,
-    },
-    Experiment {
-        id: "headline",
-        run: headline,
-        plan: plan_headline,
-    },
-    Experiment {
-        id: "ablations",
-        run: ablations,
-        plan: plan_ablations,
-    },
-    Experiment {
-        id: "replay_schemes",
-        run: replay_schemes,
-        plan: plan_replay_schemes,
-    },
-    Experiment {
-        id: "bank_prediction",
-        run: bank_prediction,
-        plan: plan_bank_prediction,
-    },
-    Experiment {
-        id: "criticality_criteria",
-        run: criticality_criteria,
-        plan: plan_criticality_criteria,
-    },
-    Experiment {
-        id: "interleaving",
-        run: interleaving,
-        plan: plan_interleaving,
-    },
-    Experiment {
-        id: "energy",
-        run: energy,
-        plan: plan_energy,
-    },
-    Experiment {
-        id: "prf_banking",
-        run: prf_banking,
-        plan: plan_prf_banking,
-    },
+    experiment!(table2),
+    experiment!(fig3),
+    experiment!(fig4),
+    experiment!(fig5),
+    experiment!(fig7),
+    experiment!(fig8),
+    experiment!(sweep),
+    experiment!(headline),
+    experiment!(ablations),
+    experiment!(replay_schemes),
+    experiment!(bank_prediction),
+    experiment!(criticality_criteria),
+    experiment!(interleaving),
+    experiment!(energy),
+    experiment!(prf_banking),
 ];
 
 /// Looks up a registered experiment by id.
@@ -1169,4 +984,54 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
 /// rest down.
 pub fn all(sess: &mut Session) -> Vec<(&'static str, Result<Report, SimError>)> {
     EXPERIMENTS.iter().map(|e| (e.id, (e.run)(sess))).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn plan_names(id: &str) -> Vec<String> {
+        let e = find(id).expect("registered");
+        (e.plan)().into_iter().map(|c| c.name).collect()
+    }
+
+    /// ssbench's core sample and its serve-mix preload index into these
+    /// plans, so their names and order are part of the interface.
+    #[test]
+    fn paper_grid_plans_keep_their_names_and_order() {
+        assert_eq!(
+            plan_names("fig4"),
+            [
+                "Baseline_0",
+                "SpecSched_0_ported",
+                "SpecSched_2_ported",
+                "SpecSched_4_ported",
+                "SpecSched_6_ported",
+                "SpecSched_0",
+                "SpecSched_2",
+                "SpecSched_4",
+                "SpecSched_6",
+            ]
+        );
+        assert_eq!(
+            plan_names("fig5"),
+            ["Baseline_0", "SpecSched_4", "SpecSched_4_Shift"]
+        );
+        assert_eq!(
+            plan_names("fig8"),
+            [
+                "Baseline_0",
+                "SpecSched_4",
+                "SpecSched_4_Combined",
+                "SpecSched_4_Crit",
+            ]
+        );
+        let mut grid: Vec<String> = ["fig4", "fig5", "fig8"]
+            .into_iter()
+            .flat_map(plan_names)
+            .collect();
+        grid.sort();
+        grid.dedup();
+        assert_eq!(grid.len(), 12);
+    }
 }

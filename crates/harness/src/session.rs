@@ -61,6 +61,22 @@ pub struct CellFailure {
     pub error: SimError,
 }
 
+impl CellFailure {
+    /// The failure as one human-readable report line. It carries the
+    /// cell key (and, for fuzz cells, the derivation seed), so the
+    /// failure can be reproduced from the report alone.
+    pub fn note(&self) -> String {
+        let seed = match self.fuzz_seed {
+            Some(s) => format!(" [fuzz seed {s:#x}]"),
+            None => String::new(),
+        };
+        format!(
+            "FAILED {} × {}: {} [cell {}]{seed}",
+            self.config, self.bench, self.error, self.cell_key
+        )
+    }
+}
+
 /// Runs simulations and caches their statistics.
 pub struct Session {
     len: RunLength,
@@ -89,6 +105,9 @@ pub struct Session {
     warm_dir: Option<PathBuf>,
     /// Crash-safe record of completed cells, when attached.
     journal: Option<SweepJournal>,
+    /// Planning mode ([`Session::plan_of`]): the configurations asked
+    /// for so far, in first-asked order.
+    plan: Option<Vec<NamedConfig>>,
 }
 
 impl Session {
@@ -110,6 +129,7 @@ impl Session {
             failures: Vec::new(),
             warm_dir: None,
             journal: None,
+            plan: None,
         };
         if let Some(d) = cache_dir {
             match Store::create(&d) {
@@ -192,12 +212,37 @@ impl Session {
         self.store = None;
     }
 
+    /// The configurations `run` asks a session for, in first-asked order
+    /// and without duplicates: the plan the parallel engine prewarms.
+    /// `run` runs once on a planning session, whose [`Session::try_run`]
+    /// records each configuration and answers with placeholder
+    /// statistics (every IPC is 1). Planning simulates nothing, builds no
+    /// request text and touches no store, journal or warm directory.
+    pub fn plan_of<R>(run: impl FnOnce(&mut Session) -> R) -> Vec<NamedConfig> {
+        let mut sess = Session {
+            plan: Some(Vec::new()),
+            ..Session::new(RunLength::SMOKE, None)
+        };
+        let _ = run(&mut sess);
+        sess.plan.unwrap_or_default()
+    }
+
     /// Runs (or recalls) one configuration × benchmark, isolating
     /// failures: a panicking or erroring simulation is recorded in
     /// [`Session::failures`] and returned as `Err` instead of taking the
     /// whole sweep down. A cell that already failed in this session is
     /// not re-simulated; the recorded error is returned again.
     pub fn try_run(&mut self, cfg: &NamedConfig, bench: &Benchmark) -> Result<SimStats, SimError> {
+        if let Some(plan) = &mut self.plan {
+            if !plan.iter().any(|c| c.spec == cfg.spec) {
+                plan.push(cfg.clone());
+            }
+            return Ok(SimStats {
+                cycles: 1,
+                committed_uops: 1,
+                ..SimStats::default()
+            });
+        }
         let text = self.cell_text(cfg, bench);
         if let Some(recalled) = self.try_recall(&text) {
             return recalled;
@@ -207,7 +252,7 @@ impl Session {
         // The simulation the text names: the kernel `bench` builds at the
         // workload seed (what `src=bench:` resolves to for a registry
         // benchmark) on the spec's machine.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let outcome = catch_panic(|| {
             let kernel = (bench.build)(WORKLOAD_SEED);
             let req = || {
                 RunRequest::kernel(kernel.clone())
@@ -215,23 +260,11 @@ impl Session {
                     .length(len)
             };
             run_cell(req, warm_path.as_deref())
-        }));
-        let outcome = match outcome {
-            Ok(Ok((s, forked))) => {
-                self.warm_forked += u64::from(forked);
-                Ok(s)
-            }
-            Ok(Err(e)) => Err(e),
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("opaque panic payload")
-                    .to_string();
-                Err(SimError::Panicked(msg))
-            }
-        };
+        })
+        .map(|(s, forked)| {
+            self.warm_forked += u64::from(forked);
+            s
+        });
         self.record_run(cfg, bench, text, outcome)
     }
 
@@ -371,26 +404,20 @@ impl Session {
         self.failures
             .sort_by(|a, b| (&a.config, &a.bench).cmp(&(&b.config, &b.bench)));
     }
+}
 
-    /// Human-readable lines describing every recorded cell failure (for
-    /// report notes). Each line carries the canonical request text (and,
-    /// for fuzz cells, the derivation seed) so any reported failure can
-    /// be reproduced from the report alone.
-    pub fn failure_notes(&self) -> Vec<String> {
-        self.failures
-            .iter()
-            .map(|f| {
-                let seed = match f.fuzz_seed {
-                    Some(s) => format!(" [fuzz seed {s:#x}]"),
-                    None => String::new(),
-                };
-                format!(
-                    "FAILED {} × {}: {} [cell {}]{seed}",
-                    f.config, f.bench, f.error, f.cell_key
-                )
-            })
-            .collect()
-    }
+/// Runs `f`, turning a panic into [`SimError::Panicked`] carrying the
+/// panic message: the cell fault boundary of a sweep and of a fuzz
+/// campaign.
+pub(crate) fn catch_panic<T>(f: impl FnOnce() -> Result<T, SimError>) -> Result<T, SimError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("opaque panic payload");
+        Err(SimError::Panicked(msg.to_string()))
+    })
 }
 
 /// Runs one cell, forking off a warm-state snapshot when a directory is
@@ -740,8 +767,9 @@ mod tests {
         );
         assert!(sess.failures[0].cell_key.parse::<RunRequest>().is_ok());
         assert!(sess.failures[0].fuzz_seed.is_none());
-        assert!(sess.failure_notes()[0].contains("FAILED"));
-        assert!(sess.failure_notes()[0].contains("[cell src=bench:exploding@0xb5 "));
+        let note = sess.failures[0].note();
+        assert!(note.contains("FAILED"));
+        assert!(note.contains("[cell src=bench:exploding@0xb5 "));
         // The session keeps working for healthy cells.
         let ok = sess.try_run(&cfg, benchmark("fp_compute").unwrap());
         assert!(ok.is_ok());
@@ -750,6 +778,47 @@ mod tests {
         let again = sess.try_run(&cfg, &EXPLODING).unwrap_err();
         assert!(matches!(again, SimError::Panicked(_)));
         assert_eq!(sess.failures.len(), 1, "failure recorded once");
+    }
+
+    #[test]
+    fn planning_records_first_asked_configs_and_simulates_nothing() {
+        // Every side channel attached: planning must touch none of them.
+        let dir = tmp("plan");
+        let mut sess = Session::new(LEN, Some(dir.join("cache")));
+        sess.enable_warm_fork(dir.join("warm"));
+        sess.attach_journal(&dir.join("journal.log")).unwrap();
+        sess.plan = Some(Vec::new());
+        let (ss4, b0) = (configs::spec_sched(4, true), configs::baseline(0));
+        for cfg in [&ss4, &b0, &ss4] {
+            let suite = sess.try_run_suite(cfg).expect("planning never fails");
+            assert!(suite.iter().all(|(_, s)| s.ipc() == 1.0));
+        }
+        let plan = sess.plan.take().unwrap_or_default();
+        let names: Vec<_> = plan.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["SpecSched_4", "Baseline_0"]);
+        assert_eq!(sess.simulated, 0);
+        assert!(sess.mem.is_empty() && sess.failures.is_empty());
+        for sub in ["cache", "warm"] {
+            let files = std::fs::read_dir(dir.join(sub)).unwrap().count();
+            assert_eq!(files, 0, "planning wrote into {sub}");
+        }
+        let journal = SweepJournal::open(&dir.join("journal.log")).unwrap();
+        assert_eq!(journal.completed(), 0, "planning journaled a cell");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn plan_of_returns_what_the_run_asked_for() {
+        let bench = benchmark("fp_compute").unwrap();
+        let plan = Session::plan_of(|s| {
+            for cfg in [configs::baseline(4), configs::spec_sched_crit(4)] {
+                s.try_run(&cfg, bench).unwrap();
+                s.try_run(&configs::baseline(4), bench).unwrap();
+            }
+            assert_eq!(s.simulated, 0);
+        });
+        let names: Vec<_> = plan.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["Baseline_4", "SpecSched_4_Crit"]);
     }
 
     #[test]

@@ -52,8 +52,10 @@ fn parallel_prewarm_matches_sequential() {
 
 /// Every registered experiment's prewarm plan covers every cell the
 /// regenerator asks for: after a prewarm, the regenerator must not
-/// simulate anything in-line. (An under-reporting plan would only lose
-/// parallelism — this test keeps it from drifting at all.)
+/// simulate anything in-line. Plans are derived by running the
+/// regenerator on placeholder statistics, so a regenerator that picked
+/// its cells from its results would ask for other cells on real ones;
+/// this test catches that.
 #[test]
 fn every_plan_covers_its_experiment() {
     // One session for the whole registry: experiments share many cells,
