@@ -146,6 +146,14 @@ impl FaultPlan {
         &self.windows
     }
 
+    /// This plan without its `i`-th window; the others keep their order.
+    /// Removing a window never makes a valid plan invalid.
+    pub fn without_window(&self, i: usize) -> FaultPlan {
+        let mut plan = self.clone();
+        plan.windows.remove(i);
+        plan
+    }
+
     /// The perturbation (extra latency, attributed replay cause) a
     /// correct-path load executing at `now` suffers, if any window is
     /// active. Windows never overlap (validated at construction), so at

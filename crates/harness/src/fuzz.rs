@@ -24,7 +24,7 @@
 //! cheap).
 
 use crate::cli::{self, Args};
-use crate::session::CellFailure;
+use crate::session::{catch_panic, CellFailure};
 use ss_core::{FaultPlan, RunLength, RunRequest};
 use ss_trace::{pipeview, CaptureSink, TraceEvent};
 use ss_types::exec::{scoped_workers, WorkQueue};
@@ -38,38 +38,11 @@ use std::sync::Mutex;
 /// Magic tag leading every repro file.
 const REPRO_MAGIC: &str = "ss-fuzz-repro";
 /// Repro file format version.
-const REPRO_VERSION: u32 = 1;
+const REPRO_VERSION: u32 = 2;
 /// Commit-log ring size used for divergence context in fuzz cells.
 const FUZZ_COMMIT_LOG_WINDOW: u32 = 32;
 /// Shrinker floor for the run length (committed µ-ops).
 const MIN_RUN: u64 = 64;
-
-/// One injected-fault window of a fuzz cell, in plain-`u64` form so it
-/// serializes trivially into repro files.
-///
-/// `kind` is 0 = latency spike, 1 = bank-conflict burst, 2 = replay
-/// storm; `param` is the spike/burst magnitude (ignored for storms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// Fault kind tag (0 spike, 1 bank burst, 2 storm).
-    pub kind: u8,
-    /// First active cycle.
-    pub start: u64,
-    /// Window length in cycles (always > 0).
-    pub duration: u64,
-    /// Magnitude (extra/delay cycles) for spike/burst kinds.
-    pub param: u64,
-}
-
-impl FaultSpec {
-    fn name(&self) -> &'static str {
-        match self.kind {
-            0 => "spike",
-            1 => "bank",
-            _ => "storm",
-        }
-    }
-}
 
 /// One fully-derived fuzz cell: a machine configuration, a generated
 /// kernel, a fault plan, and a run length. Everything is plain data so a
@@ -93,8 +66,9 @@ pub struct FuzzCell {
     pub dual_load: bool,
     /// Seed for the generated kernel ([`gen::gen_kernel`]).
     pub kernel_seed: u64,
-    /// Injected-fault windows (non-overlapping, positive duration).
-    pub faults: Vec<FaultSpec>,
+    /// Injected-fault windows (valid by construction; the shrinker only
+    /// ever removes windows).
+    pub faults: FaultPlan,
     /// Committed µ-ops to run.
     pub run: u64,
     /// Test hook: arm the intentionally-seeded wakeup-recovery bug
@@ -131,18 +105,20 @@ impl FuzzCell {
         let dual_load = rng.next_bool();
         let kernel_seed = rng.next_u64();
         // Non-overlapping windows by construction: each one starts past
-        // the previous window's end.
-        let mut faults = Vec::new();
+        // the previous window's end. A storm draws a magnitude too and
+        // ignores it, so every seed derives the cell it always has.
+        let mut faults = FaultPlan::new();
         let mut cursor = 200;
         for _ in 0..rng.next_below(3) {
             let start = cursor + rng.next_below(2_000);
             let duration = 1 + rng.next_below(500);
-            faults.push(FaultSpec {
-                kind: rng.next_below(3) as u8,
-                start,
-                duration,
-                param: 1 + rng.next_below(24),
-            });
+            let kind = rng.next_below(3);
+            let param = 1 + rng.next_below(24);
+            faults = match kind {
+                0 => faults.latency_spike(start, duration, param),
+                1 => faults.bank_conflict_burst(start, duration, param),
+                _ => faults.replay_storm(start, duration),
+            };
             cursor = start + duration;
         }
         FuzzCell {
@@ -181,30 +157,11 @@ impl FuzzCell {
         gen::gen_kernel(&mut rng)
     }
 
-    /// The fault plan this cell injects (valid by construction; the
-    /// shrinker only ever removes windows).
-    pub fn fault_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        for f in &self.faults {
-            plan = match f.kind {
-                0 => plan.latency_spike(f.start, f.duration, f.param),
-                1 => plan.bank_conflict_burst(f.start, f.duration, f.param),
-                _ => plan.replay_storm(f.start, f.duration),
-            };
-        }
-        plan
-    }
-
     /// Canonical cell key, analogous to
     /// [`CellFailure::cell_key`](crate::session::CellFailure::cell_key):
     /// every knob that defines the cell, so a reported failure is
     /// reproducible from the report alone.
     pub fn cell_key(&self) -> String {
-        let faults: Vec<String> = self
-            .faults
-            .iter()
-            .map(|f| format!("{}@{}+{}x{}", f.name(), f.start, f.duration, f.param))
-            .collect();
         format!(
             "fuzz|seed={:#x}|d{}|{:?}|{:?}|{:?}|banked={}|dual={}|k={:#x}|faults=[{}]|r{}{}",
             self.seed,
@@ -215,7 +172,7 @@ impl FuzzCell {
             self.banked,
             self.dual_load,
             self.kernel_seed,
-            faults.join(","),
+            self.faults,
             self.run,
             if self.seed_bug { "|seeded-bug" } else { "" },
         )
@@ -241,39 +198,23 @@ impl FuzzCell {
 /// come back as [`SimError::Panicked`].
 pub fn run_cell(cell: &FuzzCell) -> Result<(), SimError> {
     let cfg = cell.config()?;
-    let spec = cell.kernel();
-    let plan = cell.fault_plan();
-    let run = cell.run;
-    let seed_bug = cell.seed_bug;
-    let outcome = std::panic::catch_unwind(move || -> Result<(), SimError> {
+    catch_panic(|| {
         // Bounded ring trace: failure reports carry the trailing
         // pipeline-event window at negligible steady-state cost.
-        let mut req = RunRequest::kernel(spec)
+        let mut req = RunRequest::kernel(cell.kernel())
             .custom_config(cfg)
             .length(RunLength {
                 warmup: 0,
-                measure: run,
+                measure: cell.run,
             })
             .checked(true)
             .ring_trace(CaptureSink::DEFAULT_CAPACITY)
-            .faults(plan);
-        if seed_bug {
+            .faults(cell.faults.clone());
+        if cell.seed_bug {
             req = req.seed_wakeup_bug();
         }
         req.execute().map(|_| ())
-    });
-    match outcome {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic payload")
-                .to_string();
-            Err(SimError::Panicked(msg))
-        }
-    }
+    })
 }
 
 /// Whether two errors are the same failure class (the shrinker's
@@ -346,11 +287,13 @@ pub fn shrink(cell: &FuzzCell, baseline: &SimError) -> (FuzzCell, SimError) {
         }
     }
     // 2. Drop fault windows one at a time.
-    let mut i = best.faults.len();
+    let mut i = best.faults.windows().len();
     while i > 0 {
         i -= 1;
-        let mut cand = best.clone();
-        cand.faults.remove(i);
+        let cand = FuzzCell {
+            faults: best.faults.without_window(i),
+            ..best.clone()
+        };
         try_keep(cand, &mut best, &mut err);
     }
     // 3. Neutralize config knobs one at a time.
@@ -389,14 +332,8 @@ pub fn write_repro(cell: &FuzzCell, campaign_seed: u64, error: &SimError) -> Str
     out += &format!("banked {}\n", u8::from(cell.banked));
     out += &format!("dual_load {}\n", u8::from(cell.dual_load));
     out += &format!("kernel_seed {:#x}\n", cell.kernel_seed);
-    for f in &cell.faults {
-        out += &format!(
-            "fault {} {} {} {}\n",
-            f.name(),
-            f.start,
-            f.duration,
-            f.param
-        );
+    if !cell.faults.windows().is_empty() {
+        out += &format!("faults {}\n", cell.faults);
     }
     out += &format!("seed_bug {}\n", u8::from(cell.seed_bug));
     if let Some(seq) = divergence_seq(error) {
@@ -430,7 +367,7 @@ pub fn parse_repro(text: &str) -> Result<(FuzzCell, Option<u64>), String> {
         banked: false,
         dual_load: false,
         kernel_seed: 1,
-        faults: Vec::new(),
+        faults: FaultPlan::new(),
         run: 1_000,
         seed_bug: false,
     };
@@ -478,24 +415,7 @@ pub fn parse_repro(text: &str) -> Result<(FuzzCell, Option<u64>), String> {
             "kernel_seed" => cell.kernel_seed = parse_u64(val)?,
             "seed_bug" => cell.seed_bug = parse_u64(val)? != 0,
             "divergence_seq" => recorded_seq = Some(parse_u64(val)?),
-            "fault" => {
-                let parts: Vec<&str> = val.split_whitespace().collect();
-                let [name, start, duration, param] = parts[..] else {
-                    return Err(format!("malformed fault line `{line}`"));
-                };
-                let kind = match name {
-                    "spike" => 0,
-                    "bank" => 1,
-                    "storm" => 2,
-                    other => return Err(format!("unknown fault kind `{other}`")),
-                };
-                cell.faults.push(FaultSpec {
-                    kind,
-                    start: parse_u64(start)?,
-                    duration: parse_u64(duration)?,
-                    param: parse_u64(param)?,
-                });
-            }
+            "faults" => cell.faults = val.parse()?,
             "checkpoint" => {} // informational (nearest warm-state snapshot)
             "error" => {}      // informational
             other => return Err(format!("unknown repro key `{other}`")),
@@ -598,26 +518,6 @@ pub struct FuzzReport {
     /// Session-style failure records (config summary, kernel name,
     /// canonical cell key, and the cell seed) for report integration.
     pub failures: Vec<CellFailure>,
-}
-
-impl FuzzReport {
-    /// Human-readable lines describing every failure (mirrors
-    /// [`crate::Session::failure_notes`]).
-    pub fn failure_notes(&self) -> Vec<String> {
-        self.failures
-            .iter()
-            .map(|f| {
-                let seed = match f.fuzz_seed {
-                    Some(s) => format!(" [fuzz seed {s:#x}]"),
-                    None => String::new(),
-                };
-                format!(
-                    "FAILED {} × {}: {} [cell {}]{seed}",
-                    f.config, f.bench, f.error, f.cell_key
-                )
-            })
-            .collect()
-    }
 }
 
 /// Runs a deterministic fuzz campaign: `opts.cells` cells derived from
@@ -753,12 +653,12 @@ fn run_campaign_cli(opts: &FuzzOptions) -> i32 {
         println!("fuzz: {} cells clean (zero divergences)", report.cells);
         return 0;
     }
-    for (note, o) in report.failure_notes().iter().zip(&report.outcomes) {
-        eprintln!("{note}");
+    for (f, o) in report.failures.iter().zip(&report.outcomes) {
+        eprintln!("{}", f.note());
         eprintln!(
             "  shrunk to: run={} faults={} key={}",
             o.shrunk.run,
-            o.shrunk.faults.len(),
+            o.shrunk.faults.windows().len(),
             o.shrunk.cell_key()
         );
         if let Some(p) = &o.repro_path {
@@ -824,7 +724,7 @@ mod tests {
         for _ in 0..500 {
             let cell = FuzzCell::from_seed(sm.next_u64(), 1_000, false);
             assert!(
-                cell.fault_plan().validate().is_ok(),
+                cell.faults.validate().is_ok(),
                 "cell {:#x} built an invalid plan",
                 cell.seed
             );
@@ -860,8 +760,31 @@ mod tests {
     }
 
     #[test]
+    fn repro_and_key_carry_the_fault_plan_text() {
+        let cell = FuzzCell {
+            faults: FaultPlan::new()
+                .latency_spike(250, 40, 9)
+                .replay_storm(404, 174),
+            ..FuzzCell::from_seed(0x5EED, 4_000, false)
+        };
+        assert!(cell
+            .cell_key()
+            .contains("|faults=[spike@250x40+9,storm@404x174]|"));
+        let text = write_repro(&cell, 0xC0FFEE, &SimError::Panicked("boom".into()));
+        assert!(text.contains("\nfaults spike@250x40+9,storm@404x174\n"));
+        let (back, seq) = parse_repro(&text).expect("parses");
+        assert_eq!(back, cell);
+        assert_eq!(seq, None);
+        // The shrinker's mutation keeps the remaining window as it was.
+        assert_eq!(cell.faults.without_window(0).to_string(), "storm@404x174");
+    }
+
+    #[test]
     fn repro_rejects_garbage() {
         assert!(parse_repro("not a repro").is_err());
-        assert!(parse_repro("ss-fuzz-repro v1\npolicy Bogus\n").is_err());
+        assert!(parse_repro("ss-fuzz-repro v2\npolicy Bogus\n").is_err());
+        assert!(parse_repro("ss-fuzz-repro v2\nfaults storm@404+174x8\n").is_err());
+        // A version-1 file, whose fault lines this build does not read.
+        assert!(parse_repro("ss-fuzz-repro v1\nfault storm 404 174 8\n").is_err());
     }
 }

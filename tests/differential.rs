@@ -91,7 +91,7 @@ fn clean_campaign_has_zero_divergences() {
     assert!(
         report.outcomes.is_empty(),
         "unexpected failures: {:?}",
-        report.failure_notes()
+        report.failures.iter().map(|f| f.note()).collect::<Vec<_>>()
     );
 }
 
@@ -124,7 +124,7 @@ fn seeded_campaign_catches_shrinks_and_reproduces() {
     let o = &report.outcomes[0];
     // Shrinking preserves the failure class and never grows the cell.
     assert!(o.shrunk.run <= o.cell.run);
-    assert!(o.shrunk.faults.len() <= o.cell.faults.len());
+    assert!(o.shrunk.faults.windows().len() <= o.cell.faults.windows().len());
     let seq = divergence_seq(&o.shrunk_error).expect("seeded bug diverges");
 
     // Round-trip: serialize the shrunk cell, replay it, and land on the

@@ -293,7 +293,7 @@ fn fuzz_cells() -> Vec<Cell> {
                 let key = cell.cell_key();
                 let cfg = cell.config().unwrap_or_else(|e| panic!("{key}: {e}"));
                 let mut sim = Simulator::new(cfg, KernelTrace::new(cell.kernel()));
-                sim.set_fault_plan(cell.fault_plan())
+                sim.set_fault_plan(cell.faults.clone())
                     .unwrap_or_else(|e| panic!("{key}: bad plan: {e}"));
                 let outcome = match sim.try_run_committed(cell.run) {
                     Ok(_) => "ok".to_string(),
