@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Entry format version. Bump whenever the simulator's behaviour or the
 /// [`SimStats`] encoding changes incompatibly, so entries written by
 /// older builds read as stale and are re-simulated.
-pub const STORE_VERSION: u32 = 3;
+pub const STORE_VERSION: u32 = 4;
 
 /// Magic tag leading every entry's header line.
 const MAGIC: &str = "ss-results";

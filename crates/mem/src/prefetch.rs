@@ -31,8 +31,6 @@ pub struct StridePrefetcher {
     /// Reusable burst buffer handed out by reference: `observe_miss` is
     /// on the per-L1-miss hot path and must not allocate in steady state.
     burst: Vec<Addr>,
-    /// Prefetch requests emitted.
-    pub issued: u64,
 }
 
 impl StridePrefetcher {
@@ -43,7 +41,6 @@ impl StridePrefetcher {
             degree,
             line_bytes,
             burst: Vec::with_capacity(degree as usize),
-            issued: 0,
         }
     }
 
@@ -89,7 +86,6 @@ impl StridePrefetcher {
                         .push(Addr::new(target as u64).line(self.line_bytes));
                 }
             }
-            self.issued += self.burst.len() as u64;
         }
         &self.burst
     }
@@ -172,7 +168,6 @@ mod tests {
         for i in 0..10u64 {
             assert!(p.observe_miss(pc, Addr::new(i * 64)).is_empty());
         }
-        assert_eq!(p.issued, 0);
     }
 
     #[test]
@@ -195,4 +190,4 @@ ss_types::impl_persist!(StrideEntry {
     stride,
     confidence
 });
-ss_types::impl_persist_state!(StridePrefetcher { table, issued });
+ss_types::impl_persist_state!(StridePrefetcher { table });

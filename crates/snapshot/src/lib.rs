@@ -53,8 +53,10 @@ pub const SNAPSHOT_MAGIC: &str = "ss-snapshot";
 /// violation copy and the stale component counters from CORE, the store
 /// and L1I miss counts from MEM, the bank predictor's accuracy counts
 /// from SCHED, the Store Sets violation count from MEMDEP and the
-/// retired-instruction count of an `rv:` source from TRACE).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 8;
+/// retired-instruction count of an `rv:` source from TRACE; version 9
+/// writes `SimStats` as a presence mask and its non-zero counters, and
+/// drops the stride prefetcher's proposal count from MEM).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 9;
 
 /// Why a snapshot could not be used.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -435,11 +437,13 @@ mod tests {
 
     #[test]
     fn version_bump_is_a_typed_mismatch() {
-        let mut bytes = sample().to_bytes();
-        let v_pos = SNAPSHOT_MAGIC.len() + 2; // the digit after " v"
-        assert_eq!(bytes[v_pos], b'0' + SNAPSHOT_FORMAT_VERSION as u8);
-        bytes[v_pos] += 1;
-        match Snapshot::from_bytes(&bytes) {
+        let bytes = sample().to_bytes();
+        let current = format!("{SNAPSHOT_MAGIC} v{SNAPSHOT_FORMAT_VERSION} ");
+        assert!(bytes.starts_with(current.as_bytes()));
+        let next = SNAPSHOT_FORMAT_VERSION + 1;
+        let mut bumped = format!("{SNAPSHOT_MAGIC} v{next} ").into_bytes();
+        bumped.extend_from_slice(&bytes[current.len()..]);
+        match Snapshot::from_bytes(&bumped) {
             Err(SnapshotError::VersionMismatch { found, expected }) => {
                 assert_eq!(found, SNAPSHOT_FORMAT_VERSION + 1);
                 assert_eq!(expected, SNAPSHOT_FORMAT_VERSION);

@@ -683,18 +683,39 @@ crate::impl_persist!(crate::CacheStats {
 });
 
 /// Every counter of [`SimStats::counters`](crate::SimStats::counters),
-/// in that order: the one field list the wire line and the golden file
+/// in that order — the one field list the wire line and the golden file
 /// use, so a new counter is persisted as soon as it is listed there.
+/// The encoding is sparse: a `u64` mask whose bit `i` marks counter `i`
+/// as non-zero, then each non-zero value. A core's own copy leaves every
+/// component counter at 0, and short runs leave many more.
 impl Persist for crate::SimStats {
     fn save(&self, w: &mut Writer) {
-        for (_, v) in self.counters() {
+        const _: () = assert!(crate::SimStats::COUNTERS <= 64, "mask holds 64 counters");
+        let counters = self.counters();
+        let mask = (counters.iter().enumerate())
+            .filter(|(_, (_, v))| *v != 0)
+            .fold(0u64, |mask, (i, _)| mask | 1 << i);
+        mask.save(w);
+        for (_, v) in counters.into_iter().filter(|(_, v)| *v != 0) {
             v.save(w);
         }
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let mask = u64::load(r)?;
+        let unknown = mask
+            .checked_shr(crate::SimStats::COUNTERS as u32)
+            .unwrap_or(0);
+        if unknown != 0 {
+            return Err(r.err(format_args!(
+                "SimStats mask {mask:#x} has a bit at or above counter {}",
+                crate::SimStats::COUNTERS
+            )));
+        }
         let mut s = crate::SimStats::default();
-        for (_, v) in s.counters_mut() {
-            *v = u64::load(r)?;
+        for (i, (_, v)) in s.counters_mut().into_iter().enumerate() {
+            if mask >> i & 1 == 1 {
+                *v = u64::load(r)?;
+            }
         }
         Ok(s)
     }
@@ -785,7 +806,34 @@ mod tests {
         };
         s.l1d.misses = 5;
         s.l2.prefetch_hits = 7;
-        roundtrip(s);
+        roundtrip(s.clone());
+        // The mask, then only the five non-zero values.
+        assert_eq!(encoded(&s).len(), 8 * 6);
+    }
+
+    #[test]
+    fn stats_roundtrip_all_zero_and_all_non_zero() {
+        let zero = crate::SimStats::default();
+        assert_eq!(encoded(&zero), [0; 8], "all zero: the mask alone");
+        roundtrip(zero);
+        let mut full = crate::SimStats::default();
+        for (i, (_, v)) in full.counters_mut().into_iter().enumerate() {
+            *v = u64::MAX - i as u64;
+        }
+        assert_eq!(encoded(&full).len(), 8 * (1 + crate::SimStats::COUNTERS));
+        roundtrip(full);
+    }
+
+    #[test]
+    fn stats_mask_bit_past_the_counters_is_rejected() {
+        for bit in [crate::SimStats::COUNTERS, 63] {
+            let mut w = Writer::new();
+            (1u64 << bit).save(&mut w);
+            0u64.save(&mut w);
+            let bytes = w.into_bytes();
+            let err = crate::SimStats::load(&mut Reader::new(&bytes)).unwrap_err();
+            assert!(err.to_string().contains("mask"), "bit {bit}: {err}");
+        }
     }
 
     #[test]

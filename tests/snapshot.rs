@@ -126,12 +126,15 @@ fn capture_restore_capture_is_byte_identical_for_every_config_family() {
 fn bumped_format_version_is_a_typed_version_mismatch() {
     let cfg = configs::baseline(2);
     let snap = warm_up(&cfg, kernels::mix_int(1), 500);
-    let mut bytes = snap.to_bytes();
-    // Header: `ss-snapshot v1 ...` — bump the version digit in place.
-    let vpos = SNAPSHOT_MAGIC.len() + 2;
-    assert_eq!(bytes[vpos], b'0' + SNAPSHOT_FORMAT_VERSION as u8);
-    bytes[vpos] = b'0' + SNAPSHOT_FORMAT_VERSION as u8 + 1;
-    match Snapshot::from_bytes(&bytes) {
+    // Header: `ss-snapshot v{N} ...` — restamp it with the next version.
+    let bumped = |bytes: &[u8]| {
+        let current = format!("{SNAPSHOT_MAGIC} v{SNAPSHOT_FORMAT_VERSION} ");
+        assert!(bytes.starts_with(current.as_bytes()));
+        let mut out = format!("{SNAPSHOT_MAGIC} v{} ", SNAPSHOT_FORMAT_VERSION + 1).into_bytes();
+        out.extend_from_slice(&bytes[current.len()..]);
+        out
+    };
+    match Snapshot::from_bytes(&bumped(&snap.to_bytes())) {
         Err(SnapshotError::VersionMismatch { found, expected }) => {
             assert_eq!(found, SNAPSHOT_FORMAT_VERSION + 1);
             assert_eq!(expected, SNAPSHOT_FORMAT_VERSION);
@@ -143,9 +146,8 @@ fn bumped_format_version_is_a_typed_version_mismatch() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("future.snap");
     write_atomic(&path, &snap).expect("writes");
-    let mut on_disk = std::fs::read(&path).unwrap();
-    on_disk[vpos] = b'0' + SNAPSHOT_FORMAT_VERSION as u8 + 1;
-    std::fs::write(&path, on_disk).unwrap();
+    let on_disk = std::fs::read(&path).unwrap();
+    std::fs::write(&path, bumped(&on_disk)).unwrap();
     match load_snapshot(&path) {
         Err(SimError::SnapshotVersionMismatch {
             found, expected, ..
