@@ -105,8 +105,8 @@ impl FuzzCell {
         let dual_load = rng.next_bool();
         let kernel_seed = rng.next_u64();
         // Non-overlapping windows by construction: each one starts past
-        // the previous window's end. A storm draws a magnitude too and
-        // ignores it, so every seed derives the cell it always has.
+        // the previous window's end. A storm draws a magnitude it does
+        // not use, which keeps every later draw of the seed in place.
         let mut faults = FaultPlan::new();
         let mut cursor = 200;
         for _ in 0..rng.next_below(3) {
@@ -736,6 +736,12 @@ mod tests {
     fn repro_roundtrips_cell_and_seq() {
         let mut cell = FuzzCell::from_seed(0x5EED, 4_000, true);
         cell.run = 1_234; // pretend the shrinker shortened it
+        cell.faults = FaultPlan::new()
+            .latency_spike(250, 40, 9)
+            .replay_storm(404, 174);
+        // Key and repro carry the `FaultPlan` text a request carries.
+        let windows = "spike@250x40+9,storm@404x174";
+        assert!(cell.cell_key().contains(&format!("|faults=[{windows}]|")));
         let snap = ss_types::PipelineSnapshot::default();
         let rec = ss_types::CommitRecord {
             seq: 17,
@@ -754,28 +760,11 @@ mod tests {
             trace: vec![],
         }));
         let text = write_repro(&cell, 0xC0FFEE, &err);
+        assert!(text.contains(&format!("\nfaults {windows}\n")));
         let (back, seq) = parse_repro(&text).expect("parses");
         assert_eq!(back, cell);
         assert_eq!(seq, Some(17));
-    }
-
-    #[test]
-    fn repro_and_key_carry_the_fault_plan_text() {
-        let cell = FuzzCell {
-            faults: FaultPlan::new()
-                .latency_spike(250, 40, 9)
-                .replay_storm(404, 174),
-            ..FuzzCell::from_seed(0x5EED, 4_000, false)
-        };
-        assert!(cell
-            .cell_key()
-            .contains("|faults=[spike@250x40+9,storm@404x174]|"));
-        let text = write_repro(&cell, 0xC0FFEE, &SimError::Panicked("boom".into()));
-        assert!(text.contains("\nfaults spike@250x40+9,storm@404x174\n"));
-        let (back, seq) = parse_repro(&text).expect("parses");
-        assert_eq!(back, cell);
-        assert_eq!(seq, None);
-        // The shrinker's mutation keeps the remaining window as it was.
+        // The shrinker's one plan mutation keeps the other window as is.
         assert_eq!(cell.faults.without_window(0).to_string(), "storm@404x174");
     }
 

@@ -808,20 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_of_returns_what_the_run_asked_for() {
-        let bench = benchmark("fp_compute").unwrap();
-        let plan = Session::plan_of(|s| {
-            for cfg in [configs::baseline(4), configs::spec_sched_crit(4)] {
-                s.try_run(&cfg, bench).unwrap();
-                s.try_run(&configs::baseline(4), bench).unwrap();
-            }
-            assert_eq!(s.simulated, 0);
-        });
-        let names: Vec<_> = plan.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["Baseline_4", "SpecSched_4_Crit"]);
-    }
-
-    #[test]
     fn merge_folds_worker_results_and_failures() {
         let len = RunLength {
             warmup: 100,
