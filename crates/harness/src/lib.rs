@@ -14,7 +14,9 @@
 //!   (configuration × benchmark) matrix across worker threads, and the
 //!   sweep command line ([`exec::run_cli`]).
 //! * [`experiments`] — one regenerator per table/figure; each returns a
-//!   [`report::Report`] with the same rows/series the paper plots.
+//!   [`report::Report`] with the same rows/series the paper plots. An
+//!   experiment's prewarm plan is derived from its regenerator
+//!   ([`Session::plan_of`]), never listed by hand.
 //! * [`journal`] — the crash-safe sweep journal: an fsync'd record of
 //!   completed cells that lets a killed sweep resume without guesswork.
 //! * [`fuzz`] — the deterministic differential fuzz campaign: random
