@@ -683,7 +683,7 @@ crate::impl_persist!(crate::CacheStats {
 });
 
 /// Every counter of [`SimStats::counters`](crate::SimStats::counters),
-/// in that order — the one field list the wire line and the golden file
+/// in that order: the one field list the wire line and the golden file
 /// use, so a new counter is persisted as soon as it is listed there.
 /// The encoding is sparse: a `u64` mask whose bit `i` marks counter `i`
 /// as non-zero, then each non-zero value. A core's own copy leaves every
